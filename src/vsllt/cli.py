@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -183,10 +184,18 @@ def _verify_one(word):
     return render_word(word), agrees, rebased_ok, positive
 
 
+def _pool_size(jobs: int) -> int:
+    """Worker processes for ``verify --jobs``: at most one per CPU."""
+    if jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
+
+
 def cmd_verify(args) -> int:
     if args.max_semilength < 1:
         print("verify: --max-semilength must be >= 1", file=sys.stderr)
         return 2
+    workers = _pool_size(args.jobs)  # raises ValueError (exit 2) below 1
     t0 = time.time()
     all_ok = True
     total = 0
@@ -196,8 +205,8 @@ def cmd_verify(args) -> int:
         if len(words) != expected:
             print(f"semilength {n}: enumerator gave {len(words)} paths, reference recurrence {expected}")
             all_ok = False
-        if args.jobs > 1:
-            with Pool(args.jobs) as pool:
+        if workers > 1:
+            with Pool(workers) as pool:
                 results = pool.map(_verify_one, words, chunksize=8)
         else:
             results = [_verify_one(w) for w in words]

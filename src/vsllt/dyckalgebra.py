@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .paths import MINUS, PLUS, Word, WordError, semilength
 from .qpoly import ONE, Q_MINUS_1, QPoly
-from .symfunc import GradedSym, e_in_p
+from .symfunc import GradedSym, Partition, e_in_p
 
 YExps = tuple[int, ...]
 
@@ -146,25 +146,37 @@ def op_t(i: int, f: VElement) -> VElement:
     return _raw(k, f.n, out)
 
 
-def _shifted_sym_terms(g: GradedSym, sign: int):
-    """Expand g with p_m replaced by p_m + sign*(q^m - 1)*t^m for a fresh t.
+# (mu, sign) -> the alphabet shift of p_mu, as (kept, extra, scalar) entries
+_SHIFT_TABLE: dict[tuple[Partition, int], tuple] = {}
 
-    Yields (partition, extra_t_exponent, coefficient) triples.
+
+def _shift_table(mu: Partition, sign: int) -> tuple:
+    """p_mu with p_m replaced by p_m + sign*(q^m - 1)*t^m for a fresh t.
+
+    Returns (kept partition, extra t-exponent, scalar) entries, one per
+    distinct kept multiset: subsets of the parts that keep the same parts
+    convert the same ones, so their scalars are merged into one.
     """
-    for mu, c in g.terms.items():
-        # iterate over the parts, keeping or converting each one
-        states = [((), 0, c)]
-        for m in mu:
-            factor = QPoly.monomial(m) - ONE
-            if sign < 0:
-                factor = -factor
-            nxt = []
-            for parts, extra, coeff in states:
-                nxt.append((parts + (m,), extra, coeff))
-                nxt.append((parts, extra + m, coeff * factor))
-            states = nxt
-        for parts, extra, coeff in states:
-            yield tuple(sorted(parts, reverse=True)), extra, coeff
+    key = (mu, sign)
+    table = _SHIFT_TABLE.get(key)
+    if table is not None:
+        return table
+    # iterate over the parts, keeping or converting each one
+    states: dict[Partition, QPoly] = {(): ONE}
+    for m in mu:
+        factor = QPoly.monomial(m) - ONE
+        if sign < 0:
+            factor = -factor
+        nxt: dict[Partition, QPoly] = {}
+        for parts, scalar in states.items():
+            for kept, v in ((parts + (m,), scalar), (parts, scalar * factor)):
+                s = nxt.get(kept)
+                nxt[kept] = v if s is None else s + v
+        states = nxt
+    size = sum(mu)
+    table = tuple((parts, size - sum(parts), scalar) for parts, scalar in states.items())
+    _SHIFT_TABLE[key] = table
+    return table
 
 
 def op_dplus(f: VElement) -> VElement:
@@ -173,8 +185,10 @@ def op_dplus(f: VElement) -> VElement:
     k, n = f.k, f.n
     out: dict[YExps, GradedSym] = {}
     for e, g in f.terms.items():
-        for mu, extra, coeff in _shifted_sym_terms(g, +1):
-            _add_term(out, e + (extra,), GradedSym(n, {mu: coeff}))
+        for mu, c in g.terms.items():
+            for kept, extra, scalar in _shift_table(mu, +1):
+                coeff = c if scalar is ONE else c * scalar
+                _add_term(out, e + (extra,), GradedSym(n, {kept: coeff}))
     res = _raw(k + 1, n, out)
     for i in range(k, 0, -1):
         res = op_t(i, res)
@@ -189,22 +203,34 @@ def op_dminus(f: VElement) -> VElement:
     For a term with y_k-exponent a after the shift, only i = a+1 survives,
     contributing (-1)^a * e_{a+1} times the coefficient; e_{a+1} with
     a+1 > n vanishes in the truncation.
+
+    The shifted terms are first summed into one symmetric function per
+    (remaining exponents, a), so each non-zero group is multiplied by
+    e_{a+1} once rather than once per shifted term.
     """
     k, n = f.k, f.n
     if k < 1:
         raise ValueError("lowering operator needs k >= 1")
-    out: dict[YExps, GradedSym] = {}
+    groups: dict[tuple[YExps, int], dict[Partition, QPoly]] = {}
     for e, g in f.terms.items():
         base_a = e[-1]
         rest = e[:-1]
-        for mu, extra, coeff in _shifted_sym_terms(g, -1):
-            a = base_a + extra
-            if a + 1 > n:
-                continue
-            if a % 2 == 1:
-                coeff = -coeff
-            part = e_in_p(a + 1, n) * GradedSym(n, {mu: coeff})
-            _add_term(out, rest, part)
+        for mu, c in g.terms.items():
+            for kept, extra, scalar in _shift_table(mu, -1):
+                a = base_a + extra
+                if a + 1 > n:
+                    continue
+                coeff = c if scalar is ONE else c * scalar
+                group = groups.setdefault((rest, a), {})
+                s = group.get(kept)
+                group[kept] = coeff if s is None else s + coeff
+    out: dict[YExps, GradedSym] = {}
+    for (rest, a), terms in groups.items():
+        group = GradedSym(n, terms)
+        if group.is_zero():
+            continue
+        part = e_in_p(a + 1, n) * group
+        _add_term(out, rest, -part if a % 2 == 1 else part)
     return _raw(k - 1, n, out)
 
 

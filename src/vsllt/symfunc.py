@@ -176,21 +176,38 @@ def _e_in_p_raw(k: int) -> dict[Partition, Fraction]:
     return acc
 
 
+# The GradedSym results below are shared between callers, which is safe
+# because nothing mutates a GradedSym's terms in place.
+_E_IN_P_GRADED: dict[tuple[int, int], GradedSym] = {}
+_E_MU_IN_P_CACHE: dict[tuple[Partition, int], GradedSym] = {}
+
+
 def e_in_p(k: int, n: int) -> GradedSym:
     """The elementary symmetric function e_k expanded in the p-basis."""
+    key = (k, n)
+    cached = _E_IN_P_GRADED.get(key)
+    if cached is not None:
+        return cached
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return GradedSym(n, {mu: QPoly.const(c) for mu, c in _e_in_p_raw(k).items()})
+    out = GradedSym(n, {mu: QPoly.const(c) for mu, c in _e_in_p_raw(k).items()})
+    _E_IN_P_GRADED[key] = out
+    return out
 
 
 def e_mu_in_p(mu: Partition, n: int) -> GradedSym:
     """The product e_mu = e_{mu_1} e_{mu_2} ... in the p-basis."""
+    key = (mu, n)
+    cached = _E_MU_IN_P_CACHE.get(key)
+    if cached is not None:
+        return cached
     check_partition(mu)
     if sum(mu) > n:
         raise ValueError(f"|mu| = {sum(mu)} exceeds truncation degree {n}")
     out = GradedSym.one(n)
     for part in mu:
         out = out * e_in_p(part, n)
+    _E_MU_IN_P_CACHE[key] = out
     return out
 
 

@@ -1,10 +1,16 @@
 """Shared strategies for randomized algebra tests."""
 
 import hypothesis.strategies as st
+from hypothesis import settings
 
 from vsllt.dyckalgebra import VElement
 from vsllt.qpoly import QPoly
 from vsllt.symfunc import GradedSym
+
+# Same examples on every run (seeded from each test's source), and a
+# reproduction blob printed with any failure; the deadline stays at its default.
+settings.register_profile("vsllt", derandomize=True, print_blob=True)
+settings.load_profile("vsllt")
 
 
 @st.composite

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from vsllt import cli
 from vsllt.cli import main
 from vsllt.paths import parse_word
 from vsllt.qpoly import parse_qpoly
@@ -117,3 +120,27 @@ def test_verify_parallel_matches_serial(capsys):
 def test_verify_rejects_bad_bound(capsys):
     code, _, _ = run(capsys, "verify", "--max-semilength", "0")
     assert code == 2
+
+
+def test_verify_rejects_bad_jobs(capsys, monkeypatch):
+    def no_pool(*_args, **_kwargs):
+        raise AssertionError("no pool may start for a rejected --jobs")
+
+    monkeypatch.setattr(cli, "Pool", no_pool)
+    for jobs in ("0", "-1"):
+        code, out, err = run(capsys, "verify", "--max-semilength", "2", "--jobs", jobs)
+        assert code == 2
+        assert f"--jobs must be >= 1, got {jobs}" in err
+        assert out == ""
+
+
+def test_pool_size_is_clamped(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="--jobs must be >= 1"):
+            cli._pool_size(jobs)
+    assert cli._pool_size(1) == 1
+    assert cli._pool_size(2) == 2
+    assert cli._pool_size(10**9) == 2
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._pool_size(10**9) == 1
