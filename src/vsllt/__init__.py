@@ -1,79 +1,7 @@
-"""Exact e-expansion and positivity certification for vertical strip LLT polynomials."""
+"""Exact e-expansion and positivity certification for vertical strip LLT polynomials.
 
-from .dyckalgebra import VElement, apply_word, eval_word, op_dminus, op_dplus, op_phi, op_phi_commutator, op_t
-from .llt import (
-    attack_pairs,
-    area_and_crosses,
-    cell_count,
-    oracle_compare,
-    parse_strips,
-    reading_order,
-    ssyt_generating_function,
-    to_schroeder_word,
-)
-from .paths import (
-    WordError,
-    count_paths_reference,
-    iter_paths,
-    iter_paths_upto,
-    parse_word,
-    render_word,
-    semilength,
-    validate_word,
-)
-from .qpoly import QPoly, parse_qpoly, render_qpoly
-from .rewrite import (
-    e_positivity_report,
-    expand_word,
-    leftmost_high_dplus,
-    letter_degree,
-    lincomb_to_e,
-    normalize,
-    rewrite_case0,
-    rewrite_push_T,
-)
-from .symfunc import GradedSym, e_in_p, e_mu_in_p, expand_in_vars
-
-__all__ = [
-    "GradedSym",
-    "QPoly",
-    "VElement",
-    "WordError",
-    "apply_word",
-    "area_and_crosses",
-    "attack_pairs",
-    "cell_count",
-    "count_paths_reference",
-    "e_in_p",
-    "e_mu_in_p",
-    "e_positivity_report",
-    "eval_word",
-    "expand_in_vars",
-    "expand_word",
-    "iter_paths",
-    "iter_paths_upto",
-    "leftmost_high_dplus",
-    "letter_degree",
-    "lincomb_to_e",
-    "normalize",
-    "op_dminus",
-    "op_dplus",
-    "op_phi",
-    "op_phi_commutator",
-    "op_t",
-    "oracle_compare",
-    "parse_qpoly",
-    "parse_strips",
-    "parse_word",
-    "reading_order",
-    "render_qpoly",
-    "render_word",
-    "rewrite_case0",
-    "rewrite_push_T",
-    "semilength",
-    "ssyt_generating_function",
-    "to_schroeder_word",
-    "validate_word",
-]
+The Python API lives in the submodules: ``qpoly``, ``symfunc``, ``paths``,
+``dyckalgebra``, ``rewrite``, ``llt`` and ``cli``.
+"""
 
 __version__ = "0.1.0"

@@ -9,7 +9,7 @@ engine is checked.
 from __future__ import annotations
 
 from .paths import MINUS, PLUS, Word, WordError, semilength
-from .qpoly import ONE, Q_MINUS_1, QPoly
+from .qpoly import ONE, Q_MINUS_1, QPoly, accumulate
 from .symfunc import GradedSym, Partition, e_in_p
 
 YExps = tuple[int, ...]
@@ -58,12 +58,7 @@ class VElement:
             raise ValueError("degree/truncation mismatch")
         out = dict(self.terms)
         for e, g in other.terms.items():
-            s = out.get(e)
-            s = g if s is None else s + g
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
+            accumulate(out, e, g)
         return _raw(self.k, self.n, out)
 
     def __sub__(self, other: "VElement") -> "VElement":
@@ -102,15 +97,6 @@ def _raw(k: int, n: int, terms: dict) -> VElement:
     return v
 
 
-def _add_term(terms: dict, e: YExps, g: GradedSym) -> None:
-    s = terms.get(e)
-    s = g if s is None else s + g
-    if s.is_zero():
-        terms.pop(e, None)
-    else:
-        terms[e] = s
-
-
 def op_t(i: int, f: VElement) -> VElement:
     """The swap operator between u = y_i and v = y_{i+1} (1-based i).
 
@@ -129,7 +115,7 @@ def op_t(i: int, f: VElement) -> VElement:
         a, b = e[ia], e[ib]
         swapped = list(e)
         swapped[ia], swapped[ib] = b, a
-        _add_term(out, tuple(swapped), g)
+        accumulate(out, tuple(swapped), g)
         if a == b:
             continue
         if a < b:
@@ -142,7 +128,7 @@ def op_t(i: int, f: VElement) -> VElement:
         for j in range(hi - lo):
             mono = list(e)
             mono[ia], mono[ib] = lo + 1 + j, hi - 1 - j
-            _add_term(out, tuple(mono), dd)
+            accumulate(out, tuple(mono), dd)
     return _raw(k, f.n, out)
 
 
@@ -188,7 +174,7 @@ def op_dplus(f: VElement) -> VElement:
         for mu, c in g.terms.items():
             for kept, extra, scalar in _shift_table(mu, +1):
                 coeff = c if scalar is ONE else c * scalar
-                _add_term(out, e + (extra,), GradedSym(n, {kept: coeff}))
+                accumulate(out, e + (extra,), GradedSym(n, {kept: coeff}))
     res = _raw(k + 1, n, out)
     for i in range(k, 0, -1):
         res = op_t(i, res)
@@ -230,7 +216,7 @@ def op_dminus(f: VElement) -> VElement:
         if group.is_zero():
             continue
         part = e_in_p(a + 1, n) * group
-        _add_term(out, rest, -part if a % 2 == 1 else part)
+        accumulate(out, rest, -part if a % 2 == 1 else part)
     return _raw(k - 1, n, out)
 
 

@@ -16,9 +16,11 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from .paths import MINUS, PLUS, ZERO, Word
-from .qpoly import QPoly
+from .qpoly import QPoly, accumulate
 from .rewrite import expand_word
-from .symfunc import XPoly, e_mu_in_p, expand_in_vars, xpoly_add
+from .symfunc import XPoly, e_expansion_in_p, expand_in_vars
+# unused here, but bench/tracing.py wraps llt.e_mu_in_p by name
+from .symfunc import e_mu_in_p  # noqa: F401
 
 # (bottom_diagonal, height) per strip, in tuple order
 Strip = tuple[int, int]
@@ -174,24 +176,14 @@ def ssyt_generating_function(strips: StripTuple, nvars: int) -> XPoly:
         exps = [0] * nvars
         for v in values:
             exps[v - 1] += 1
-        key = tuple(exps)
-        term = QPoly.monomial(inv)
-        s = out.get(key)
-        s = term if s is None else s + term
-        out[key] = s
+        accumulate(out, tuple(exps), QPoly.monomial(inv))
     return out
 
 
 def llt_in_vars(strips: StripTuple, nvars: int) -> XPoly:
     """The operator-side polynomial, expanded in nvars variables."""
-    word = to_schroeder_word(strips)
-    n = cell_count(strips)
-    expansion = expand_word(word)
-    out: XPoly = {}
-    for mu, coeff in expansion.items():
-        block = expand_in_vars(e_mu_in_p(mu, max(n, 1)).scale(coeff), nvars)
-        out = xpoly_add(out, block)
-    return out
+    expansion = expand_word(to_schroeder_word(strips))
+    return expand_in_vars(e_expansion_in_p(expansion, max(cell_count(strips), 1)), nvars)
 
 
 def oracle_compare(strips: StripTuple, nvars: int | None = None) -> bool:

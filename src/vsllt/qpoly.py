@@ -131,19 +131,12 @@ class QPoly:
         shift_plus_one, although the two agree as maps (a Taylor-shift
         identity that the tests exercise).
         """
-        rest = list(self.coeffs)
+        rest = self.coeffs
         out = []
+        # each quotient keeps the leading coefficient, so it stays canonical
         while rest:
-            # divide rest by (q-1): remainder is rest(1)
-            quot = [Fraction(0)] * (len(rest) - 1)
-            carry = Fraction(0)
-            for i in range(len(rest) - 1, 0, -1):
-                carry += rest[i]
-                quot[i - 1] = carry
-            out.append(rest[0] + carry)
-            while quot and quot[-1] == 0:
-                quot.pop()
-            rest = quot
+            rest, remainder = _divide_qminus1(rest)
+            out.append(remainder)
         return tuple(out)
 
     @classmethod
@@ -158,14 +151,9 @@ class QPoly:
         """Divide exactly by (q-1); raise if the remainder is nonzero."""
         if not self.coeffs:
             return QPoly()
-        if self(Fraction(1)) != 0:
+        quot, remainder = _divide_qminus1(self.coeffs)
+        if remainder != 0:
             raise ArithmeticError(f"not divisible by (q-1): {self}")
-        rest = list(self.coeffs)
-        quot = [Fraction(0)] * (len(rest) - 1)
-        carry = Fraction(0)
-        for i in range(len(rest) - 1, 0, -1):
-            carry += rest[i]
-            quot[i - 1] = carry
         return QPoly(quot)
 
     def is_nonneg(self) -> bool:
@@ -184,6 +172,34 @@ class QPoly:
     def to_json(self) -> list[str]:
         """Coefficient list, constant term first, exact rationals as strings."""
         return [str(c) for c in self.coeffs]
+
+
+def _divide_qminus1(coeffs) -> tuple[list[Fraction], Fraction]:
+    """Synthetic division of a nonzero coefficient sequence by (q-1).
+
+    Returns (quotient coefficients, remainder); the remainder is a(1).
+    """
+    quot = [Fraction(0)] * (len(coeffs) - 1)
+    carry = Fraction(0)
+    for i in range(len(coeffs) - 1, 0, -1):
+        carry += coeffs[i]
+        quot[i - 1] = carry
+    return quot, coeffs[0] + carry
+
+
+def accumulate(terms: dict, key, value) -> None:
+    """Add value into terms[key], removing the key when the sum is zero.
+
+    This is the one sparse-sum primitive of the package: values are QPoly
+    or GradedSym (anything with + and is_zero()).  A zero value on an
+    absent key inserts nothing.
+    """
+    s = terms.get(key)
+    s = value if s is None else s + value
+    if s.is_zero():
+        terms.pop(key, None)
+    else:
+        terms[key] = s
 
 
 def _coerce(x) -> QPoly:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .paths import MINUS, PLUS, ZERO, Word, validate_word
-from .qpoly import ONE, Q, Q_MINUS_1, QPoly
+from .qpoly import ONE, Q, Q_MINUS_1, QPoly, accumulate
 from .symfunc import Partition
 
 # A linear combination of words: {word: QPoly}, no zero coefficients.
@@ -50,15 +50,6 @@ def leftmost_high_dplus(word: Word) -> int | None:
     return None
 
 
-def _add(lc: LinComb, word: Word, coeff: QPoly) -> None:
-    s = lc.get(word)
-    s = coeff if s is None else s + coeff
-    if s.is_zero():
-        lc.pop(word, None)
-    else:
-        lc[word] = s
-
-
 def rewrite_case0(word: Word, pos: int) -> LinComb:
     """Rewrite an adjacent (-, +) pair with the '+' at degree >= 1.
 
@@ -71,8 +62,8 @@ def rewrite_case0(word: Word, pos: int) -> LinComb:
     if letter_degree(word, pos) < 1:
         raise ValueError(f"'+' at position {pos} has degree 0")
     out: LinComb = {}
-    _add(out, word[: pos - 1] + (PLUS, MINUS) + word[pos + 1 :], ONE)
-    _add(out, word[: pos - 1] + (ZERO,) + word[pos + 1 :], Q_MINUS_1)
+    accumulate(out, word[: pos - 1] + (PLUS, MINUS) + word[pos + 1 :], ONE)
+    accumulate(out, word[: pos - 1] + (ZERO,) + word[pos + 1 :], Q_MINUS_1)
     return out
 
 
@@ -129,8 +120,8 @@ def _bubble_t(word: Word, t: int, idx: int) -> LinComb:
             return {word[: t - 2] + (MINUS, MINUS) + word[t + 1 :]: coeff}
         # left == MINUS, left2 == ZERO
         out: LinComb = {}
-        _add(out, word[: t - 2] + (MINUS, ZERO) + word[t + 1 :], coeff)
-        _add(out, word[: t - 2] + (ZERO, MINUS) + word[t + 1 :], -(coeff * Q_MINUS_1))
+        accumulate(out, word[: t - 2] + (MINUS, ZERO) + word[t + 1 :], coeff)
+        accumulate(out, word[: t - 2] + (ZERO, MINUS) + word[t + 1 :], -(coeff * Q_MINUS_1))
         return out
 
 
@@ -146,10 +137,10 @@ def rewrite_push_T(word: Word, pos: int) -> LinComb:
     if letter_degree(word, pos) < 1:
         raise ValueError(f"'+' at position {pos} has degree 0")
     out: LinComb = {}
-    _add(out, word[: pos - 1] + (PLUS, ZERO) + word[pos + 1 :], Q_MINUS_1)
+    accumulate(out, word[: pos - 1] + (PLUS, ZERO) + word[pos + 1 :], Q_MINUS_1)
     t_word = word[: pos - 1] + ("T1", PLUS, ZERO) + word[pos + 1 :]
     for w, c in _bubble_t(t_word, pos - 1, 1).items():
-        _add(out, w, c)
+        accumulate(out, w, c)
     return out
 
 
@@ -177,10 +168,10 @@ def normalize(word: Word) -> LinComb:
         coeff = active.pop(w)
         pos = leftmost_high_dplus(w)
         if pos is None:
-            _add(done, w, coeff)
+            accumulate(done, w, coeff)
             continue
         for w2, c2 in rewrite_step(w, pos).items():
-            _add(active, w2, coeff * c2)
+            accumulate(active, w2, coeff * c2)
     return done
 
 
@@ -206,13 +197,7 @@ def lincomb_to_e(lc: LinComb) -> dict[Partition, QPoly]:
                 raise ValueError(f"non-terminal word {''.join(word)}")
             i += 1
             parts.append(m + 1)
-        mu = tuple(sorted(parts, reverse=True))
-        s = out.get(mu)
-        s = coeff if s is None else s + coeff
-        if s.is_zero():
-            out.pop(mu, None)
-        else:
-            out[mu] = s
+        accumulate(out, tuple(sorted(parts, reverse=True)), coeff)
     return out
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .qpoly import ONE, QPoly, render_qpoly
+from .qpoly import ONE, QPoly, accumulate, render_qpoly
 
 # A partition is a weakly decreasing tuple of positive ints; () is allowed.
 Partition = tuple[int, ...]
@@ -79,22 +79,11 @@ class GradedSym:
         self._check_same(other)
         out = dict(self.terms)
         for mu, c in other.terms.items():
-            s = out.get(mu)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(mu, None)
-            else:
-                out[mu] = s
-        res = GradedSym.__new__(GradedSym)
-        res.n = self.n
-        res.terms = out
-        return res
+            accumulate(out, mu, c)
+        return _raw(self.n, out)
 
     def __neg__(self) -> "GradedSym":
-        res = GradedSym.__new__(GradedSym)
-        res.n = self.n
-        res.terms = {mu: -c for mu, c in self.terms.items()}
-        return res
+        return _raw(self.n, {mu: -c for mu, c in self.terms.items()})
 
     def __sub__(self, other: "GradedSym") -> "GradedSym":
         return self + (-other)
@@ -102,10 +91,7 @@ class GradedSym:
     def scale(self, c: QPoly) -> "GradedSym":
         if c.is_zero():
             return GradedSym.zero(self.n)
-        res = GradedSym.__new__(GradedSym)
-        res.n = self.n
-        res.terms = {mu: c * v for mu, v in self.terms.items()}
-        return res
+        return _raw(self.n, {mu: c * v for mu, v in self.terms.items()})
 
     def __mul__(self, other: "GradedSym") -> "GradedSym":
         """Product, truncated at degree n; in the p-basis this is key merging."""
@@ -117,18 +103,8 @@ class GradedSym:
             for nu, cn in other.terms.items():
                 if smu + sum(nu) > n:
                     continue
-                key = merge_partitions(mu, nu)
-                c = cm * cn
-                s = out.get(key)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        res = GradedSym.__new__(GradedSym)
-        res.n = n
-        res.terms = out
-        return res
+                accumulate(out, merge_partitions(mu, nu), cm * cn)
+        return _raw(n, out)
 
     def _check_same(self, other: "GradedSym") -> None:
         if self.n != other.n:
@@ -154,6 +130,14 @@ class GradedSym:
                 for mu, c in sorted(self.terms.items())
             },
         }
+
+
+def _raw(n: int, terms: dict) -> GradedSym:
+    """A GradedSym over terms that are already clean (no zeros, degree <= n)."""
+    g = GradedSym.__new__(GradedSym)
+    g.n = n
+    g.terms = terms
+    return g
 
 
 # e_k in the p-basis does not depend on the truncation degree, so cache the
@@ -211,6 +195,15 @@ def e_mu_in_p(mu: Partition, n: int) -> GradedSym:
     return out
 
 
+def e_expansion_in_p(expansion: dict[Partition, QPoly], n: int) -> GradedSym:
+    """sum_mu c_mu e_mu for an e-expansion {mu: c_mu}, in the p-basis at degree n."""
+    terms: dict[Partition, QPoly] = {}
+    for mu, c in expansion.items():
+        for nu, v in e_mu_in_p(mu, n).terms.items():
+            accumulate(terms, nu, c * v)
+    return _raw(n, terms)
+
+
 # ---------------------------------------------------------------------------
 # Finite-variable expansion (the faithful-representation oracle bridge).
 # A multivariate polynomial in x_1..x_nvars is a dict {exponent tuple: QPoly}.
@@ -222,26 +215,7 @@ def xpoly_mul(a: XPoly, b: XPoly) -> XPoly:
     out: XPoly = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            c = ca * cb
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return out
-
-
-def xpoly_add(a: XPoly, b: XPoly) -> XPoly:
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e)
-        s = c if s is None else s + c
-        if s.is_zero():
-            out.pop(e, None)
-        else:
-            out[e] = s
+            accumulate(out, tuple(x + y for x, y in zip(ea, eb)), ca * cb)
     return out
 
 
@@ -278,11 +252,5 @@ def expand_in_vars(f: GradedSym, nvars: int) -> XPoly:
     out: XPoly = {}
     for mu, c in f.terms.items():
         for e, ce in _p_mu_in_vars(mu, nvars).items():
-            v = c * ce
-            s = out.get(e)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
+            accumulate(out, e, c * ce)
     return out

@@ -9,8 +9,9 @@ agree with them exactly.
 
 from __future__ import annotations
 
-from vsllt.dyckalgebra import VElement, YExps, _add_term, _raw, op_t
+from vsllt.dyckalgebra import VElement, YExps, _raw, op_t
 from vsllt.qpoly import ONE, QPoly
+from vsllt.qpoly import accumulate as _add_term
 from vsllt.symfunc import GradedSym, e_in_p
 
 

@@ -7,13 +7,13 @@ import functools
 import random
 import time
 
-from vsllt.cli import main
+from vsllt.cli import _verify_one, main
 from vsllt.dyckalgebra import VElement, apply_word, eval_word, op_dminus, op_dplus, op_phi, op_phi_commutator, op_t
 from vsllt.llt import oracle_compare
-from vsllt.paths import iter_paths, iter_paths_upto, parse_word, render_word, semilength
+from vsllt.paths import iter_paths, iter_paths_upto, parse_word, semilength
 from vsllt.qpoly import ONE, Q, Q_MINUS_1, QPoly
-from vsllt.rewrite import e_positivity_report, expand_word, leftmost_high_dplus, lincomb_to_e, normalize, rewrite_push_T
-from vsllt.symfunc import GradedSym, e_in_p, e_mu_in_p
+from vsllt.rewrite import e_positivity_report, expand_word, leftmost_high_dplus, rewrite_push_T
+from vsllt.symfunc import GradedSym, e_in_p
 
 W = parse_word
 
@@ -69,23 +69,9 @@ def test_criterion_3_path_construction(capsys):
 
 @functools.lru_cache(maxsize=1)
 def _sweep_semilength_6():
-    """normalize() every word of semilength <= 6 once; share across criteria."""
-    results = []
+    """Run verify's per-word check on every word of semilength <= 6 once; share across criteria."""
     t0 = time.time()
-    for word in iter_paths_upto(6):
-        n = max(semilength(word), 1)
-        lc = normalize(word)
-        expansion = lincomb_to_e(lc)
-        in_p = GradedSym.zero(n)
-        for mu, c in expansion.items():
-            in_p = in_p + e_mu_in_p(mu, n).scale(c)
-        agrees = in_p == eval_word(word, n)
-        rebased_ok = all(
-            all(x >= 0 and x.denominator == 1 for x in c.rebase_qminus1())
-            for c in expansion.values()
-        )
-        positive = all(c.shift_plus_one().is_nonneg() for c in expansion.values())
-        results.append((render_word(word), agrees, rebased_ok, positive))
+    results = [_verify_one(word) for word in iter_paths_upto(6)]
     return results, time.time() - t0
 
 

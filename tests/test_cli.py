@@ -144,3 +144,41 @@ def test_pool_size_is_clamped(monkeypatch):
     assert cli._pool_size(10**9) == 2
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert cli._pool_size(10**9) == 1
+
+
+def test_verify_starts_one_pool(capsys, monkeypatch):
+    real_pool = cli.Pool
+    made = []
+
+    def counting_pool(*args, **kwargs):
+        made.append(args)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "Pool", counting_pool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    code, out, _ = run(capsys, "verify", "--max-semilength", "3", "--jobs", "2")
+    assert code == 0
+    assert "all checks pass" in out
+    assert made == [(2,)]
+
+
+def test_oracle_refuses_huge_enumerations(capsys, monkeypatch):
+    def no_enumeration(*_args, **_kwargs):
+        raise AssertionError("a refused oracle run may not enumerate fillings")
+
+    monkeypatch.setattr(cli.llt, "ssyt_generating_function", no_enumeration)
+    for argv, count in (
+        (["--strips", ";".join(["0:1"] * 10)], 10**10),
+        (["--strips", "0:5;0:5;0:5;0:5", "--nvars", "20"], 15504**4),
+    ):
+        code, out, err = run(capsys, "oracle", *argv)
+        assert code == 2
+        assert out == ""
+        assert f"{count} tableau fillings" in err
+        assert str(cli.MAX_ORACLE_FILLINGS) in err
+
+
+def test_oracle_under_the_limit_still_matches(capsys):
+    code, out, _ = run(capsys, "oracle", "--strips", "0:2;0:2;0:1")
+    assert code == 0
+    assert "match: yes" in out

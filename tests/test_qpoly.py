@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 
 from conftest import qpolys
-from vsllt.qpoly import ONE, Q, Q_MINUS_1, QPoly, ZERO, parse_qpoly, render_qpoly
+from vsllt.qpoly import ONE, Q, Q_MINUS_1, QPoly, ZERO, accumulate, parse_qpoly, render_qpoly
+from vsllt.symfunc import GradedSym
 
 
 def test_canonical_form_strips_trailing_zeros():
@@ -66,6 +67,44 @@ def test_divexact_qminus1():
     assert (p * Q_MINUS_1).divexact_qminus1() == p
     with pytest.raises(ArithmeticError):
         Q.divexact_qminus1()
+
+
+@given(qpolys(max_deg=5))
+def test_divexact_undoes_multiplication(p):
+    assert (p * Q_MINUS_1).divexact_qminus1() == p
+
+
+@given(qpolys(max_deg=5))
+def test_divexact_raises_exactly_when_p1_nonzero(p):
+    if p(Fraction(1)) != 0:
+        with pytest.raises(ArithmeticError):
+            p.divexact_qminus1()
+    else:
+        assert p.divexact_qminus1() * Q_MINUS_1 == p
+
+
+@given(qpolys(max_deg=5, nonzero=True))
+def test_rebase_constant_term_is_value_at_one(p):
+    assert p.rebase_qminus1()[0] == p(Fraction(1))
+
+
+@pytest.mark.parametrize(
+    "zero, one",
+    [(ZERO, ONE), (GradedSym.zero(2), GradedSym.one(2))],
+    ids=["QPoly", "GradedSym"],
+)
+def test_accumulate(zero, one):
+    terms = {}
+    accumulate(terms, "a", zero)
+    assert terms == {}  # a zero value on an absent key inserts nothing
+    accumulate(terms, "a", one)
+    accumulate(terms, "b", one)
+    accumulate(terms, "b", one)
+    assert terms == {"a": one, "b": one + one}
+    accumulate(terms, "a", -one)
+    assert terms == {"b": one + one}  # a sum that cancels removes the key
+    accumulate(terms, "b", zero)
+    assert terms == {"b": one + one}
 
 
 def test_render():

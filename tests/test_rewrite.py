@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from vsllt.dyckalgebra import eval_word
-from vsllt.paths import iter_paths_upto, parse_word, semilength
+from vsllt.cli import _verify_one
+from vsllt.paths import iter_paths_upto, parse_word, render_word, semilength
 from vsllt.qpoly import ONE, Q, Q_MINUS_1, QPoly
 from vsllt.rewrite import (
     e_positivity_report,
@@ -15,7 +15,6 @@ from vsllt.rewrite import (
     rewrite_case0,
     rewrite_push_T,
 )
-from vsllt.symfunc import GradedSym, e_mu_in_p
 
 W = parse_word
 
@@ -148,18 +147,13 @@ def _assert_terminal_grammar(word):
 def test_rewrite_agreement_and_positivity_small():
     # full check at semilength <= 4; the acceptance suite pushes this to 6
     for w in iter_paths_upto(4):
-        n = max(semilength(w), 1)
         lc = normalize(w)
         for term, coeff in lc.items():
             _assert_terminal_grammar(term)
             assert semilength(term) == semilength(w)
             vec = coeff.rebase_qminus1()
             assert all(c >= 0 and c.denominator == 1 for c in vec)
-        expansion = lincomb_to_e(lc)
-        acc = GradedSym.zero(n)
-        for mu, c in expansion.items():
-            acc = acc + e_mu_in_p(mu, n).scale(c)
-        assert acc == eval_word(w, n)
+        assert _verify_one(w) == (render_word(w), True, True, True)
 
 
 @given(st.sampled_from(sorted(iter_paths_upto(3))))
