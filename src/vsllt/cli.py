@@ -8,7 +8,6 @@ import os
 import sys
 import time
 from contextlib import nullcontext
-from fractions import Fraction
 from functools import partial
 from math import comb, prod
 from multiprocessing import Pool
@@ -27,16 +26,21 @@ from .qpoly import render_qpoly
 from .rewrite import e_positivity_report, expand_word
 from .symfunc import e_expansion_in_p
 
-# Largest tableau enumeration ``oracle`` starts; at 30-40 us per filling
-# this is about half a minute.
+# Largest tableau enumeration ``oracle`` starts; at about 4 us per filling
+# this is a few seconds.
 MAX_ORACLE_FILLINGS = 10**6
+
+# Largest semilength ``verify`` sweeps: 20793 words at 8; semilength 9 adds
+# 103049 more, hours of work in one process.
+MAX_VERIFY_SEMILENGTH = 8
 
 
 def _partition_key(mu) -> str:
     return json.dumps(list(mu))
 
 
-def _coeff_vector_json(vec: tuple[Fraction, ...]) -> list:
+def _coeff_vector_json(vec: tuple) -> list:
+    """ints as JSON numbers; a non-integral Fraction, if any, as its string."""
     return [int(c) if c.denominator == 1 else str(c) for c in vec]
 
 
@@ -211,6 +215,19 @@ def _pool_size(jobs: int) -> int:
 def cmd_verify(args) -> int:
     if args.max_semilength < 1:
         print("verify: --max-semilength must be >= 1", file=sys.stderr)
+        return 2
+    if args.max_semilength > MAX_VERIFY_SEMILENGTH:
+        n = args.max_semilength
+        # the reference count enumerates Dyck paths, so count one level past the cap at most
+        shown = min(n, MAX_VERIFY_SEMILENGTH + 1)
+        counts = [count_paths_reference(k) for k in range(1, shown + 1)]
+        more = "" if shown == n else "more than "
+        print(
+            f"verify: --max-semilength {n} means {more}{sum(counts)} words "
+            f"({counts[-1]} at semilength {shown}), above the limit of semilength "
+            f"{MAX_VERIFY_SEMILENGTH}; use a smaller --max-semilength",
+            file=sys.stderr,
+        )
         return 2
     workers = _pool_size(args.jobs)  # raises ValueError (exit 2) below 1
     t0 = time.perf_counter()

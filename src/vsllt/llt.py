@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from .paths import MINUS, PLUS, ZERO, Word
-from .qpoly import QPoly, accumulate
+from .qpoly import QPoly
 from .rewrite import expand_word
 from .symfunc import XPoly, e_expansion_in_p, expand_in_vars
 # unused here, but bench/tracing.py wraps llt.e_mu_in_p by name
@@ -156,11 +156,13 @@ def ssyt_generating_function(strips: StripTuple, nvars: int) -> XPoly:
     """Brute-force tableau sum: q^inversions * x^content over all fillings.
 
     Vertical strips only need strict increase up each column; inversions
-    are the attack pairs (p, r) whose values satisfy T(p) < T(r).
+    are the attack pairs (p, r) whose values satisfy T(p) < T(r).  Fillings
+    are tallied as plain ints per (content, inversions), and each content
+    becomes one QPoly at the end.
     """
     if nvars < 1:
         raise ValueError("need at least one variable")
-    pairs = sorted(attack_pairs(strips))
+    pairs = [(p - 1, r - 1) for p, r in sorted(attack_pairs(strips))]
     cells = reading_order(strips)
     # map each reading position to (strip, height offset) to index a filling
     per_strip = [_strip_fillings(h, nvars) for _, h in strips]
@@ -169,14 +171,22 @@ def ssyt_generating_function(strips: StripTuple, nvars: int) -> XPoly:
     for s, _d in cells:
         offsets.append((s, seen.get(s, 0)))
         seen[s] = seen.get(s, 0) + 1
-    out: XPoly = {}
+    # sorted values of a filling -> {inversions: number of fillings}
+    tally: dict[tuple[int, ...], dict[int, int]] = {}
     for choice in product(*per_strip):
         values = [choice[s][j] for s, j in offsets]
-        inv = sum(1 for p, r in pairs if values[p - 1] < values[r - 1])
+        inv = sum([values[p] < values[r] for p, r in pairs])
+        by_inv = tally.setdefault(tuple(sorted(values)), {})
+        by_inv[inv] = by_inv.get(inv, 0) + 1
+    out: XPoly = {}
+    for multiset, by_inv in tally.items():
         exps = [0] * nvars
-        for v in values:
+        for v in multiset:
             exps[v - 1] += 1
-        accumulate(out, tuple(exps), QPoly.monomial(inv))
+        coeffs = [0] * (max(by_inv) + 1)
+        for inv, count in by_inv.items():
+            coeffs[inv] = count
+        out[tuple(exps)] = QPoly(coeffs)
     return out
 
 

@@ -1,7 +1,12 @@
-"""Exact univariate polynomials in q over the rationals.
+"""Exact univariate polynomials in q with integer coefficients, Z[q].
 
 This is the scalar ring for the whole package: every coefficient anywhere
-is a QPoly.  No floating point is used anywhere.
+is a QPoly.  Coefficients are Python ints; a Fraction appears only where a
+value really is non-integral, which in practice means the power-sum basis
+(symfunc's e -> p bridge and everything built on it).  Python guarantees
+Fraction(k) == k and hash(Fraction(k)) == hash(k), so a polynomial compares,
+hashes and prints the same whichever of the two holds an integral value.
+No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -10,18 +15,21 @@ import re
 from fractions import Fraction
 
 
-def _to_fraction(c) -> Fraction:
+def _exact(c) -> int | Fraction:
+    """An exact coefficient: int (bool becomes int), Fraction, or a rational string."""
     if isinstance(c, Fraction):
         return c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     if isinstance(c, str):
-        return Fraction(c)
+        f = Fraction(c)
+        return f.numerator if f.denominator == 1 else f
     raise TypeError(f"not an exact rational: {c!r}")
 
 
 class QPoly:
-    """Polynomial in q with Fraction coefficients, coeffs[i] = coefficient of q^i.
+    """Polynomial in q, coeffs[i] = coefficient of q^i (an int, or a Fraction
+    where the value is non-integral).
 
     Canonical form: no trailing zero coefficients; the zero polynomial has an
     empty coefficient tuple.  Treated as immutable throughout (hashable).
@@ -30,7 +38,7 @@ class QPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_to_fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else _exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -41,7 +49,7 @@ class QPoly:
 
     @classmethod
     def monomial(cls, power: int, c=1) -> "QPoly":
-        return cls((0,) * power + (_to_fraction(c),))
+        return cls((0,) * power + (c,))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -71,12 +79,12 @@ class QPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return QPoly(out)
+        return _canonical(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QPoly":
-        return QPoly(tuple(-c for c in self.coeffs))
+        return _canonical([-c for c in self.coeffs])
 
     def __sub__(self, other) -> "QPoly":
         return self + (-_coerce(other))
@@ -89,12 +97,12 @@ class QPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return QPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-        return QPoly(out)
+        return _canonical(out)
 
     __rmul__ = __mul__
 
@@ -110,9 +118,9 @@ class QPoly:
             n >>= 1
         return out
 
-    def __call__(self, value: Fraction) -> Fraction:
-        """Evaluate at an exact rational point (Horner)."""
-        acc = Fraction(0)
+    def __call__(self, value):
+        """Evaluate at an exact point, int or Fraction (Horner)."""
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * value + c
         return acc
@@ -124,7 +132,7 @@ class QPoly:
             acc = acc * Q_PLUS_1 + QPoly.const(c)
         return acc
 
-    def rebase_qminus1(self) -> tuple[Fraction, ...]:
+    def rebase_qminus1(self) -> tuple:
         """Coefficients c_0..c_d with a(q) = sum c_i (q-1)^i.
 
         Computed by repeated synthetic division by (q-1); independent of
@@ -143,7 +151,7 @@ class QPoly:
     def from_qminus1(cls, coeffs) -> "QPoly":
         """Inverse of rebase_qminus1: build sum c_i (q-1)^i."""
         acc = cls()
-        for c in reversed([_to_fraction(c) for c in coeffs]):
+        for c in reversed(tuple(coeffs)):
             acc = acc * Q_MINUS_1 + cls.const(c)
         return acc
 
@@ -154,7 +162,7 @@ class QPoly:
         quot, remainder = _divide_qminus1(self.coeffs)
         if remainder != 0:
             raise ArithmeticError(f"not divisible by (q-1): {self}")
-        return QPoly(quot)
+        return _canonical(quot)
 
     def is_nonneg(self) -> bool:
         """True iff every coefficient is >= 0."""
@@ -174,17 +182,28 @@ class QPoly:
         return [str(c) for c in self.coeffs]
 
 
-def _divide_qminus1(coeffs) -> tuple[list[Fraction], Fraction]:
+def _divide_qminus1(coeffs) -> tuple[list, int | Fraction]:
     """Synthetic division of a nonzero coefficient sequence by (q-1).
 
     Returns (quotient coefficients, remainder); the remainder is a(1).
     """
-    quot = [Fraction(0)] * (len(coeffs) - 1)
-    carry = Fraction(0)
+    quot = [0] * (len(coeffs) - 1)
+    carry = 0
     for i in range(len(coeffs) - 1, 0, -1):
         carry += coeffs[i]
         quot[i - 1] = carry
     return quot, coeffs[0] + carry
+
+
+def _canonical(cs: list) -> QPoly:
+    """A QPoly over a list of coefficients that are already exact (sums and
+    products of ints and Fractions): strips trailing zeros in place and skips
+    the coercion of __init__."""
+    while cs and not cs[-1]:
+        cs.pop()
+    p = QPoly.__new__(QPoly)
+    p.coeffs = tuple(cs)
+    return p
 
 
 def accumulate(terms: dict, key, value) -> None:
@@ -266,7 +285,7 @@ def parse_qpoly(text: str) -> QPoly:
         coeff = m.group("coeff")
         var = m.group("var1") or m.group("var2")
         exp = m.group("exp1") or m.group("exp2")
-        c = Fraction(coeff) if coeff is not None else Fraction(1)
+        c = _exact(coeff) if coeff is not None else 1
         power = 0
         if var is not None:
             power = int(exp) if exp is not None else 1

@@ -10,8 +10,6 @@ only transiently while a single swap operator is bubbled leftward.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .paths import MINUS, PLUS, ZERO, Word, validate_word
 from .qpoly import ONE, Q, Q_MINUS_1, QPoly, accumulate
 from .symfunc import Partition
@@ -210,10 +208,11 @@ def e_positivity_report(expansion: dict[Partition, QPoly]) -> dict:
     """Shift q -> q+1 and certify positivity of an e-expansion.
 
     Returns the expansion at q, at q+1, the (q-1)-rebased coefficient
-    vectors, and the verdict (all shifted coefficients nonnegative).
+    vectors, and the verdict (all shifted coefficients nonnegative).  On a
+    rewritten expansion, which lies in Z[q], every entry is an int.
     """
     shifted = {mu: c.shift_plus_one() for mu, c in expansion.items()}
-    rebased: dict[Partition, tuple[Fraction, ...]] = {
+    rebased: dict[Partition, tuple[int, ...]] = {
         mu: c.rebase_qminus1() for mu, c in expansion.items()
     }
     return {

@@ -51,3 +51,17 @@ def velements(draw, k, n, max_terms=3, max_exp=2):
         g = draw(graded_syms(n))
         terms[e] = terms.get(e, GradedSym.zero(n)) + g
     return VElement(k, n, {e: g for e, g in terms.items() if not g.is_zero()})
+
+
+def all_strip_tuples(max_cells, max_strips, d_range):
+    """Every strip tuple within the limits (with repeats); acceptance
+    criterion 6 sweeps all_strip_tuples(5, 3, range(-2, 3))."""
+    yield ()
+    def rec(prefix, cells):
+        for d in d_range:
+            for h in range(1, max_cells - cells + 1):
+                t = prefix + ((d, h),)
+                yield t
+                if len(t) < max_strips and cells + h < max_cells:
+                    yield from rec(t, cells + h)
+    yield from rec((), 0)

@@ -7,6 +7,7 @@ import functools
 import random
 import time
 
+from conftest import all_strip_tuples
 from vsllt.cli import _verify_one, main
 from vsllt.dyckalgebra import VElement, apply_word, eval_word, op_dminus, op_dplus, op_phi, op_phi_commutator, op_t
 from vsllt.llt import oracle_compare
@@ -94,22 +95,10 @@ def test_criterion_5_positivity_sweep():
     assert bad_shift == []
 
 
-def _all_strip_tuples(max_cells, max_strips, d_range):
-    yield ()
-    def rec(prefix, cells):
-        for d in d_range:
-            for h in range(1, max_cells - cells + 1):
-                t = prefix + ((d, h),)
-                yield t
-                if len(t) < max_strips and cells + h < max_cells:
-                    yield from rec(t, cells + h)
-    yield from rec((), 0)
-
-
 @criterion(6, "tableau oracle agrees on every tuple with <= 5 cells, <= 3 strips")
 def test_criterion_6_ssyt_oracle_sweep():
     t0 = time.time()
-    tuples = sorted(set(_all_strip_tuples(5, 3, range(-2, 3))))
+    tuples = sorted(set(all_strip_tuples(5, 3, range(-2, 3))))
     failures = [t for t in tuples if not oracle_compare(t)]
     elapsed = time.time() - t0
     assert failures == []

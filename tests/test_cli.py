@@ -182,3 +182,23 @@ def test_oracle_under_the_limit_still_matches(capsys):
     code, out, _ = run(capsys, "oracle", "--strips", "0:2;0:2;0:1")
     assert code == 0
     assert "match: yes" in out
+
+
+def test_verify_refuses_semilengths_above_the_cap(capsys, monkeypatch):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("a refused verify run may not enumerate or check words")
+
+    monkeypatch.setattr(cli, "_verify_one", no_work)
+    monkeypatch.setattr(cli, "iter_paths", no_work)
+    monkeypatch.setattr(cli, "Pool", no_work)
+    assert cli.MAX_VERIFY_SEMILENGTH == 8
+    code, out, err = run(capsys, "verify", "--max-semilength", "9")
+    assert code == 2
+    assert out == ""
+    assert "129281 words (103049 at semilength 9)" in err
+    assert "limit of semilength 8" in err
+    # far beyond the cap the count stops one level past it, so refusing is instant
+    code, out, err = run(capsys, "verify", "--max-semilength", str(10**9), "--jobs", "2")
+    assert code == 2
+    assert out == ""
+    assert "more than 129281 words" in err

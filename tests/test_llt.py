@@ -16,6 +16,8 @@ from vsllt.llt import (
     ssyt_generating_function,
     to_schroeder_word,
 )
+from conftest import all_strip_tuples
+from reference_llt import ssyt_generating_function as reference_ssyt
 from vsllt.paths import parse_word, render_word, validate_word
 from vsllt.qpoly import ONE, QPoly
 
@@ -142,3 +144,18 @@ def test_oracle_on_random_small_tuples(strips):
 def test_llt_in_vars_matches_direct_small():
     strips = parse_strips("0:2;0:1")
     assert llt_in_vars(strips, 3) == ssyt_generating_function(strips, 3)
+
+
+def test_tableau_tally_matches_per_filling_reference():
+    # every criterion-6 tuple, in as many variables as cells, plus a few
+    # variable counts that leave some variables unused or force repeats
+    tuples = sorted(set(all_strip_tuples(5, 3, range(-2, 3))))
+    assert len(tuples) == 1526
+    for t in tuples:
+        nvars = max(cell_count(t), 1)
+        got = ssyt_generating_function(t, nvars)
+        assert got == reference_ssyt(t, nvars), render_strips(t)
+        assert all(type(x) is int for c in got.values() for x in c.coeffs)
+    for t in (parse_strips("0:2;0:2;0:1"), parse_strips("0:1;-1:2;1:1"), ()):
+        for nvars in (1, 2, 6):
+            assert ssyt_generating_function(t, nvars) == reference_ssyt(t, nvars)

@@ -132,6 +132,69 @@ def test_json_coefficients():
     assert QPoly((Fraction(1, 2),)).to_json() == ["1/2"]
 
 
+def test_bool_coefficients_are_stored_as_int():
+    p = QPoly((True, False, 1))
+    assert p.coeffs == (1, 0, 1)
+    assert [type(c) for c in p.coeffs] == [int, int, int]
+    assert p.to_json() == ["1", "0", "1"]
+    assert QPoly.monomial(2, True).to_json() == ["0", "0", "1"]
+
+
+def test_float_coefficients_are_refused():
+    with pytest.raises(TypeError):
+        QPoly((0.5,))
+    with pytest.raises(TypeError):
+        QPoly((1, 2.0))
+    with pytest.raises(TypeError):
+        QPoly.const(1.0)
+
+
+def test_fraction_and_int_forms_are_one_polynomial():
+    a, b = QPoly((Fraction(2), 1)), QPoly((2, 1))
+    assert a == b
+    assert hash(a) == hash(b)
+    assert {a: "x"}[b] == "x"
+    assert a.to_json() == b.to_json() == ["2", "1"]
+    assert render_qpoly(a) == render_qpoly(b) == "q + 2"
+    assert a == 2 + Q and QPoly((Fraction(3),)) == 3
+
+
+def test_integral_inputs_give_int_coefficients():
+    assert [type(c) for c in parse_qpoly("2*q^3 + q - 4/2").coeffs] == [int] * 4
+    assert type(parse_qpoly("q - 1/2").coeffs[0]) is Fraction
+    assert [type(c) for c in QPoly(("3", "-1")).coeffs] == [int, int]
+    # a genuine fraction survives mixed arithmetic exactly
+    half = QPoly((Fraction(1, 2),))
+    assert (half * QPoly((2, 2))).coeffs == (1, 1)
+    assert (half + ONE).coeffs == (Fraction(3, 2),)
+
+
+def _as_fractions(p):
+    f = QPoly(tuple(Fraction(c) for c in p.coeffs))
+    assert all(type(c) is Fraction for c in f.coeffs)
+    return f
+
+
+def _ints(p):
+    return all(type(c) is int for c in p.coeffs)
+
+
+@given(qpolys(max_deg=5), qpolys(max_deg=5))
+def test_int_arithmetic_matches_fraction_arithmetic(a, b):
+    fa, fb = _as_fractions(a), _as_fractions(b)
+    for got, want in [
+        (a + b, fa + fb),
+        (a * b, fa * fb),
+        (a - b, fa - fb),
+        (a.shift_plus_one(), fa.shift_plus_one()),
+        ((a * Q_MINUS_1).divexact_qminus1(), (fa * Q_MINUS_1).divexact_qminus1()),
+    ]:
+        assert got == want
+        assert _ints(got)
+    assert a.rebase_qminus1() == fa.rebase_qminus1()
+    assert all(type(c) is int for c in a.rebase_qminus1())
+
+
 def test_evaluation():
     p = QPoly((1, -3, 2))
     assert p(Fraction(1)) == 0

@@ -156,6 +156,22 @@ def test_rewrite_agreement_and_positivity_small():
         assert _verify_one(w) == (render_word(w), True, True, True)
 
 
+def _in_z_q(c):
+    return isinstance(c, QPoly) and all(type(x) is int for x in c.coeffs)
+
+
+def test_rewriting_stays_in_integer_polynomials():
+    # Lemma: the rewrite rules never divide, so every coefficient the engine
+    # produces lies in Z[q] and is stored with int coefficients; so does its
+    # (q-1)-basis vector.  A return to Fraction coercion fails here.
+    for w in iter_paths_upto(5):
+        assert all(_in_z_q(c) for c in normalize(w).values()), render_word(w)
+        expansion = expand_word(w)
+        assert all(_in_z_q(c) for c in expansion.values()), render_word(w)
+        for vec in e_positivity_report(expansion)["qminus1"].values():
+            assert all(type(x) is int for x in vec), render_word(w)
+
+
 @given(st.sampled_from(sorted(iter_paths_upto(3))))
 @settings(max_examples=20, deadline=None)
 def test_normalized_words_all_have_input_semilength(w):
