@@ -34,6 +34,11 @@ MAX_ORACLE_FILLINGS = 10**6
 # 103049 more, hours of work in one process.
 MAX_VERIFY_SEMILENGTH = 8
 
+# Largest semilength ``expand`` rewrites.  The costliest word of semilength n
+# is -^n +^n: about 10 s and 45 MB at 14, 32 s and 79 MB at 15, and roughly
+# three times more per step (Python 3.11.7 on a 2-vCPU x86_64 host).
+MAX_EXPAND_SEMILENGTH = 14
+
 
 def _partition_key(mu) -> str:
     return json.dumps(list(mu))
@@ -67,22 +72,24 @@ def cmd_expand(args) -> int:
     else:
         strips = llt.parse_strips(args.strips)
         word = llt.to_schroeder_word(strips)
-    expansion = expand_word(word)
-    report = e_positivity_report(expansion)
     n = semilength(word)
+    if n > MAX_EXPAND_SEMILENGTH:
+        print(
+            f"expand: the word has semilength {n}, above the limit of "
+            f"{MAX_EXPAND_SEMILENGTH}; use a shorter word",
+            file=sys.stderr,
+        )
+        return 2
+    report = e_positivity_report(expand_word(word))
     if args.json:
+        e, shifted, rebased = report["e"], report["e_at_q_plus_1"], report["qminus1"]
+        order = _sorted_partitions(e)
         doc = {
             "word": render_word(word),
             "n": n,
-            "e": {_partition_key(mu): render_qpoly(c) for mu, c in report["e"].items()},
-            "e_at_q_plus_1": {
-                _partition_key(mu): render_qpoly(c)
-                for mu, c in report["e_at_q_plus_1"].items()
-            },
-            "qminus1": {
-                _partition_key(mu): _coeff_vector_json(v)
-                for mu, v in report["qminus1"].items()
-            },
+            "e": {_partition_key(mu): render_qpoly(e[mu]) for mu in order},
+            "e_at_q_plus_1": {_partition_key(mu): render_qpoly(shifted[mu]) for mu in order},
+            "qminus1": {_partition_key(mu): _coeff_vector_json(rebased[mu]) for mu in order},
             "e_positive": report["e_positive"],
         }
         if strips is not None:

@@ -106,18 +106,6 @@ class QPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "QPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __call__(self, value):
         """Evaluate at an exact point, int or Fraction (Horner)."""
         acc = 0

@@ -4,8 +4,9 @@ A word over {-, 0, +} is rewritten into a linear combination of terminal
 words, i.e. concatenations of blocks (- 0^m +).  Each block acts as
 multiplication by e_{m+1}, so a normalized combination is exactly an
 expansion in the elementary basis.  The rewrite rules are the local
-operator identities of the Dyck path algebra; swap letters "T<i>" appear
-only transiently while a single swap operator is bubbled leftward.
+operator identities of the Dyck path algebra.  Each one lowers the sum of
+the positions of the '+' letters, so ``normalize`` rewrites every word once,
+from the highest such sum down.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ LinComb = dict[Word, QPoly]
 def letter_degree(word: Word, pos: int) -> int:
     """Number of '-' minus number of '+' weakly to the left of pos.
 
-    For a '+' letter this is the k of its domain V_k; swap letters count
-    as zero like '0'.
+    For a '+' letter this is the k of its domain V_k.
     """
     if not 0 <= pos < len(word):
         raise IndexError(f"position {pos} out of range")
@@ -65,39 +65,31 @@ def rewrite_case0(word: Word, pos: int) -> LinComb:
     return out
 
 
-def _bubble_t(word: Word, t: int, idx: int) -> LinComb:
-    """Move the single swap letter at position t leftward until it resolves.
+def _bubble_t(word: Word, t: int, k: int) -> LinComb:
+    """Bubble the swap T_1 standing just before position t leftward until it resolves.
 
-    The letter T<idx> acts on V_k where k is the '-'/'+' balance strictly
-    to its left.  One local identity applies per step:
+    The swap acts on V_k, k being the '-'/'+' balance of word[:t]; it is
+    tracked by its position, index and k, and the word is spliced only when
+    it resolves.  One local identity applies per step:
       idx <= k-2, left is '0':  pass a diagonal letter, index goes up;
-      idx <= k-2, left is '-':  pass a lowering letter, index unchanged;
+      idx <= k-2, left is '-':  pass a lowering letter, k goes down;
       idx == k-1, '0','0' on the left: jump both, index resets to 1;
       idx == k-1, '-','0' on the left: resolve, factor q, letters swap;
-      idx == k-1, '-','-' on the left: resolve, the swap letter drops;
+      idx == k-1, '-','-' on the left: resolve, the swap drops;
       idx == k-1, '0','-' on the left: resolve into two words,
                   one with the pair swapped (+1) and one as-is (-(q-1)).
     Valid inputs always resolve; running off the front is an internal error.
     """
-    coeff = ONE
+    idx = 1
     while True:
-        k = 0
-        for tok in word[:t]:
-            if tok == MINUS:
-                k += 1
-            elif tok == PLUS:
-                k -= 1
         if t == 0 or word[t - 1] == PLUS:
-            raise RuntimeError(
-                f"swap letter T{idx} stuck at position {t} in {''.join(word)}"
-            )
+            raise RuntimeError(f"swap T{idx} stuck at position {t} in {''.join(word)}")
         left = word[t - 1]
         if idx <= k - 2:
             if left == ZERO:
-                word = word[: t - 1] + (f"T{idx + 1}", ZERO) + word[t + 1 :]
                 idx += 1
             else:
-                word = word[: t - 1] + (f"T{idx}", MINUS) + word[t + 1 :]
+                k -= 1
             t -= 1
             continue
         if idx != k - 1:
@@ -108,36 +100,33 @@ def _bubble_t(word: Word, t: int, idx: int) -> LinComb:
             )
         left2 = word[t - 2]
         if left == ZERO and left2 == ZERO:
-            word = word[: t - 2] + ("T1", ZERO, ZERO) + word[t + 1 :]
             t -= 2
             idx = 1
             continue
-        if left == ZERO and left2 == MINUS:
-            return {word[: t - 2] + (ZERO, MINUS) + word[t + 1 :]: coeff * Q}
-        if left == MINUS and left2 == MINUS:
-            return {word[: t - 2] + (MINUS, MINUS) + word[t + 1 :]: coeff}
+        if left2 == MINUS:
+            if left == ZERO:
+                return {word[: t - 2] + (ZERO, MINUS) + word[t:]: Q}
+            return {word: ONE}
         # left == MINUS, left2 == ZERO
-        out: LinComb = {}
-        accumulate(out, word[: t - 2] + (MINUS, ZERO) + word[t + 1 :], coeff)
-        accumulate(out, word[: t - 2] + (ZERO, MINUS) + word[t + 1 :], -(coeff * Q_MINUS_1))
-        return out
+        return {word[: t - 2] + (MINUS, ZERO) + word[t:]: ONE, word: -Q_MINUS_1}
 
 
 def rewrite_push_T(word: Word, pos: int) -> LinComb:
     """Rewrite an adjacent (0, +) pair with the '+' at degree >= 1.
 
-    The pair splits into (q-1) * (+, 0) plus a term (T1, +, 0) whose swap
-    letter is bubbled leftward to completion; cancellations happen through
-    the coefficient arithmetic.
+    The pair splits into (q-1) * (+, 0) plus T_1 (+, 0), whose swap is
+    bubbled leftward to completion; cancellations happen through the
+    coefficient arithmetic.
     """
     if word[pos] != PLUS or word[pos - 1] != ZERO:
         raise ValueError(f"no (0,+) pair ending at position {pos}")
-    if letter_degree(word, pos) < 1:
+    deg = letter_degree(word, pos)
+    if deg < 1:
         raise ValueError(f"'+' at position {pos} has degree 0")
-    out: LinComb = {}
-    accumulate(out, word[: pos - 1] + (PLUS, ZERO) + word[pos + 1 :], Q_MINUS_1)
-    t_word = word[: pos - 1] + ("T1", PLUS, ZERO) + word[pos + 1 :]
-    for w, c in _bubble_t(t_word, pos - 1, 1).items():
+    swapped = word[: pos - 1] + (PLUS, ZERO) + word[pos + 1 :]
+    out: LinComb = {swapped: Q_MINUS_1}
+    # the swap sees the balance before the (0, +) pair: deg + 1
+    for w, c in _bubble_t(swapped, pos - 1, deg + 1).items():
         accumulate(out, w, c)
     return out
 
@@ -150,26 +139,38 @@ def rewrite_step(word: Word, pos: int) -> LinComb:
     raise RuntimeError(f"unexpected letter {word[pos - 1]!r} before high '+'")
 
 
+def _plus_weight(word: Word) -> int:
+    """Sum of the positions of the '+' letters; every rewrite rule lowers it."""
+    return sum(i for i, tok in enumerate(word) if tok == PLUS)
+
+
 def normalize(word: Word) -> LinComb:
     """Rewrite a path word into terminal words with every '+' at degree 0.
 
-    Processes the lexicographically smallest active word first; each step
-    removes a '+', moves it one place left, or lowers its degree, so the
-    loop terminates.  The result has coefficients in Z[q] that rebase into
-    N[q-1].
+    A (-, +) or (0, +) swap and every bubble output lower ``_plus_weight``
+    by 1, a collapse by at least the position of the removed '+'.  So words
+    wait in one bucket per weight, and the buckets are walked from the top
+    down: each word is rewritten once, after every contribution to its
+    coefficient has been merged.  The result has coefficients in Z[q] that
+    rebase into N[q-1].
     """
     validate_word(word)
-    active: LinComb = {word: ONE}
+    buckets: list[LinComb] = [{} for _ in range(_plus_weight(word))] + [{word: ONE}]
     done: LinComb = {}
-    while active:
-        w = min(active)
-        coeff = active.pop(w)
-        pos = leftmost_high_dplus(w)
-        if pos is None:
-            accumulate(done, w, coeff)
-            continue
-        for w2, c2 in rewrite_step(w, pos).items():
-            accumulate(active, w2, coeff * c2)
+    while buckets:
+        level = len(buckets) - 1
+        for w, coeff in buckets.pop().items():
+            pos = leftmost_high_dplus(w)
+            if pos is None:
+                done[w] = coeff
+                continue
+            for w2, c2 in rewrite_step(w, pos).items():
+                weight = _plus_weight(w2)
+                if weight >= level:
+                    raise RuntimeError(
+                        f"rewriting {''.join(w)} did not lower the '+' weight {level}"
+                    )
+                accumulate(buckets[weight], w2, coeff if c2 is ONE else coeff * c2)
     return done
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from vsllt import cli
+from vsllt import cli, rewrite
 from vsllt.cli import main
 from vsllt.paths import parse_word
 from vsllt.qpoly import parse_qpoly
@@ -62,6 +62,9 @@ def test_expand_json_round_trips(capsys):
     }
     assert shifted == {mu: c.shift_plus_one() for mu, c in rebuilt.items()}
     assert doc["qminus1"]["[4]"] == [0, 1, 1]
+    # keys follow the text output's partition order, not the rewrite order
+    for field in ("e", "e_at_q_plus_1", "qminus1"):
+        assert list(doc[field]) == ["[4]", "[3, 1]"]
 
 
 def test_path_command(capsys):
@@ -202,3 +205,26 @@ def test_verify_refuses_semilengths_above_the_cap(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "more than 129281 words" in err
+
+
+def test_expand_refuses_semilengths_above_the_cap(capsys, monkeypatch):
+    def no_rewriting(*_args, **_kwargs):
+        raise AssertionError("a refused expand run may not rewrite")
+
+    monkeypatch.setattr(rewrite, "normalize", no_rewriting)
+    assert cli.MAX_EXPAND_SEMILENGTH == 14
+    for argv in (
+        ["--word", "-" * 15 + "+" * 15],
+        ["--strips", ";".join(["0:1"] * 15), "--json"],
+        ["--word", "-0" * 10 + "+" * 10],
+    ):
+        code, out, err = run(capsys, "expand", *argv)
+        assert code == 2
+        assert out == ""
+        assert "semilength " in err and "limit of 14" in err
+    assert "semilength 20" in err
+    monkeypatch.undo()
+    # the cap bounds the semilength, not the cost: a terminal word at the cap still runs
+    code, out, _ = run(capsys, "expand", "--word", "-+" * 14)
+    assert code == 0
+    assert "e[1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]: 1" in out

@@ -19,19 +19,19 @@ def test_ring_arithmetic():
     assert Q * Q_MINUS_1 == QPoly((0, -1, 1))  # q(q-1) = q^2 - q
     assert ZERO * QPoly((3, 5, 7)) == ZERO
     assert Q - Q == ZERO
-    assert QPoly((1, 1)) ** 2 == QPoly((1, 2, 1))
+    assert QPoly((1, 1)) * QPoly((1, 1)) == QPoly((1, 2, 1))
 
 
 def test_shift_plus_one_examples():
     assert (Q * Q_MINUS_1).shift_plus_one() == QPoly((0, 1, 1))  # q^2 + q
     assert QPoly.const(Fraction(7, 3)).shift_plus_one() == QPoly.const(Fraction(7, 3))
-    assert (Q ** 2).shift_plus_one() == QPoly((1, 2, 1))
+    assert (Q * Q).shift_plus_one() == QPoly((1, 2, 1))
 
 
 def test_rebase_examples():
     assert Q.rebase_qminus1() == (1, 1)
     assert (Q * Q_MINUS_1).rebase_qminus1() == (0, 1, 1)
-    assert (Q ** 2).rebase_qminus1() == (1, 2, 1)
+    assert (Q * Q).rebase_qminus1() == (1, 2, 1)
     assert ZERO.rebase_qminus1() == ()
 
 

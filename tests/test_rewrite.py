@@ -2,10 +2,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import reference_rewrite
+from vsllt import rewrite
 from vsllt.cli import _verify_one
 from vsllt.paths import iter_paths_upto, parse_word, render_word, semilength
 from vsllt.qpoly import ONE, Q, Q_MINUS_1, QPoly
 from vsllt.rewrite import (
+    _plus_weight,
     e_positivity_report,
     expand_word,
     leftmost_high_dplus,
@@ -177,3 +180,74 @@ def test_rewriting_stays_in_integer_polynomials():
 def test_normalized_words_all_have_input_semilength(w):
     for term in normalize(w):
         assert semilength(term) == semilength(w)
+
+
+WORDS_UPTO_6 = list(iter_paths_upto(6))
+
+
+def test_normalize_matches_reference_engine():
+    # the ordered engine against the earlier min(active) engine with swap letters
+    assert len(WORDS_UPTO_6) == 1160
+    for w in WORDS_UPTO_6:
+        assert normalize(w) == reference_rewrite.normalize(w), render_word(w)
+
+
+def test_every_rewrite_step_lowers_the_plus_weight(monkeypatch):
+    # Lemma behind normalize's order: a swap and every bubble output lower the
+    # '+' weight by exactly 1, a collapse (one letter shorter) by at least the
+    # position of the removed '+'.  Checked on every word normalize rewrites.
+    real_step = rewrite.rewrite_step
+    steps = []
+
+    def checked_step(word, pos):
+        out = real_step(word, pos)
+        steps.append(word)
+        level = _plus_weight(word)
+        for w2 in out:
+            drop = level - _plus_weight(w2)
+            if len(w2) == len(word):
+                assert drop == 1, (render_word(word), render_word(w2))
+            else:
+                assert len(w2) == len(word) - 1, (render_word(word), render_word(w2))
+                assert drop >= pos, (render_word(word), render_word(w2))
+        return out
+
+    monkeypatch.setattr(rewrite, "rewrite_step", checked_step)
+    for w in WORDS_UPTO_6:
+        normalize(w)
+    assert len(steps) > 1160
+
+
+def test_normalize_rewrites_each_word_once(monkeypatch):
+    # exactly one rewrite_step call per distinct non-terminal word reached
+    real_step, real_find = rewrite.rewrite_step, rewrite.leftmost_high_dplus
+    calls, reached = [], set()
+
+    def find(word):
+        pos = real_find(word)
+        if pos is not None:
+            reached.add(word)
+        return pos
+
+    def step(word, pos):
+        calls.append(word)
+        return real_step(word, pos)
+
+    monkeypatch.setattr(rewrite, "leftmost_high_dplus", find)
+    monkeypatch.setattr(rewrite, "rewrite_step", step)
+    for w in WORDS_UPTO_6:
+        calls.clear()
+        reached.clear()
+        normalize(w)
+        assert len(calls) == len(set(calls)), render_word(w)
+        assert set(calls) == reached, render_word(w)
+    # the largest-area word of semilength 6, which the reference engine rewrites 795 times
+    calls.clear()
+    normalize(W("------++++++"))
+    assert len(calls) == len(set(calls)) == 240
+
+
+def test_normalize_refuses_a_step_that_does_not_descend(monkeypatch):
+    monkeypatch.setattr(rewrite, "rewrite_step", lambda word, pos: {word: ONE})
+    with pytest.raises(RuntimeError, match="did not lower the '\\+' weight"):
+        normalize(W("--++"))
