@@ -21,17 +21,17 @@ from .paths import (
     render_word,
     semilength,
 )
-from .dyckalgebra import eval_word
+from .dyckalgebra import eval_in_e
 from .qpoly import render_qpoly
 from .rewrite import e_positivity_report, expand_word
-from .symfunc import e_expansion_in_p
 
 # Largest tableau enumeration ``oracle`` starts; at about 4 us per filling
 # this is a few seconds.
 MAX_ORACLE_FILLINGS = 10**6
 
-# Largest semilength ``verify`` sweeps: 20793 words at 8; semilength 9 adds
-# 103049 more, hours of work in one process.
+# Largest semilength ``verify`` sweeps: all 26232 words through 8 take about
+# 170 s in one process (Python 3.11.7 on a 2-vCPU x86_64 host); semilength 9
+# adds 103049 more words, each costlier than those at 8.
 MAX_VERIFY_SEMILENGTH = 8
 
 # Largest semilength ``expand`` rewrites.  The costliest word of semilength n
@@ -42,11 +42,6 @@ MAX_EXPAND_SEMILENGTH = 14
 
 def _partition_key(mu) -> str:
     return json.dumps(list(mu))
-
-
-def _coeff_vector_json(vec: tuple) -> list:
-    """ints as JSON numbers; a non-integral Fraction, if any, as its string."""
-    return [int(c) if c.denominator == 1 else str(c) for c in vec]
 
 
 def _sorted_partitions(expansion):
@@ -89,7 +84,7 @@ def cmd_expand(args) -> int:
             "n": n,
             "e": {_partition_key(mu): render_qpoly(e[mu]) for mu in order},
             "e_at_q_plus_1": {_partition_key(mu): render_qpoly(shifted[mu]) for mu in order},
-            "qminus1": {_partition_key(mu): _coeff_vector_json(rebased[mu]) for mu in order},
+            "qminus1": {_partition_key(mu): list(rebased[mu]) for mu in order},
             "e_positive": report["e_positive"],
         }
         if strips is not None:
@@ -105,7 +100,7 @@ def cmd_expand(args) -> int:
     print("\n".join(_expansion_lines(report["e_at_q_plus_1"])))
     print("(q-1)-basis coefficients:")
     for mu in _sorted_partitions(report["qminus1"]):
-        print(f"  e{list(mu)}: {_coeff_vector_json(report['qminus1'][mu])}")
+        print(f"  e{list(mu)}: {list(report['qminus1'][mu])}")
     print(f"e-positive at q+1: {'yes' if report['e_positive'] else 'NO'}")
     return 0
 
@@ -199,13 +194,13 @@ def _verify_one(word):
     """All three checks for one path word.
 
     Returns (compact word, agrees, rebased_ok, positive): the rewritten
-    e-expansion equals direct operator evaluation in the p-basis, every
+    e-expansion equals direct operator evaluation in the e-basis, every
     coefficient rebases into N[q-1], and every coefficient at q+1 is
     nonnegative.  This is the one per-word check; tests call it too.
     """
     n = max(semilength(word), 1)
     report = e_positivity_report(expand_word(word))
-    agrees = e_expansion_in_p(report["e"], n) == eval_word(word, n)
+    agrees = report["e"] == eval_in_e(word, n).terms
     rebased_ok = all(
         x >= 0 and x.denominator == 1 for vec in report["qminus1"].values() for x in vec
     )

@@ -3,14 +3,18 @@
 The operators here (raising, lowering, the Hecke-type swaps and the
 diagonal-step operator) are computed from their defining formulas, so this
 module serves as the semantic oracle against which the symbolic rewriting
-engine is checked.
+engine is checked.  Symmetric-function coefficients are kept in the e-basis,
+where the only two places the operators touch Lambda, the alphabet shift and
+the product with e_{a+1}, are integral.
 """
 
 from __future__ import annotations
 
 from .paths import MINUS, PLUS, Word, WordError, semilength
-from .qpoly import ONE, Q_MINUS_1, QPoly, accumulate
-from .symfunc import GradedSym, Partition, e_in_p
+from .qpoly import ONE, Q, Q_MINUS_1, QPoly, accumulate
+from .symfunc import GradedSym, Partition, e_expansion_in_p, merge_partitions
+# unused here, but bench/tracing.py wraps dyckalgebra.e_in_p by name
+from .symfunc import e_in_p  # noqa: F401
 
 YExps = tuple[int, ...]
 
@@ -132,32 +136,36 @@ def op_t(i: int, f: VElement) -> VElement:
     return _raw(k, f.n, out)
 
 
-# (mu, sign) -> the alphabet shift of p_mu, as (kept, extra, scalar) entries
+# (mu, sign) -> the alphabet shift of e_mu, as (kept, extra, scalar) entries
 _SHIFT_TABLE: dict[tuple[Partition, int], tuple] = {}
 
 
-def _shift_table(mu: Partition, sign: int) -> tuple:
-    """p_mu with p_m replaced by p_m + sign*(q^m - 1)*t^m for a fresh t.
+def _e_of_shift(j: int, sign: int) -> QPoly:
+    """e_j[sign*(q-1)] for j >= 1: (-1)^j (1-q), or (-1)^j (q^j - q^{j-1})."""
+    c = ONE - Q if sign > 0 else QPoly.monomial(j) - QPoly.monomial(j - 1)
+    return -c if j % 2 else c
 
-    Returns (kept partition, extra t-exponent, scalar) entries, one per
-    distinct kept multiset: subsets of the parts that keep the same parts
-    convert the same ones, so their scalars are merged into one.
+
+def _shift_table(mu: Partition, sign: int) -> tuple:
+    """e_mu with X replaced by X + sign*(q-1)*t for a fresh t.
+
+    Each part steps by e_m[X + A] = sum_j e_{m-j}[X] e_j[A], where e_j[A]
+    is t^j times an integer polynomial in q.  Returns (kept partition, extra
+    t-exponent, scalar) entries, one per distinct kept multiset, with
+    zero scalars dropped.
     """
     key = (mu, sign)
     table = _SHIFT_TABLE.get(key)
     if table is not None:
         return table
-    # iterate over the parts, keeping or converting each one
     states: dict[Partition, QPoly] = {(): ONE}
     for m in mu:
-        factor = QPoly.monomial(m) - ONE
-        if sign < 0:
-            factor = -factor
         nxt: dict[Partition, QPoly] = {}
         for parts, scalar in states.items():
-            for kept, v in ((parts + (m,), scalar), (parts, scalar * factor)):
-                s = nxt.get(kept)
-                nxt[kept] = v if s is None else s + v
+            accumulate(nxt, merge_partitions(parts, (m,)), scalar)
+            for j in range(1, m + 1):
+                kept = merge_partitions(parts, (m - j,)) if j < m else parts
+                accumulate(nxt, kept, scalar * _e_of_shift(j, sign))
         states = nxt
     size = sum(mu)
     table = tuple((parts, size - sum(parts), scalar) for parts, scalar in states.items())
@@ -187,37 +195,26 @@ def op_dminus(f: VElement) -> VElement:
     Shift the alphabet by -(q-1) y_k, multiply by the alternating series
     sum_i (-1/y_k)^i e_i, and take the coefficient of y_k^{-1}, negated.
     For a term with y_k-exponent a after the shift, only i = a+1 survives,
-    contributing (-1)^a * e_{a+1} times the coefficient; e_{a+1} with
-    a+1 > n vanishes in the truncation.
-
-    The shifted terms are first summed into one symmetric function per
-    (remaining exponents, a), so each non-zero group is multiplied by
-    e_{a+1} once rather than once per shifted term.
+    contributing (-1)^a * e_{a+1} times the coefficient: in the e-basis
+    this merges a+1 into the partition, and a product of degree above n
+    vanishes in the truncation.
     """
     k, n = f.k, f.n
     if k < 1:
         raise ValueError("lowering operator needs k >= 1")
-    groups: dict[tuple[YExps, int], dict[Partition, QPoly]] = {}
+    out: dict[YExps, dict[Partition, QPoly]] = {}
     for e, g in f.terms.items():
         base_a = e[-1]
-        rest = e[:-1]
+        terms = out.setdefault(e[:-1], {})
         for mu, c in g.terms.items():
+            # the shift keeps |mu|, so every product lands in degree |mu| + base_a + 1
+            if sum(mu) + base_a + 1 > n:
+                continue
             for kept, extra, scalar in _shift_table(mu, -1):
                 a = base_a + extra
-                if a + 1 > n:
-                    continue
                 coeff = c if scalar is ONE else c * scalar
-                group = groups.setdefault((rest, a), {})
-                s = group.get(kept)
-                group[kept] = coeff if s is None else s + coeff
-    out: dict[YExps, GradedSym] = {}
-    for (rest, a), terms in groups.items():
-        group = GradedSym(n, terms)
-        if group.is_zero():
-            continue
-        part = e_in_p(a + 1, n) * group
-        accumulate(out, rest, -part if a % 2 == 1 else part)
-    return _raw(k - 1, n, out)
+                accumulate(terms, merge_partitions(kept, (a + 1,)), -coeff if a % 2 else coeff)
+    return _raw(k - 1, n, {rest: GradedSym(n, terms) for rest, terms in out.items() if terms})
 
 
 def op_phi(f: VElement) -> VElement:
@@ -285,8 +282,8 @@ def apply_word(word: Word, f: VElement) -> VElement:
     return f
 
 
-def eval_word(word: Word, n: int | None = None) -> GradedSym:
-    """d_P(1) for the path encoded by word, at truncation degree n.
+def eval_in_e(word: Word, n: int | None = None) -> GradedSym:
+    """d_P(1) in the e-basis for the path encoded by word, at truncation degree n.
 
     The default truncation is the word's semilength, which is exact: the
     result is homogeneous of that degree.
@@ -297,3 +294,9 @@ def eval_word(word: Word, n: int | None = None) -> GradedSym:
     if res.k != 0:
         raise WordError("word does not return to the diagonal", len(word))
     return res.sym_part()
+
+
+def eval_word(word: Word, n: int | None = None) -> GradedSym:
+    """d_P(1) converted to the p-basis, at truncation degree n (default: semilength)."""
+    g = eval_in_e(word, n)
+    return e_expansion_in_p(g.terms, g.n)

@@ -156,9 +156,6 @@ class QPoly:
         """True iff every coefficient is >= 0."""
         return all(c >= 0 for c in self.coeffs)
 
-    def is_nonneg_integral(self) -> bool:
-        return all(c >= 0 and c.denominator == 1 for c in self.coeffs)
-
     def __str__(self) -> str:
         return render_qpoly(self)
 

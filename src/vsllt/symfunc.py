@@ -1,9 +1,10 @@
-"""Graded symmetric functions of bounded degree in the power-sum basis.
+"""Graded symmetric functions of bounded degree in a multiplicative basis.
 
 A GradedSym lives in the quotient of the symmetric function ring by all
-terms of degree > n (the truncation degree).  The power-sum basis is the
-single internal basis; the elementary basis enters via e_in_p / e_mu_in_p
-and leaves via finite-variable expansion.
+terms of degree > n (the truncation degree).  Its keys are partitions of
+whichever multiplicative basis the caller uses: the e-basis in dyckalgebra,
+the p-basis in the finite-variable bridge below, which e_in_p / e_mu_in_p /
+e_expansion_in_p feed and expand_in_vars evaluates.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ def merge_partitions(mu: Partition, nu: Partition) -> Partition:
 class GradedSym:
     """Symmetric function truncated at degree n, stored as {partition: QPoly}.
 
-    Keys are p-basis partitions (mu -> coefficient of p_mu); keys of size > n
-    are silently dropped, zero coefficients are never stored.
+    Keys are partitions of one multiplicative basis b (mu -> coefficient of
+    b_mu), e or p as the caller chooses; keys of size > n are silently
+    dropped, zero coefficients are never stored.
     """
 
     __slots__ = ("n", "terms")
@@ -94,7 +96,7 @@ class GradedSym:
         return _raw(self.n, {mu: c * v for mu, v in self.terms.items()})
 
     def __mul__(self, other: "GradedSym") -> "GradedSym":
-        """Product, truncated at degree n; in the p-basis this is key merging."""
+        """Product, truncated at degree n; in a multiplicative basis this is key merging."""
         self._check_same(other)
         n = self.n
         out: dict[Partition, QPoly] = {}
@@ -118,7 +120,7 @@ class GradedSym:
         if not self.terms:
             return "GradedSym<0>"
         bits = ", ".join(
-            f"p{list(mu)}: {render_qpoly(c)}" for mu, c in sorted(self.terms.items())
+            f"{list(mu)}: {render_qpoly(c)}" for mu, c in sorted(self.terms.items())
         )
         return f"GradedSym<{bits}>"
 

@@ -5,7 +5,7 @@ from hypothesis import settings
 
 from vsllt.dyckalgebra import VElement
 from vsllt.qpoly import QPoly
-from vsllt.symfunc import GradedSym
+from vsllt.symfunc import GradedSym, e_expansion_in_p
 
 # Same examples on every run (seeded from each test's source), and a
 # reproduction blob printed with any failure; the deadline stays at its default.
@@ -51,6 +51,11 @@ def velements(draw, k, n, max_terms=3, max_exp=2):
         g = draw(graded_syms(n))
         terms[e] = terms.get(e, GradedSym.zero(n)) + g
     return VElement(k, n, {e: g for e, g in terms.items() if not g.is_zero()})
+
+
+def velement_in_p(f):
+    """An e-basis VElement with each y-coefficient converted to the p-basis."""
+    return VElement(f.k, f.n, {e: e_expansion_in_p(g.terms, f.n) for e, g in f.terms.items()})
 
 
 def all_strip_tuples(max_cells, max_strips, d_range):

@@ -1,10 +1,10 @@
 """Per-term reference versions of the alphabet shift and the raising and
-lowering operators, kept only for the tests.
+lowering operators, in the p-basis, kept only for the tests.
 
 These are the straightforward forms: every subset of a partition's parts is
 expanded separately, and the lowering operator multiplies by e_{a+1} once
-per shifted term.  The library's grouped and table-driven versions must
-agree with them exactly.
+per shifted term.  The library's e-basis, table-driven versions must agree
+with them exactly after a coefficient-wise e -> p conversion.
 """
 
 from __future__ import annotations

@@ -7,9 +7,9 @@ import functools
 import random
 import time
 
-from conftest import all_strip_tuples
+from conftest import all_strip_tuples, velement_in_p
 from vsllt.cli import _verify_one, main
-from vsllt.dyckalgebra import VElement, apply_word, eval_word, op_dminus, op_dplus, op_phi, op_phi_commutator, op_t
+from vsllt.dyckalgebra import VElement, apply_word, eval_in_e, op_dminus, op_dplus, op_phi, op_phi_commutator, op_t
 from vsllt.llt import oracle_compare
 from vsllt.paths import iter_paths, iter_paths_upto, parse_word, semilength
 from vsllt.qpoly import ONE, Q, Q_MINUS_1, QPoly
@@ -168,7 +168,7 @@ def test_criterion_7_identity_suite():
         counts["aux_dminus"] += 1
         assert op_phi(F) == op_phi_commutator(F)
         counts["phi_def"] += 1
-        # multiplication by e_{m+1} from V_0
+        # multiplication by e_{m+1} from V_0; the operators run in the e-basis
         F0 = VElement.from_sym(GradedSym(n, {_rand_partition(rng, n): _rand_qpoly(rng)}))
         m = rng.randint(0, 4)
         out = op_dplus(F0)
@@ -176,7 +176,8 @@ def test_criterion_7_identity_suite():
             out = op_phi(out)
         out = op_dminus(out)
         if m + 1 <= n:
-            assert out == F0.mul_sym(e_in_p(m + 1, n))
+            assert out == F0.mul_sym(GradedSym(n, {(m + 1,): ONE}))
+            assert velement_in_p(out) == velement_in_p(F0).mul_sym(e_in_p(m + 1, n))
         else:
             assert out.is_zero()  # e_{m+1} vanishes in the truncation
         counts["ekoperator"] += 1
@@ -195,15 +196,15 @@ def test_criterion_8_multiplication_and_commutativity():
             g = GradedSym(n + deg, {_rand_partition(rng, deg): _rand_qpoly(rng)})
             F = VElement.from_sym(g)
             lhs = apply_word(word, F)
-            rhs = F.mul_sym(eval_word(word, n + deg))
+            rhs = F.mul_sym(eval_in_e(word, n + deg))
             assert lhs == rhs
     words3 = sorted(iter_paths_upto(3))
     for _ in range(20):
         p = rng.choice(words3)
         q_word = rng.choice(words3)
         n = semilength(p) + semilength(q_word)
-        via_p = apply_word(p, VElement.from_sym(eval_word(q_word, n)))
-        via_q = apply_word(q_word, VElement.from_sym(eval_word(p, n)))
+        via_p = apply_word(p, VElement.from_sym(eval_in_e(q_word, n)))
+        via_q = apply_word(q_word, VElement.from_sym(eval_in_e(p, n)))
         assert via_p == via_q
 
 

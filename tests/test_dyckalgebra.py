@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import graded_syms, velements
+from conftest import graded_syms, velement_in_p, velements
 from vsllt.dyckalgebra import (
     VElement,
     apply_word,
+    eval_in_e,
     eval_word,
     op_dminus,
     op_dplus,
@@ -13,8 +14,8 @@ from vsllt.dyckalgebra import (
     op_t,
     retruncate,
 )
-from vsllt.paths import WordError, parse_word
-from vsllt.qpoly import Q, Q_MINUS_1, QPoly
+from vsllt.paths import WordError, iter_paths_upto, parse_word, render_word
+from vsllt.qpoly import ONE, Q, Q_MINUS_1, QPoly
 from vsllt.symfunc import GradedSym, e_in_p, e_mu_in_p
 
 QQ = QPoly.const
@@ -93,21 +94,35 @@ def test_divided_difference_numerator_vanishes_on_diagonal(f):
 # --- raising / lowering / diagonal operators --------------------------------
 
 def test_dplus_from_v0():
-    one0 = VElement.one(3)
-    p1 = VElement.from_sym(GradedSym.p(1, 3))
-    p2 = VElement.from_sym(GradedSym.p(2, 3))
-    assert op_dplus(one0) == velem(1, 3, {(0,): {(): 1}})
-    assert op_dplus(p1) == velem(1, 3, {(0,): {(1,): 1}, (1,): {(): QPoly((-1, 1))}})
-    assert op_dplus(p2) == velem(1, 3, {(0,): {(2,): 1}, (2,): {(): QPoly((-1, 0, 1))}})
+    # the operators run in the e-basis: p_1 = e_1 and p_2 = e_1^2 - 2 e_2
+    n = 3
+    one0 = VElement.one(n)
+    p1 = velem(0, n, {(): {(1,): 1}})
+    p2 = velem(0, n, {(): {(1, 1): 1, (2,): -2}})
+    assert velement_in_p(p1) == VElement.from_sym(GradedSym.p(1, n))
+    assert velement_in_p(p2) == VElement.from_sym(GradedSym.p(2, n))
+    dp1 = velem(1, n, {(0,): {(1,): 1}, (1,): {(): QPoly((-1, 1))}})
+    dp2 = velem(1, n, {(0,): {(1, 1): 1, (2,): -2}, (2,): {(): QPoly((-1, 0, 1))}})
+    assert op_dplus(one0) == velem(1, n, {(0,): {(): 1}})
+    assert op_dplus(p1) == dp1
+    assert op_dplus(p2) == dp2
+    # the same values as the p-basis literals
+    assert velement_in_p(dp1) == velem(1, n, {(0,): {(1,): 1}, (1,): {(): QPoly((-1, 1))}})
+    assert velement_in_p(dp2) == velem(1, n, {(0,): {(2,): 1}, (2,): {(): QPoly((-1, 0, 1))}})
+    # e_2[X + (q-1)y] = e_2 + e_1[q-1] e_1 y + e_2[q-1] y^2, e_j[q-1] = (-1)^j (1-q)
+    e2 = velem(0, n, {(): {(2,): 1}})
+    assert op_dplus(e2) == velem(
+        1, n, {(0,): {(2,): 1}, (1,): {(1,): Q_MINUS_1}, (2,): {(): QPoly((1, -1))}}
+    )
 
 
 def test_dminus_examples():
+    # d-(y^a) = (-1)^a e_{a+1}, one key in the e-basis
     n = 3
-    assert op_dminus(velem(1, n, {(0,): {(): 1}})) == VElement.from_sym(e_in_p(1, n))
-    assert op_dminus(velem(1, n, {(1,): {(): 1}})) == VElement.from_sym(
-        e_in_p(2, n).scale(QQ(-1))
-    )
-    assert op_dminus(velem(1, n, {(2,): {(): 1}})) == VElement.from_sym(e_in_p(3, n))
+    for a, sign in ((0, 1), (1, -1), (2, 1)):
+        out = op_dminus(velem(1, n, {(a,): {(): 1}}))
+        assert out == velem(0, n, {(): {(a + 1,): sign}})
+        assert velement_in_p(out) == VElement.from_sym(e_in_p(a + 1, n).scale(QQ(sign)))
     with pytest.raises(ValueError):
         op_dminus(VElement.one(3))
 
@@ -237,7 +252,8 @@ def test_ekoperator(g):
         for _ in range(m):
             out = op_phi(out)
         out = op_dminus(out)
-        assert out == f.mul_sym(e_in_p(m + 1, 4))
+        assert out == f.mul_sym(GradedSym(4, {(m + 1,): ONE}))
+        assert velement_in_p(out) == velement_in_p(f).mul_sym(e_in_p(m + 1, 4))
 
 
 # --- word evaluation ---------------------------------------------------------
@@ -248,15 +264,29 @@ def test_eval_word_anchors():
     n = 4
     expected = e_mu_in_p((3, 1), n).scale(Q) + e_mu_in_p((4,), n).scale(Q * Q_MINUS_1)
     assert eval_word(parse_word("-0-0++")) == expected
+    assert eval_in_e(parse_word("-0-0++")) == GradedSym(n, {(3, 1): Q, (4,): Q * Q_MINUS_1})
+    assert eval_in_e(parse_word("-0+"), 5) == GradedSym(5, {(2,): ONE})
 
 
 def test_eval_word_rejects_bad_words():
-    with pytest.raises(WordError):
-        eval_word(parse_word("+-"))
-    with pytest.raises(WordError):
-        eval_word(parse_word("0-+"))
-    with pytest.raises(WordError):
-        eval_word(parse_word("-0"))
+    for evaluate in (eval_word, eval_in_e):
+        with pytest.raises(WordError):
+            evaluate(parse_word("+-"))
+        with pytest.raises(WordError):
+            evaluate(parse_word("0-+"))
+        with pytest.raises(WordError):
+            evaluate(parse_word("-0"))
+
+
+def test_operator_oracle_stays_in_integer_polynomials():
+    # Lemma: in the e-basis the alphabet shift has Z[q] scalars and the
+    # product with e_{a+1} merges a key, so d_P(1) is computed in Z[q] and
+    # stored with int coefficients.  A Fraction scalar in the shift fails here.
+    for w in iter_paths_upto(5):
+        g = eval_in_e(w)
+        assert g.terms, render_word(w)
+        for c in g.terms.values():
+            assert isinstance(c, QPoly) and all(type(x) is int for x in c.coeffs), render_word(w)
 
 
 def test_apply_word_on_nontrivial_input():

@@ -1,16 +1,18 @@
-"""The grouped lowering operator, the shift table and the e->p caches agree
-exactly with their per-term reference forms (tests/reference_dyck.py)."""
+"""The e-basis raising and lowering operators and shift table agree exactly
+with their per-term p-basis reference forms (tests/reference_dyck.py),
+compared through a coefficient-wise e->p conversion; the e->p caches agree
+with fresh products."""
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 import reference_dyck
-from conftest import qpolys, velements
-from vsllt import symfunc
+from conftest import qpolys, velement_in_p, velements
+from vsllt import llt, symfunc
 from vsllt.cli import _verify_one
-from vsllt.dyckalgebra import VElement, _shift_table, op_dminus, op_dplus, op_phi
+from vsllt.dyckalgebra import VElement, _shift_table, eval_word, op_dminus, op_dplus, op_phi
 from vsllt.paths import MINUS, PLUS, iter_paths
-from vsllt.qpoly import ONE, QPoly
+from vsllt.qpoly import ONE, QPoly, accumulate
 from vsllt.symfunc import GradedSym, _e_in_p_raw, e_in_p, e_mu_in_p
 
 N = 5
@@ -39,19 +41,21 @@ def repeated_part_velements(draw, k, n=N, max_exp=3):
 
 @st.composite
 def cancelling_velements(draw, k, n=N):
-    """A random element plus a pair of terms whose shifted parts fall into
-    the same (rest, a) group with opposite signs.
+    """A random element plus a pair of terms whose shifted parts land on the
+    same output key with opposite signs.
 
-    y^(rest, a) c p_m shifts to a term -c (q^m - 1) y^(rest, a+m); the
-    second term c (q^m - 1) y^(rest, a+m) cancels it exactly.
+    y^(rest, a) c e_m shifts to a term c e_m[1-q] y^(rest, a+m), with
+    e_m[1-q] = (-1)^m (q^m - q^(m-1)); the second term, its negative, cancels
+    it exactly.
     """
     m = draw(st.integers(1, n - 1))
     a = draw(st.integers(0, n - 1 - m))
     rest = tuple(draw(st.integers(0, 3)) for _ in range(k - 1))
     c = draw(qpolys(nonzero=True))
+    e_m_shift = QPoly.monomial(m) - QPoly.monomial(m - 1)
     pair = VElement(k, n, {
         rest + (a,): GradedSym(n, {(m,): c}),
-        rest + (a + m,): GradedSym(n, {(): c * (QPoly.monomial(m) - ONE)}),
+        rest + (a + m,): GradedSym(n, {(): c * (e_m_shift if m % 2 else -e_m_shift)}),
     })
     return pair + draw(velements(k=k, n=n, max_exp=3))
 
@@ -67,17 +71,17 @@ def _random_inputs(k):
 @given(st.integers(1, 3).flatmap(_random_inputs))
 @settings(max_examples=150)
 def test_dminus_matches_reference(f):
-    assert op_dminus(f) == reference_dyck.op_dminus(f)
+    assert velement_in_p(op_dminus(f)) == reference_dyck.op_dminus(velement_in_p(f))
 
 
 @given(st.integers(1, 3).flatmap(_random_inputs))
 @settings(max_examples=60)
 def test_dplus_matches_reference(f):
-    assert op_dplus(f) == reference_dyck.op_dplus(f)
+    assert velement_in_p(op_dplus(f)) == reference_dyck.op_dplus(velement_in_p(f))
 
 
 def test_dminus_group_cancels_to_zero():
-    # the two shifted terms meet in the group (rest=(), a=1) and cancel
+    # the two shifted terms land on the same key e_2 with opposite signs and cancel
     n = 3
     c = QPoly((2, -1))
     f = VElement(1, n, {
@@ -85,9 +89,9 @@ def test_dminus_group_cancels_to_zero():
         (1,): GradedSym(n, {(): c * (QPoly.monomial(1) - ONE)}),
     })
     out = op_dminus(f)
-    assert out == reference_dyck.op_dminus(f)
-    # only the kept p_1 term survives, through a = 0
-    assert out == VElement(0, n, {(): e_in_p(1, n) * GradedSym(n, {(1,): c})})
+    assert velement_in_p(out) == reference_dyck.op_dminus(velement_in_p(f))
+    # only the kept e_1 term survives, through a = 0, as e_1 * e_1
+    assert out == VElement(0, n, {(): GradedSym(n, {(1, 1): c})})
 
 
 def test_dminus_matches_reference_along_every_word():
@@ -102,7 +106,8 @@ def test_dminus_matches_reference_along_every_word():
                     f = op_dplus(f)
                 elif tok == MINUS:
                     got = op_dminus(f)
-                    assert got == reference_dyck.op_dminus(f), "".join(word)
+                    want = reference_dyck.op_dminus(velement_in_p(f))
+                    assert velement_in_p(got) == want, "".join(word)
                     f = got
                     checked += 1
                 else:
@@ -110,11 +115,31 @@ def test_dminus_matches_reference_along_every_word():
     assert checked == expected > 0
 
 
+def _e_of_alphabet(j, sign):
+    """e_j[sign*(q-1)], from e_j's p-expansion with p_k -> sign*(q^k - 1)."""
+    total = QPoly()
+    for mu, c in _e_in_p_raw(j).items():
+        term = QPoly.const(c)
+        for k in mu:
+            term = term * (QPoly.monomial(k) - ONE) * QPoly.const(sign)
+        total = total + term
+    return total
+
+
 def _unmerged_expansion(mu, sign):
-    """{(kept, extra): summed scalar} from the per-subset expansion."""
+    """{(kept, extra): summed scalar}, expanding e_m[X + A] = sum_j e_{m-j} e_j[A]
+    choice by choice, one state per choice of j for each part."""
+    states = [((), 0, ONE)]
+    for m in mu:
+        states = [
+            (parts + ((m - j,) if j < m else ()), extra + j, s * _e_of_alphabet(j, sign) if j else s)
+            for parts, extra, s in states
+            for j in range(m + 1)
+        ]
     out = {}
-    for kept, extra, scalar in reference_dyck._shifted_sym_terms(GradedSym(sum(mu), {mu: ONE}), sign):
-        out[(kept, extra)] = out.get((kept, extra), QPoly()) + scalar
+    for parts, extra, s in states:
+        key = (tuple(sorted(parts, reverse=True)), extra)
+        out[key] = out.get(key, QPoly()) + s
     return {key: c for key, c in out.items() if not c.is_zero()}
 
 
@@ -125,9 +150,37 @@ def test_shift_table_merges_repeated_parts():
             kept = [entry[0] for entry in table]
             assert len(kept) == len(set(kept)), (mu, sign)
             assert {(p, extra): c for p, extra, c in table} == _unmerged_expansion(mu, sign)
-    # (2,2,1,1) has 16 subsets but only 9 distinct kept multisets
-    assert len(_shift_table((2, 2, 1, 1), -1)) == 9
+    # (2,2,1,1) has 3*3*2*2 = 36 choices but only 12 distinct kept multisets
+    assert len(_shift_table((2, 2, 1, 1), -1)) == 12
     assert _shift_table((2, 2, 1, 1), -1) is _shift_table((2, 2, 1, 1), -1)
+
+
+def _partitions(n, largest=None):
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def test_shift_table_in_p_equals_per_term_p_shift():
+    # Lemma: e_mu[X + sign*(q-1)t] from the e-basis table, converted to the
+    # p-basis, is the per-term p-basis shift of e_mu, for |mu| <= 6 and both signs.
+    checked = 0
+    for size in range(7):
+        for mu in _partitions(size):
+            for sign in (+1, -1):
+                via_e = {}
+                for kept, extra, scalar in _shift_table(mu, sign):
+                    accumulate(via_e, extra, e_mu_in_p(kept, size).scale(scalar))
+                via_p = {}
+                e_mu = e_mu_in_p(mu, size)
+                for part, extra, coeff in reference_dyck._shifted_sym_terms(e_mu, sign):
+                    accumulate(via_p, extra, GradedSym(size, {part: coeff}))
+                assert via_e == via_p, (mu, sign)
+                checked += 1
+    assert checked == 2 * 30
 
 
 def _fresh_e_in_p(k, n):
@@ -135,9 +188,14 @@ def _fresh_e_in_p(k, n):
 
 
 def test_bridge_caches_survive_verify():
+    # _verify_one compares in the e-basis and leaves the e->p bridge alone,
+    # so the caches are filled here through the bridge's two users
     for n in range(1, 5):
         for word in iter_paths(n):
             assert all(_verify_one(word)[1:])
+            eval_word(word)
+    for strips in (((0, 2), (-2, 2)), ((0, 1), (-1, 2)), ((0, 3),)):
+        llt.llt_in_vars(strips, 3)
     assert symfunc._E_MU_IN_P_CACHE and symfunc._E_IN_P_GRADED
     for (mu, n), cached in list(symfunc._E_MU_IN_P_CACHE.items()):
         fresh = GradedSym.one(n)

@@ -59,7 +59,6 @@ def test_is_nonneg():
     assert ZERO.is_nonneg()
     assert not QPoly((Fraction(-1, 2),)).is_nonneg()
     assert QPoly((Fraction(1, 2),)).is_nonneg()
-    assert not QPoly((Fraction(1, 2),)).is_nonneg_integral()
 
 
 def test_divexact_qminus1():
