@@ -177,13 +177,13 @@ def op_dplus(f: VElement) -> VElement:
     """Raising operator V_k -> V_{k+1}: alphabet shift by (q-1) y_{k+1},
     then the swap ladder T_1 ... T_k."""
     k, n = f.k, f.n
-    out: dict[YExps, GradedSym] = {}
+    out: dict[YExps, dict[Partition, QPoly]] = {}
     for e, g in f.terms.items():
         for mu, c in g.terms.items():
             for kept, extra, scalar in _shift_table(mu, +1):
                 coeff = c if scalar is ONE else c * scalar
-                accumulate(out, e + (extra,), GradedSym(n, {kept: coeff}))
-    res = _raw(k + 1, n, out)
+                accumulate(out.setdefault(e + (extra,), {}), kept, coeff)
+    res = _raw(k + 1, n, {e: GradedSym(n, terms) for e, terms in out.items() if terms})
     for i in range(k, 0, -1):
         res = op_t(i, res)
     return res

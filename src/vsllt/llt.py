@@ -18,9 +18,9 @@ from itertools import combinations, product
 from .paths import MINUS, PLUS, ZERO, Word
 from .qpoly import QPoly
 from .rewrite import expand_word
-from .symfunc import XPoly, e_expansion_in_p, expand_in_vars
-# unused here, but bench/tracing.py wraps llt.e_mu_in_p by name
-from .symfunc import e_mu_in_p  # noqa: F401
+from .symfunc import XPoly, e_expansion_in_vars
+# unused here, but bench/tracing.py wraps llt.e_mu_in_p and llt.expand_in_vars by name
+from .symfunc import e_mu_in_p, expand_in_vars  # noqa: F401
 
 # (bottom_diagonal, height) per strip, in tuple order
 Strip = tuple[int, int]
@@ -191,9 +191,12 @@ def ssyt_generating_function(strips: StripTuple, nvars: int) -> XPoly:
 
 
 def llt_in_vars(strips: StripTuple, nvars: int) -> XPoly:
-    """The operator-side polynomial, expanded in nvars variables."""
-    expansion = expand_word(to_schroeder_word(strips))
-    return expand_in_vars(e_expansion_in_p(expansion, max(cell_count(strips), 1)), nvars)
+    """The operator-side polynomial, expanded in nvars variables.
+
+    The rewritten e-expansion goes through the integer e -> monomial
+    transition, so every coefficient is a QPoly of ints.
+    """
+    return e_expansion_in_vars(expand_word(to_schroeder_word(strips)), nvars)
 
 
 def oracle_compare(strips: StripTuple, nvars: int | None = None) -> bool:

@@ -3,14 +3,21 @@
 A GradedSym lives in the quotient of the symmetric function ring by all
 terms of degree > n (the truncation degree).  Its keys are partitions of
 whichever multiplicative basis the caller uses: the e-basis in dyckalgebra,
-the p-basis in the finite-variable bridge below, which e_in_p / e_mu_in_p /
-e_expansion_in_p feed and expand_in_vars evaluates.
+the p-basis in the rational bridge below, which e_in_p / e_mu_in_p /
+e_expansion_in_p feed and expand_in_vars evaluates in finitely many
+variables (dyckalgebra.eval_word and the test references use it).
+
+The tableau oracle takes its e-expansion to n variables through
+e_expansion_in_vars instead, the integer e -> monomial bridge at the end of
+the module, which needs no Fraction.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import groupby
+from math import comb
 
 from .qpoly import ONE, QPoly, accumulate, render_qpoly
 
@@ -255,4 +262,123 @@ def expand_in_vars(f: GradedSym, nvars: int) -> XPoly:
     for mu, c in f.terms.items():
         for e, ce in _p_mu_in_vars(mu, nvars).items():
             accumulate(out, e, c * ce)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Integer e -> monomial bridge (the tableau oracle's operator side).  The
+# coefficient of x^alpha in e_mu(x_1..x_nvars) counts the 0/1 matrices with
+# row sums mu and column sums alpha (Macdonald, Symmetric Functions and Hall
+# Polynomials, I.6); it depends only on the sorted alpha, so every
+# rearrangement of one partition shares it.
+
+# (mu, lam) -> number of 0/1 matrices with row sums mu and column sums lam
+_E_TO_M: dict[tuple[Partition, Partition], int] = {}
+# (lam, nvars) -> every distinct rearrangement of lam padded to nvars parts
+_ORBITS: dict[tuple[Partition, int], tuple[tuple[int, ...], ...]] = {}
+
+
+def _row_placements(groups: list[tuple[int, int]], r: int):
+    """Ways to put r ones into distinct columns, columns grouped as
+    (residual sum v, multiplicity k) with v decreasing.
+
+    Yields (ways, nonzero residual sums afterwards, still decreasing).
+    """
+    if not groups:
+        if r == 0:
+            yield 1, ()
+        return
+    (v, k), rest = groups[0], groups[1:]
+    for t in range(min(k, r) + 1):
+        lowered = (v - 1,) * t if v > 1 else ()
+        for ways, tail in _row_placements(rest, r - t):
+            yield comb(k, t) * ways, (v,) * (k - t) + lowered + tail
+
+
+def _e_to_m(mu: Partition, lam: Partition) -> int:
+    """The coefficient of m_lam in e_mu, for partitions lam and mu.
+
+    Counts 0/1 matrices with row sums mu and column sums lam one row at a
+    time, memoized on (remaining rows, sorted residual column sums).
+    """
+    key = (mu, lam)
+    count = _E_TO_M.get(key)
+    if count is not None:
+        return count
+    if not mu:
+        count = 0 if lam else 1
+    elif sum(mu) != sum(lam):
+        count = 0
+    else:
+        groups = [(v, len(list(run))) for v, run in groupby(lam)]
+        count = 0
+        for ways, residual in _row_placements(groups, mu[0]):
+            count += ways * _e_to_m(mu[1:], residual)
+    _E_TO_M[key] = count
+    return count
+
+
+def _rearrangements(counts: dict[int, int], length: int):
+    """Every distinct sequence of the given length with these value counts."""
+    if not length:
+        yield ()
+        return
+    for v, k in counts.items():
+        if k:
+            counts[v] = k - 1
+            for tail in _rearrangements(counts, length - 1):
+                yield (v,) + tail
+            counts[v] = k
+
+
+def _orbit(lam: Partition, nvars: int) -> tuple[tuple[int, ...], ...]:
+    """The exponent vectors of the monomial m_lam in nvars variables."""
+    key = (lam, nvars)
+    orbit = _ORBITS.get(key)
+    if orbit is None:
+        counts: dict[int, int] = {0: nvars - len(lam)}
+        for v in lam:
+            counts[v] = counts.get(v, 0) + 1
+        orbit = _ORBITS[key] = tuple(_rearrangements(counts, nvars))
+    return orbit
+
+
+def _partitions_within(size: int, parts: int, largest: int | None = None):
+    """Partitions of size with at most `parts` parts, each at most `largest`."""
+    if size == 0:
+        yield ()
+        return
+    if parts == 0:
+        return
+    for first in range(min(size, largest or size), 0, -1):
+        for rest in _partitions_within(size - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def e_expansion_in_vars(expansion: dict[Partition, QPoly], nvars: int) -> XPoly:
+    """sum_mu c_mu e_mu(x_1..x_nvars) for an e-expansion {mu: c_mu}, fully expanded.
+
+    Every m_lam with at most nvars parts gets sum_mu c_mu * _e_to_m(mu, lam),
+    summed coefficient by coefficient in the scalars' own ints, and each
+    monomial of m_lam shares that one QPoly.  Equals
+    expand_in_vars(e_expansion_in_p(expansion, n), nvars) for n >= the degree.
+    """
+    if nvars < 1:
+        raise ValueError("need at least one variable")
+    by_size: dict[int, list[tuple[Partition, QPoly]]] = {}
+    for mu, c in expansion.items():
+        by_size.setdefault(sum(mu), []).append((mu, c))
+    out: XPoly = {}
+    for size, terms in by_size.items():
+        width = max(len(c.coeffs) for _, c in terms)
+        for lam in _partitions_within(size, nvars):
+            acc = [0] * width
+            for mu, c in terms:
+                count = _e_to_m(mu, lam)
+                if count:
+                    for i, a in enumerate(c.coeffs):
+                        acc[i] += count * a
+            coeff = QPoly(acc)
+            if coeff:
+                out.update(dict.fromkeys(_orbit(lam, nvars), coeff))
     return out

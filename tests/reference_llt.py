@@ -1,17 +1,26 @@
-"""Per-filling reference version of the tableau sum, kept only for the tests.
+"""Reference versions of both oracle sides, kept only for the tests.
 
-This is the straightforward form: every filling adds its own monomial
-q^inversions at its content.  The library's integer tally must agree with it
-exactly.
+The tableau sum is the straightforward form: every filling adds its own
+monomial q^inversions at its content.  The operator side goes through the
+power-sum basis, with rational coefficients.  The library's integer tally and
+integer e -> monomial bridge must agree with them exactly.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from vsllt.llt import StripTuple, _strip_fillings, attack_pairs, reading_order
+from vsllt.llt import (
+    StripTuple,
+    _strip_fillings,
+    attack_pairs,
+    cell_count,
+    reading_order,
+    to_schroeder_word,
+)
 from vsllt.qpoly import QPoly, accumulate
-from vsllt.symfunc import XPoly
+from vsllt.rewrite import expand_word
+from vsllt.symfunc import XPoly, e_expansion_in_p, expand_in_vars
 
 
 def ssyt_generating_function(strips: StripTuple, nvars: int) -> XPoly:
@@ -35,3 +44,9 @@ def ssyt_generating_function(strips: StripTuple, nvars: int) -> XPoly:
             exps[v - 1] += 1
         accumulate(out, tuple(exps), QPoly.monomial(inv))
     return out
+
+
+def llt_in_vars(strips: StripTuple, nvars: int) -> XPoly:
+    """The operator-side polynomial, expanded in nvars variables."""
+    expansion = expand_word(to_schroeder_word(strips))
+    return expand_in_vars(e_expansion_in_p(expansion, max(cell_count(strips), 1)), nvars)

@@ -11,7 +11,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import tracing  # noqa: E402
-from vsllt import cli  # noqa: E402
+from vsllt import cli, llt  # noqa: E402
 from vsllt.paths import iter_paths_upto, render_word  # noqa: E402
 
 
@@ -28,9 +28,14 @@ def test_tracer_wraps_and_restores_every_target():
             assert getattr(ns, attr) is not fn, (ns, attr)
         for w in iter_paths_upto(3):
             assert cli._verify_one(w) == (render_word(w), True, True, True)
+        # the oracle-sweep path: tableau side against operator side
+        for text in ("", "0:2;0:1", "0:1;-1:2;1:1"):
+            assert llt.oracle_compare(llt.parse_strips(text)), text
     finally:
         tracer.uninstall()
     for ns, attr, fn in originals:
         assert getattr(ns, attr) is fn, (ns, attr)
     assert tracer.counts["dyckalgebra.op_dminus.calls"] > 0
     assert tracer.counts["rewrite.normalize.calls"] > 0
+    assert tracer.counts["llt.llt_in_vars.calls"] > 0
+    assert tracer.counts["llt.ssyt_generating_function.calls"] > 0

@@ -1,12 +1,15 @@
 """The e-basis raising and lowering operators and shift table agree exactly
 with their per-term p-basis reference forms (tests/reference_dyck.py),
-compared through a coefficient-wise e->p conversion; the e->p caches agree
-with fresh products."""
+compared through a coefficient-wise e->p conversion; the e->p and
+e -> monomial caches agree with fresh recomputes."""
+
+from itertools import combinations, permutations
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 import reference_dyck
+import reference_llt
 from conftest import qpolys, velement_in_p, velements
 from vsllt import llt, symfunc
 from vsllt.cli import _verify_one
@@ -187,16 +190,37 @@ def _fresh_e_in_p(k, n):
     return GradedSym(n, {mu: QPoly.const(c) for mu, c in _e_in_p_raw(k).items()})
 
 
+def _count_01_matrices(rows, cols):
+    """0/1 matrices with these row and column sums, row by row, no memo."""
+    if not rows:
+        return int(not any(cols))
+    return sum(
+        _count_01_matrices(rows[1:], tuple(c - (j in chosen) for j, c in enumerate(cols)))
+        for chosen in combinations(range(len(cols)), rows[0])
+        if all(cols[j] for j in chosen)
+    )
+
+
 def test_bridge_caches_survive_verify():
-    # _verify_one compares in the e-basis and leaves the e->p bridge alone,
-    # so the caches are filled here through the bridge's two users
+    # _verify_one compares in the e-basis and llt_in_vars goes through the
+    # integer e -> monomial bridge, so the e->p caches are filled here through
+    # eval_word and the p-basis reference of llt_in_vars
+    strips_cases = (((0, 2), (-2, 2)), ((0, 1), (-1, 2)), ((0, 3),))
     for n in range(1, 5):
         for word in iter_paths(n):
             assert all(_verify_one(word)[1:])
             eval_word(word)
-    for strips in (((0, 2), (-2, 2)), ((0, 1), (-1, 2)), ((0, 3),)):
-        llt.llt_in_vars(strips, 3)
+    for strips in strips_cases:
+        assert llt.llt_in_vars(strips, 3) == reference_llt.llt_in_vars(strips, 3)
     assert symfunc._E_MU_IN_P_CACHE and symfunc._E_IN_P_GRADED
+    assert symfunc._E_TO_M and symfunc._ORBITS
+    for (mu, lam), cached in list(symfunc._E_TO_M.items()):
+        assert cached == _count_01_matrices(mu, lam), (mu, lam)
+        assert symfunc._e_to_m(mu, lam) is cached
+    for (lam, nvars), cached in list(symfunc._ORBITS.items()):
+        fresh = set(permutations(lam + (0,) * (nvars - len(lam))))
+        assert len(cached) == len(fresh) and set(cached) == fresh, (lam, nvars)
+        assert symfunc._orbit(lam, nvars) is cached
     for (mu, n), cached in list(symfunc._E_MU_IN_P_CACHE.items()):
         fresh = GradedSym.one(n)
         for part in mu:

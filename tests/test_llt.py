@@ -17,6 +17,7 @@ from vsllt.llt import (
     to_schroeder_word,
 )
 from conftest import all_strip_tuples
+from reference_llt import llt_in_vars as reference_llt_in_vars
 from reference_llt import ssyt_generating_function as reference_ssyt
 from vsllt.paths import parse_word, render_word, validate_word
 from vsllt.qpoly import ONE, QPoly
@@ -159,3 +160,20 @@ def test_tableau_tally_matches_per_filling_reference():
     for t in (parse_strips("0:2;0:2;0:1"), parse_strips("0:1;-1:2;1:1"), ()):
         for nvars in (1, 2, 6):
             assert ssyt_generating_function(t, nvars) == reference_ssyt(t, nvars)
+
+
+def test_operator_side_matches_p_basis_reference():
+    # the integer e -> monomial bridge against the rational p-basis route:
+    # every criterion-6 tuple at nvars = cells, then variable counts below
+    # and above the cell count
+    tuples = sorted(set(all_strip_tuples(5, 3, range(-2, 3))))
+    assert len(tuples) == 1526
+    cases = [(t, max(cell_count(t), 1)) for t in tuples] + [
+        (t, nvars)
+        for t in (parse_strips("0:2;0:2;0:1"), parse_strips("0:1;-1:2;1:1"), ())
+        for nvars in (1, 2, 6)
+    ]
+    for t, nvars in cases:
+        got = llt_in_vars(t, nvars)
+        assert got == reference_llt_in_vars(t, nvars), (render_strips(t), nvars)
+        assert all(type(x) is int for c in got.values() for x in c.coeffs)

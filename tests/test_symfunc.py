@@ -9,6 +9,9 @@ from conftest import graded_syms, partitions
 from vsllt.qpoly import ONE, QPoly
 from vsllt.symfunc import (
     GradedSym,
+    _e_to_m,
+    e_expansion_in_p,
+    e_expansion_in_vars,
     e_in_p,
     e_mu_in_p,
     expand_in_vars,
@@ -138,6 +141,60 @@ def test_xpoly_mul_matches_hand_product():
     a = {(1, 0): ONE}
     b = {(0, 1): ONE, (1, 0): QPoly.const(2)}
     assert xpoly_mul(a, b) == {(1, 1): ONE, (2, 0): QPoly.const(2)}
+
+
+def _partitions_of(n, largest=None):
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in _partitions_of(n - first, first):
+            yield (first,) + rest
+
+
+def _weak_compositions(n, parts):
+    if parts == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in _weak_compositions(n - first, parts - 1):
+            yield (first,) + rest
+
+
+def test_e_to_m_counts_zero_one_matrices():
+    # Lemma (Macdonald I.6): the coefficient of x^alpha in e_mu(x_1..x_N) is
+    # the number of 0/1 matrices with row sums mu and column sums sort(alpha),
+    # for every mu with |mu| <= 6 and N <= 6.  e_mu(x_1..x_N) comes from the
+    # p-basis route and from the product of subset sums; the bridge built on
+    # the count must reproduce both.
+    checked = 0
+    for size in range(7):
+        for mu in _partitions_of(size):
+            for nvars in range(1, 7):
+                via_p = expand_in_vars(e_mu_in_p(mu, max(size, 1)), nvars)
+                direct = {(0,) * nvars: ONE}
+                for part in mu:
+                    direct = xpoly_mul(direct, _elementary_direct(part, nvars))
+                assert via_p == direct, (mu, nvars)
+                for alpha in _weak_compositions(size, nvars):
+                    lam = tuple(sorted((a for a in alpha if a), reverse=True))
+                    want = direct.get(alpha, QPoly())
+                    assert QPoly.const(_e_to_m(mu, lam)) == want, (mu, alpha)
+                assert e_expansion_in_vars({mu: ONE}, nvars) == direct, (mu, nvars)
+                checked += 1
+    assert checked == 30 * 6
+    assert _e_to_m((2, 1), (1, 1, 1)) == 3 and _e_to_m((2,), (2,)) == 0
+
+
+def test_e_expansion_in_vars_mixed_degrees():
+    expansion = {(2, 1): QPoly((1, 2)), (1,): QPoly((0, -1)), (): QPoly.const(3)}
+    for nvars in (1, 2, 4):
+        got = e_expansion_in_vars(expansion, nvars)
+        assert got == expand_in_vars(e_expansion_in_p(expansion, 3), nvars)
+        assert all(type(x) is int for c in got.values() for x in c.coeffs)
+    assert e_expansion_in_vars({}, 2) == {}
+    with pytest.raises(ValueError):
+        e_expansion_in_vars(expansion, 0)
 
 
 def test_json_rendering():
