@@ -34,8 +34,10 @@ MAX_ORACLE_FILLINGS = 10**6
 # adds 103049 more words, each costlier than those at 8.
 MAX_VERIFY_SEMILENGTH = 8
 
-# Largest semilength ``expand`` rewrites.  The costliest word of semilength n
-# is -^n +^n: about 10 s and 45 MB at 14, 32 s and 79 MB at 15, and roughly
+# Largest semilength ``expand`` rewrites, and the most cells ``oracle`` takes:
+# a strip tuple's word has semilength equal to its cell count, and the oracle's
+# operator side rewrites that word.  The costliest word of semilength n is
+# -^n +^n: about 10 s and 45 MB at 14, 32 s and 79 MB at 15, and roughly
 # three times more per step (Python 3.11.7 on a 2-vCPU x86_64 host).
 MAX_EXPAND_SEMILENGTH = 14
 
@@ -64,10 +66,11 @@ def cmd_expand(args) -> int:
     if args.word is not None:
         word = parse_word(args.word)
         strips = None
+        n = semilength(word)
     else:
         strips = llt.parse_strips(args.strips)
-        word = llt.to_schroeder_word(strips)
-    n = semilength(word)
+        # the tuple's word has semilength = cells, so check before building it
+        n = llt.cell_count(strips)
     if n > MAX_EXPAND_SEMILENGTH:
         print(
             f"expand: the word has semilength {n}, above the limit of "
@@ -75,6 +78,8 @@ def cmd_expand(args) -> int:
             file=sys.stderr,
         )
         return 2
+    if strips is not None:
+        word = llt.to_schroeder_word(strips)
     report = e_positivity_report(expand_word(word))
     if args.json:
         e, shifted, rebased = report["e"], report["e_at_q_plus_1"], report["qminus1"]
@@ -163,6 +168,14 @@ def cmd_oracle(args) -> int:
                 file=sys.stderr,
             )
             return 2
+    cells = llt.cell_count(strips)
+    if cells > MAX_EXPAND_SEMILENGTH:
+        print(
+            f"oracle: {cells} cells exceed the limit of {MAX_EXPAND_SEMILENGTH}; "
+            f"use fewer cells",
+            file=sys.stderr,
+        )
+        return 2
     tableau_side = llt.ssyt_generating_function(strips, nvars)
     operator_side = llt.llt_in_vars(strips, nvars)
     match = tableau_side == operator_side
@@ -198,9 +211,8 @@ def _verify_one(word):
     coefficient rebases into N[q-1], and every coefficient at q+1 is
     nonnegative.  This is the one per-word check; tests call it too.
     """
-    n = max(semilength(word), 1)
     report = e_positivity_report(expand_word(word))
-    agrees = report["e"] == eval_in_e(word, n).terms
+    agrees = report["e"] == eval_in_e(word).terms
     rebased_ok = all(
         x >= 0 and x.denominator == 1 for vec in report["qminus1"].values() for x in vec
     )

@@ -10,6 +10,8 @@ the product with e_{a+1}, are integral.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .paths import MINUS, PLUS, Word, WordError, semilength
 from .qpoly import ONE, Q, Q_MINUS_1, QPoly, accumulate
 from .symfunc import GradedSym, Partition, e_expansion_in_p, merge_partitions
@@ -136,28 +138,22 @@ def op_t(i: int, f: VElement) -> VElement:
     return _raw(k, f.n, out)
 
 
-# (mu, sign) -> the alphabet shift of e_mu, as (kept, extra, scalar) entries
-_SHIFT_TABLE: dict[tuple[Partition, int], tuple] = {}
-
-
 def _e_of_shift(j: int, sign: int) -> QPoly:
     """e_j[sign*(q-1)] for j >= 1: (-1)^j (1-q), or (-1)^j (q^j - q^{j-1})."""
     c = ONE - Q if sign > 0 else QPoly.monomial(j) - QPoly.monomial(j - 1)
     return -c if j % 2 else c
 
 
+@cache
 def _shift_table(mu: Partition, sign: int) -> tuple:
     """e_mu with X replaced by X + sign*(q-1)*t for a fresh t.
 
     Each part steps by e_m[X + A] = sum_j e_{m-j}[X] e_j[A], where e_j[A]
     is t^j times an integer polynomial in q.  Returns (kept partition, extra
     t-exponent, scalar) entries, one per distinct kept multiset, with
-    zero scalars dropped.
+    zero scalars dropped.  Memoized per (mu, sign): a repeat call returns
+    the same tuple, whose entries are immutable.
     """
-    key = (mu, sign)
-    table = _SHIFT_TABLE.get(key)
-    if table is not None:
-        return table
     states: dict[Partition, QPoly] = {(): ONE}
     for m in mu:
         nxt: dict[Partition, QPoly] = {}
@@ -168,9 +164,7 @@ def _shift_table(mu: Partition, sign: int) -> tuple:
                 accumulate(nxt, kept, scalar * _e_of_shift(j, sign))
         states = nxt
     size = sum(mu)
-    table = tuple((parts, size - sum(parts), scalar) for parts, scalar in states.items())
-    _SHIFT_TABLE[key] = table
-    return table
+    return tuple((parts, size - sum(parts), scalar) for parts, scalar in states.items())
 
 
 def op_dplus(f: VElement) -> VElement:

@@ -96,11 +96,13 @@ def area_and_crosses(strips: StripTuple) -> tuple[tuple[int, ...], dict[int, int
     a violation means broken tuple geometry and raises.
     """
     cells = reading_order(strips)
-    pairs = attack_pairs(strips)
     n = len(cells)
+    attackers_of: list[list[int]] = [[] for _ in range(n + 1)]
+    for p, r in attack_pairs(strips):
+        attackers_of[r].append(p)
     area = []
     for r in range(1, n + 1):
-        attackers = sorted(p for (p, rr) in pairs if rr == r)
+        attackers = sorted(attackers_of[r])
         a = len(attackers)
         if attackers != list(range(r - a, r)):
             raise ValueError(f"attackers of cell {r} are not contiguous: {attackers}")

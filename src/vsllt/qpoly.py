@@ -57,10 +57,6 @@ class QPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
     def __eq__(self, other) -> bool:
         if isinstance(other, QPoly):
             return self.coeffs == other.coeffs

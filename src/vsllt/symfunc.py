@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cache
 from itertools import groupby
 from math import comb
 
@@ -131,9 +132,9 @@ class GradedSym:
         )
         return f"GradedSym<{bits}>"
 
-    def to_json(self, basis: str = "p") -> dict:
+    def to_json(self) -> dict:
         return {
-            "basis": basis,
+            "basis": "p",
             "terms": {
                 json.dumps(list(mu)): render_qpoly(c)
                 for mu, c in sorted(self.terms.items())
@@ -149,14 +150,13 @@ def _raw(n: int, terms: dict) -> GradedSym:
     return g
 
 
-# e_k in the p-basis does not depend on the truncation degree, so cache the
-# raw coefficient dicts once (values are constant rationals).
-_E_IN_P_CACHE: dict[int, dict[Partition, Fraction]] = {0: {(): Fraction(1)}}
-
-
+# e_k in the p-basis does not depend on the truncation degree, so the raw
+# coefficient dicts are memoized once.  Every memoized result in this module
+# is shared between callers, which is safe because nothing mutates it.
+@cache
 def _e_in_p_raw(k: int) -> dict[Partition, Fraction]:
-    if k in _E_IN_P_CACHE:
-        return _E_IN_P_CACHE[k]
+    if k == 0:
+        return {(): Fraction(1)}
     # Newton's identity: k e_k = sum_{i=1}^{k} (-1)^{i-1} e_{k-i} p_i
     acc: dict[Partition, Fraction] = {}
     for i in range(1, k + 1):
@@ -164,43 +164,26 @@ def _e_in_p_raw(k: int) -> dict[Partition, Fraction]:
         for mu, c in _e_in_p_raw(k - i).items():
             key = merge_partitions(mu, (i,))
             acc[key] = acc.get(key, Fraction(0)) + sign * c
-    acc = {mu: c for mu, c in acc.items() if c != 0}
-    _E_IN_P_CACHE[k] = acc
-    return acc
+    return {mu: c for mu, c in acc.items() if c != 0}
 
 
-# The GradedSym results below are shared between callers, which is safe
-# because nothing mutates a GradedSym's terms in place.
-_E_IN_P_GRADED: dict[tuple[int, int], GradedSym] = {}
-_E_MU_IN_P_CACHE: dict[tuple[Partition, int], GradedSym] = {}
-
-
+@cache
 def e_in_p(k: int, n: int) -> GradedSym:
     """The elementary symmetric function e_k expanded in the p-basis."""
-    key = (k, n)
-    cached = _E_IN_P_GRADED.get(key)
-    if cached is not None:
-        return cached
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    out = GradedSym(n, {mu: QPoly.const(c) for mu, c in _e_in_p_raw(k).items()})
-    _E_IN_P_GRADED[key] = out
-    return out
+    return GradedSym(n, {mu: QPoly.const(c) for mu, c in _e_in_p_raw(k).items()})
 
 
+@cache
 def e_mu_in_p(mu: Partition, n: int) -> GradedSym:
     """The product e_mu = e_{mu_1} e_{mu_2} ... in the p-basis."""
-    key = (mu, n)
-    cached = _E_MU_IN_P_CACHE.get(key)
-    if cached is not None:
-        return cached
     check_partition(mu)
     if sum(mu) > n:
         raise ValueError(f"|mu| = {sum(mu)} exceeds truncation degree {n}")
     out = GradedSym.one(n)
     for part in mu:
         out = out * e_in_p(part, n)
-    _E_MU_IN_P_CACHE[key] = out
     return out
 
 
@@ -228,27 +211,16 @@ def xpoly_mul(a: XPoly, b: XPoly) -> XPoly:
     return out
 
 
-_PMU_EXPANSION_CACHE: dict[tuple[Partition, int], XPoly] = {}
-
-
+@cache
 def _p_mu_in_vars(mu: Partition, nvars: int) -> XPoly:
-    key = (mu, nvars)
-    cached = _PMU_EXPANSION_CACHE.get(key)
-    if cached is not None:
-        return cached
     if not mu:
-        out: XPoly = {(0,) * nvars: ONE}
-    else:
-        head = _p_mu_in_vars(mu[:-1], nvars)
-        m = mu[-1]
-        pk: XPoly = {}
-        for i in range(nvars):
-            e = [0] * nvars
-            e[i] = m
-            pk[tuple(e)] = ONE
-        out = xpoly_mul(head, pk)
-    _PMU_EXPANSION_CACHE[key] = out
-    return out
+        return {(0,) * nvars: ONE}
+    pk: XPoly = {}
+    for i in range(nvars):
+        e = [0] * nvars
+        e[i] = mu[-1]
+        pk[tuple(e)] = ONE
+    return xpoly_mul(_p_mu_in_vars(mu[:-1], nvars), pk)
 
 
 def expand_in_vars(f: GradedSym, nvars: int) -> XPoly:
@@ -272,11 +244,6 @@ def expand_in_vars(f: GradedSym, nvars: int) -> XPoly:
 # Polynomials, I.6); it depends only on the sorted alpha, so every
 # rearrangement of one partition shares it.
 
-# (mu, lam) -> number of 0/1 matrices with row sums mu and column sums lam
-_E_TO_M: dict[tuple[Partition, Partition], int] = {}
-# (lam, nvars) -> every distinct rearrangement of lam padded to nvars parts
-_ORBITS: dict[tuple[Partition, int], tuple[tuple[int, ...], ...]] = {}
-
 
 def _row_placements(groups: list[tuple[int, int]], r: int):
     """Ways to put r ones into distinct columns, columns grouped as
@@ -295,27 +262,22 @@ def _row_placements(groups: list[tuple[int, int]], r: int):
             yield comb(k, t) * ways, (v,) * (k - t) + lowered + tail
 
 
+@cache
 def _e_to_m(mu: Partition, lam: Partition) -> int:
     """The coefficient of m_lam in e_mu, for partitions lam and mu.
 
     Counts 0/1 matrices with row sums mu and column sums lam one row at a
     time, memoized on (remaining rows, sorted residual column sums).
     """
-    key = (mu, lam)
-    count = _E_TO_M.get(key)
-    if count is not None:
-        return count
     if not mu:
-        count = 0 if lam else 1
-    elif sum(mu) != sum(lam):
-        count = 0
-    else:
-        groups = [(v, len(list(run))) for v, run in groupby(lam)]
-        count = 0
-        for ways, residual in _row_placements(groups, mu[0]):
-            count += ways * _e_to_m(mu[1:], residual)
-    _E_TO_M[key] = count
-    return count
+        return 0 if lam else 1
+    if sum(mu) != sum(lam):
+        return 0
+    groups = [(v, len(list(run))) for v, run in groupby(lam)]
+    return sum(
+        ways * _e_to_m(mu[1:], residual)
+        for ways, residual in _row_placements(groups, mu[0])
+    )
 
 
 def _rearrangements(counts: dict[int, int], length: int):
@@ -331,16 +293,13 @@ def _rearrangements(counts: dict[int, int], length: int):
             counts[v] = k
 
 
+@cache
 def _orbit(lam: Partition, nvars: int) -> tuple[tuple[int, ...], ...]:
     """The exponent vectors of the monomial m_lam in nvars variables."""
-    key = (lam, nvars)
-    orbit = _ORBITS.get(key)
-    if orbit is None:
-        counts: dict[int, int] = {0: nvars - len(lam)}
-        for v in lam:
-            counts[v] = counts.get(v, 0) + 1
-        orbit = _ORBITS[key] = tuple(_rearrangements(counts, nvars))
-    return orbit
+    counts: dict[int, int] = {0: nvars - len(lam)}
+    for v in lam:
+        counts[v] = counts.get(v, 0) + 1
+    return tuple(_rearrangements(counts, nvars))
 
 
 def _partitions_within(size: int, parts: int, largest: int | None = None):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from vsllt import cli, rewrite
+from vsllt import cli, llt, rewrite
 from vsllt.cli import main
 from vsllt.paths import parse_word
 from vsllt.qpoly import parse_qpoly
@@ -228,3 +228,38 @@ def test_expand_refuses_semilengths_above_the_cap(capsys, monkeypatch):
     code, out, _ = run(capsys, "expand", "--word", "-+" * 14)
     assert code == 0
     assert "e[1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]: 1" in out
+
+
+def test_expand_strips_checks_the_cap_before_building_the_word(capsys, monkeypatch):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("a refused expand run may not build or rewrite the word")
+
+    monkeypatch.setattr(llt, "to_schroeder_word", no_work)
+    monkeypatch.setattr(rewrite, "normalize", no_work)
+    code, out, err = run(capsys, "expand", "--strips", ";".join(["0:1"] * 600))
+    assert code == 2
+    assert out == ""
+    assert "semilength 600" in err and "limit of 14" in err
+    monkeypatch.undo()
+    # a tuple with as many cells as the cap still runs
+    code, out, _ = run(capsys, "expand", "--strips", "0:14")
+    assert code == 0
+    assert "e-positive at q+1: yes" in out
+
+
+def test_oracle_refuses_more_cells_than_the_expand_cap(capsys, monkeypatch):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("a refused oracle run may not enumerate or rewrite")
+
+    monkeypatch.setattr(llt, "to_schroeder_word", no_work)
+    monkeypatch.setattr(rewrite, "normalize", no_work)
+    monkeypatch.setattr(llt, "ssyt_generating_function", no_work)
+    # one filling in one variable, so only the cell cap can refuse it
+    code, out, err = run(capsys, "oracle", "--strips", ";".join(["0:1"] * 15), "--nvars", "1")
+    assert code == 2
+    assert out == ""
+    assert "15 cells" in err and f"limit of {cli.MAX_EXPAND_SEMILENGTH}" in err
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "oracle", "--strips", "0:14")
+    assert code == 0
+    assert "match: yes" in out

@@ -1,9 +1,11 @@
 """The e-basis raising and lowering operators and shift table agree exactly
 with their per-term p-basis reference forms (tests/reference_dyck.py),
-compared through a coefficient-wise e->p conversion; the e->p and
-e -> monomial caches agree with fresh recomputes."""
+compared through a coefficient-wise e->p conversion; every memoized function
+agrees with a fresh recompute."""
 
-from itertools import combinations, permutations
+from fractions import Fraction
+from itertools import combinations, groupby, permutations, product
+from math import factorial, prod
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from vsllt.cli import _verify_one
 from vsllt.dyckalgebra import VElement, _shift_table, eval_word, op_dminus, op_dplus, op_phi
 from vsllt.paths import MINUS, PLUS, iter_paths
 from vsllt.qpoly import ONE, QPoly, accumulate
-from vsllt.symfunc import GradedSym, _e_in_p_raw, e_in_p, e_mu_in_p
+from vsllt.symfunc import GradedSym, _e_in_p_raw, e_mu_in_p
 
 N = 5
 
@@ -186,8 +188,32 @@ def test_shift_table_in_p_equals_per_term_p_shift():
     assert checked == 2 * 30
 
 
+def _fresh_e_raw(k):
+    """e_k in the p-basis without Newton's recursion or any memo:
+    sum over lam |- k of (-1)^(k - len(lam)) p_lam / z_lam."""
+    out = {}
+    for lam in _partitions(k):
+        z = 1
+        for part, run in groupby(lam):
+            m = len(list(run))
+            z *= part**m * factorial(m)
+        out[lam] = Fraction((-1) ** (k - len(lam)), z)
+    return out
+
+
 def _fresh_e_in_p(k, n):
-    return GradedSym(n, {mu: QPoly.const(c) for mu, c in _e_in_p_raw(k).items()})
+    return GradedSym(n, {mu: QPoly.const(c) for mu, c in _fresh_e_raw(k).items()})
+
+
+def _fresh_p_mu_in_vars(mu, nvars):
+    """p_mu(x_1..x_nvars), one monomial per choice of a variable for each part."""
+    out = {}
+    for choice in product(range(nvars), repeat=len(mu)):
+        e = [0] * nvars
+        for i, part in zip(choice, mu):
+            e[i] += part
+        accumulate(out, tuple(e), ONE)
+    return out
 
 
 def _count_01_matrices(rows, cols):
@@ -201,10 +227,48 @@ def _count_01_matrices(rows, cols):
     )
 
 
+# Every memoized function, with an unmemoized recompute of its value.
+CACHED = {
+    symfunc._e_in_p_raw: _fresh_e_raw,
+    symfunc.e_in_p: _fresh_e_in_p,
+    symfunc.e_mu_in_p: lambda mu, n: prod((_fresh_e_in_p(k, n) for k in mu), start=GradedSym.one(n)),
+    symfunc._p_mu_in_vars: _fresh_p_mu_in_vars,
+    symfunc._e_to_m: _count_01_matrices,
+    symfunc._orbit: lambda lam, nvars: set(permutations(lam + (0,) * (nvars - len(lam)))),
+    _shift_table: _unmerged_expansion,
+}
+
+
+def _cache_domain(size):
+    """Keys of every memoized function, covering all partitions up to size and
+    truncation degrees / variable counts up to size."""
+    parts = [mu for s in range(size + 1) for mu in _partitions(s)]
+    return {
+        symfunc._e_in_p_raw: [(k,) for k in range(size + 1)],
+        symfunc.e_in_p: [(k, n) for n in range(1, size + 1) for k in range(n + 1)],
+        symfunc.e_mu_in_p: [(mu, n) for n in range(1, size + 1) for mu in parts if sum(mu) <= n],
+        symfunc._p_mu_in_vars: [(mu, v) for v in range(1, size + 1) for mu in parts],
+        symfunc._e_to_m: [(mu, lam) for mu in parts for lam in parts],
+        symfunc._orbit: [(lam, v) for v in range(1, size + 1) for lam in parts if len(lam) <= v],
+        _shift_table: [(mu, sign) for mu in parts for sign in (+1, -1)],
+    }
+
+
+def _as_compared(fn, value):
+    if fn is symfunc._orbit:
+        assert len(value) == len(set(value))
+        return set(value)
+    if fn is _shift_table:
+        return {(p, extra): c for p, extra, c in value}
+    return value
+
+
 def test_bridge_caches_survive_verify():
     # _verify_one compares in the e-basis and llt_in_vars goes through the
     # integer e -> monomial bridge, so the e->p caches are filled here through
     # eval_word and the p-basis reference of llt_in_vars
+    for fn in CACHED:
+        fn.cache_clear()
     strips_cases = (((0, 2), (-2, 2)), ((0, 1), (-1, 2)), ((0, 3),))
     for n in range(1, 5):
         for word in iter_paths(n):
@@ -212,21 +276,16 @@ def test_bridge_caches_survive_verify():
             eval_word(word)
     for strips in strips_cases:
         assert llt.llt_in_vars(strips, 3) == reference_llt.llt_in_vars(strips, 3)
-    assert symfunc._E_MU_IN_P_CACHE and symfunc._E_IN_P_GRADED
-    assert symfunc._E_TO_M and symfunc._ORBITS
-    for (mu, lam), cached in list(symfunc._E_TO_M.items()):
-        assert cached == _count_01_matrices(mu, lam), (mu, lam)
-        assert symfunc._e_to_m(mu, lam) is cached
-    for (lam, nvars), cached in list(symfunc._ORBITS.items()):
-        fresh = set(permutations(lam + (0,) * (nvars - len(lam))))
-        assert len(cached) == len(fresh) and set(cached) == fresh, (lam, nvars)
-        assert symfunc._orbit(lam, nvars) is cached
-    for (mu, n), cached in list(symfunc._E_MU_IN_P_CACHE.items()):
-        fresh = GradedSym.one(n)
-        for part in mu:
-            fresh = fresh * _fresh_e_in_p(part, n)
-        assert cached == fresh, (mu, n)
-        assert e_mu_in_p(mu, n) is cached
-    for (k, n), cached in list(symfunc._E_IN_P_GRADED.items()):
-        assert cached == _fresh_e_in_p(k, n), (k, n)
-        assert e_in_p(k, n) is cached
+    assert all(fn.cache_info().currsize for fn in CACHED), [
+        fn.__name__ for fn in CACHED if not fn.cache_info().currsize
+    ]
+    # words up to semilength 4 and tuples up to 4 cells in 3 variables keep
+    # every key inside the domain of size 4: afterwards each cache holds
+    # exactly the domain's keys, so the sweep added none outside it
+    for fn, keys in _cache_domain(4).items():
+        fresh = CACHED[fn]
+        for key in keys:
+            cached = fn(*key)
+            assert _as_compared(fn, cached) == fresh(*key), (fn.__name__, key)
+            assert fn(*key) is cached, (fn.__name__, key)
+        assert fn.cache_info().currsize == len(keys), fn.__name__

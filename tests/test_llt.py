@@ -77,6 +77,31 @@ def test_area_and_crosses_small():
     assert area_and_crosses(parse_strips("0:1;0:1")) == ((0, 1), {})
 
 
+def _brute_area_and_crosses(strips):
+    """Per cell, count its attackers among all cells straight from the
+    definition, and find the cell directly below it in its strip."""
+    cells = reading_order(strips)
+    area = tuple(
+        sum(1 for sp, dp in cells if (dp == dr and sp < sr) or (dp == dr - 1 and sp > sr))
+        for sr, dr in cells
+    )
+    crosses = {
+        r: cells.index((sr, dr - 1)) + 1
+        for r, (sr, dr) in enumerate(cells, 1)
+        if (sr, dr - 1) in cells
+    }
+    return area, crosses
+
+
+def test_area_and_crosses_matches_per_cell_count():
+    tuples = sorted(set(all_strip_tuples(5, 3, range(-2, 3))))
+    assert len(tuples) == 1526
+    big = parse_strips(";".join([render_strips(BIG)] * 30))
+    assert cell_count(big) == 300
+    for t in tuples + [big]:
+        assert area_and_crosses(t) == _brute_area_and_crosses(t), render_strips(t)
+
+
 def test_to_schroeder_word():
     assert render_word(to_schroeder_word(BIG), compact=False) == \
         "-,-,0,0,-,+,-,-,+,+,0,0,-,+,+,+"
