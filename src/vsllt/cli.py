@@ -25,8 +25,9 @@ from .dyckalgebra import eval_in_e
 from .qpoly import render_qpoly
 from .rewrite import e_positivity_report, expand_word
 
-# Largest tableau enumeration ``oracle`` starts; at about 4 us per filling
-# this is a few seconds.
+# Largest tableau enumeration ``oracle`` starts; at 0.6-1 us per filling this
+# is about a second (10^6 fillings of six one-cell strips in 10 variables take
+# 0.96 s, Python 3.11.7 on a 2-vCPU x86_64 host).
 MAX_ORACLE_FILLINGS = 10**6
 
 # Largest semilength ``verify`` sweeps: all 26232 words through 8 take about
@@ -112,8 +113,8 @@ def cmd_expand(args) -> int:
 
 def cmd_path(args) -> int:
     strips = llt.parse_strips(args.strips)
-    word = llt.to_schroeder_word(strips)
     area, crosses = llt.area_and_crosses(strips)
+    word = llt.schroeder_word(area, crosses)
     cross_pairs = sorted((p, r) for r, p in crosses.items())
     if args.json:
         print(

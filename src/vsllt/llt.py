@@ -13,10 +13,13 @@ which the dots, crosses and path of the standard picture all agree.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from collections import Counter
+from itertools import combinations, repeat
+from math import comb
+from operator import add, and_, rshift
 
 from .paths import MINUS, PLUS, ZERO, Word
-from .qpoly import QPoly
+from .qpoly import ONE, _canonical
 from .rewrite import expand_word
 from .symfunc import XPoly, e_expansion_in_vars
 # unused here, but bench/tracing.py wraps llt.e_mu_in_p and llt.expand_in_vars by name
@@ -120,13 +123,17 @@ def area_and_crosses(strips: StripTuple) -> tuple[tuple[int, ...], dict[int, int
 
 
 def to_schroeder_word(strips: StripTuple) -> Word:
-    """The path word of a strip tuple.
+    """The path word of a strip tuple."""
+    return schroeder_word(*area_and_crosses(strips))
+
+
+def schroeder_word(area: tuple[int, ...], crosses: dict[int, int]) -> Word:
+    """The path word of the attacker counts and crosses of a strip tuple.
 
     The attacker counts carve a Dyck path (the north step of row r sits at
     x = r - 1 - area_r); each vertical adjacency marks a valley of that
     path, and its east+north corner becomes a diagonal step.
     """
-    area, crosses = area_and_crosses(strips)
     n = len(area)
     word = []
     x = 0
@@ -154,42 +161,104 @@ def _strip_fillings(height: int, nvars: int):
     return list(combinations(range(1, nvars + 1), height))
 
 
+def _inversion_table(pairs, fill_a, fill_b, one: int) -> list[list[int]]:
+    """Inversions between every filling of strip a and every filling of strip b.
+
+    pairs lists the attack pairs between the two strips as (index into a
+    filling of a, index into a filling of b, whether a holds the lower
+    reading position p).  Row i, column j holds ``one`` times the number of
+    those pairs that invert when a is filled by fill_a[i] and b by fill_b[j].
+    """
+    table = [[0] * len(fill_b)] * len(fill_a)  # rows are replaced, never mutated
+    for ia, ib, a_first in pairs:
+        column = [fb[ib] for fb in fill_b]
+        # one row of 0/one per value the cell of a can hold
+        hits = {
+            x: [one if (x < y if a_first else y < x) else 0 for y in column]
+            for x in {fa[ia] for fa in fill_a}
+        }
+        table = [list(map(add, row, hits[fa[ia]])) for row, fa in zip(table, fill_a)]
+    return table
+
+
 def ssyt_generating_function(strips: StripTuple, nvars: int) -> XPoly:
     """Brute-force tableau sum: q^inversions * x^content over all fillings.
 
     Vertical strips only need strict increase up each column; inversions
-    are the attack pairs (p, r) whose values satisfy T(p) < T(r).  Fillings
-    are tallied as plain ints per (content, inversions), and each content
-    becomes one QPoly at the end.
+    are the attack pairs (p, r) whose values satisfy T(p) < T(r), and every
+    attack pair joins two different strips.  So a filling is scored by one
+    int key: each strip's filling adds its content, one digit per variable,
+    and each pair of strips adds, from a table built once, its inversion
+    count in the digits above the contents.  The strips are walked depth
+    first, the one with the most fillings last.  Choosing a strip's filling
+    adds its table rows to the key vectors of the strips still open, and
+    the last strip tallies its whole vector at once.  Every filling is still
+    counted; each distinct key is decoded into (content, inversions) once,
+    and each content becomes one QPoly of ints.
     """
     if nvars < 1:
         raise ValueError("need at least one variable")
-    pairs = [(p - 1, r - 1) for p, r in sorted(attack_pairs(strips))]
-    cells = reading_order(strips)
-    # map each reading position to (strip, height offset) to index a filling
-    per_strip = [_strip_fillings(h, nvars) for _, h in strips]
-    offsets = []
-    seen: dict[int, int] = {}
-    for s, _d in cells:
-        offsets.append((s, seen.get(s, 0)))
-        seen[s] = seen.get(s, 0) + 1
-    # sorted values of a filling -> {inversions: number of fillings}
-    tally: dict[tuple[int, ...], dict[int, int]] = {}
-    for choice in product(*per_strip):
-        values = [choice[s][j] for s, j in offsets]
-        inv = sum([values[p] < values[r] for p, r in pairs])
-        by_inv = tally.setdefault(tuple(sorted(values)), {})
-        by_inv[inv] = by_inv.get(inv, 0) + 1
-    out: XPoly = {}
-    for multiset, by_inv in tally.items():
-        exps = [0] * nvars
-        for v in multiset:
-            exps[v - 1] += 1
-        coeffs = [0] * (max(by_inv) + 1)
-        for inv, count in by_inv.items():
-            coeffs[inv] = count
-        out[tuple(exps)] = QPoly(coeffs)
-    return out
+    if not strips:
+        return {(0,) * nvars: ONE}  # the one empty filling
+    # walk order: fewest fillings first, so the longest vector is the one tallied
+    order = sorted(range(len(strips)), key=lambda s: comb(nvars, strips[s][1]))
+    fillings = [_strip_fillings(strips[s][1], nvars) for s in order]
+    if not all(fillings):
+        return {}
+    width = len(strips).bit_length()  # a value occurs at most once per strip
+    shift = width * nvars
+    step = {s: t for t, s in enumerate(order)}
+    # reading position -> (walk step of its strip, index into that strip's filling)
+    where = [(step[s], d - strips[s][0]) for s, d in reading_order(strips)]
+    # attack pairs grouped by (earlier, later) walk step
+    between: dict[tuple[int, int], list] = {}
+    for p, r in attack_pairs(strips):
+        (tp, ip), (tr, ir) = where[p - 1], where[r - 1]
+        if tp < tr:
+            between.setdefault((tp, tr), []).append((ip, ir, True))
+        else:
+            between.setdefault((tr, tp), []).append((ir, ip, False))
+    tables: list[list] = [[] for _ in order]
+    for (ta, tb), pairs in between.items():
+        table = _inversion_table(pairs, fillings[ta], fillings[tb], 1 << shift)
+        tables[ta].append((tb, table))
+    # the key vector of each step starts as its fillings' contents
+    unit = [0] + [1 << width * v for v in range(nvars)]  # unit[v]: the content of v alone
+    vectors = [[sum(map(unit.__getitem__, f)) for f in fs] for fs in fillings]
+
+    # depth first; an entry is (walk step, key so far, key vectors from that step on)
+    tally: Counter[int] = Counter()
+    last = len(order) - 1
+    stack = [(0, 0, vectors)]
+    while stack:
+        t, acc, vecs = stack.pop()
+        if t == last:
+            tally.update(map(acc.__add__, vecs[t]))
+            continue
+        for i, key in enumerate(vecs[t]):
+            below = vecs[:]
+            for tb, table in tables[t]:
+                below[tb] = list(map(add, vecs[tb], table[i]))
+            stack.append((t + 1, acc + key, below))
+    # sorted keys come inversion count first, so each content's counts arrive in order
+    content_mask = (1 << shift) - 1
+    by_content: dict[int, list[int]] = {}
+    for key in sorted(tally):
+        inv = key >> shift
+        counts = by_content.get(key & content_mask)
+        if counts is None:
+            by_content[key & content_mask] = counts = [0] * inv
+        else:
+            counts += [0] * (inv - len(counts))
+        counts.append(tally[key])
+    # decode the contents one variable at a time, across all of them at once
+    codes = list(by_content)
+    digit_mask = (1 << width) - 1
+    columns = [
+        map(and_, map(rshift, codes, repeat(width * v)), repeat(digit_mask))
+        for v in range(nvars)
+    ]
+    return dict(zip(zip(*columns), map(_canonical, by_content.values())))
 
 
 def llt_in_vars(strips: StripTuple, nvars: int) -> XPoly:

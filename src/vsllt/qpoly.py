@@ -110,11 +110,15 @@ class QPoly:
         return acc
 
     def shift_plus_one(self) -> "QPoly":
-        """Return a(q+1), via Horner in the shifted variable."""
-        acc = QPoly()
+        """Return a(q+1), via Horner in the shifted variable, in place on a list."""
+        acc: list = []
         for c in reversed(self.coeffs):
-            acc = acc * Q_PLUS_1 + QPoly.const(c)
-        return acc
+            # acc <- acc * (q + 1) + c
+            acc.append(0)
+            for i in range(len(acc) - 1, 0, -1):
+                acc[i] += acc[i - 1]
+            acc[0] += c
+        return _canonical(acc)
 
     def rebase_qminus1(self) -> tuple:
         """Coefficients c_0..c_d with a(q) = sum c_i (q-1)^i.
@@ -213,7 +217,6 @@ def _coerce(x) -> QPoly:
 ZERO = QPoly()
 ONE = QPoly((1,))
 Q = QPoly((0, 1))
-Q_PLUS_1 = QPoly((1, 1))
 Q_MINUS_1 = QPoly((-1, 1))
 
 

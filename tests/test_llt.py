@@ -1,4 +1,5 @@
-from itertools import permutations
+from itertools import combinations, permutations
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -182,9 +183,56 @@ def test_tableau_tally_matches_per_filling_reference():
         got = ssyt_generating_function(t, nvars)
         assert got == reference_ssyt(t, nvars), render_strips(t)
         assert all(type(x) is int for c in got.values() for x in c.coeffs)
-    for t in (parse_strips("0:2;0:2;0:1"), parse_strips("0:1;-1:2;1:1"), ()):
+    # the first two strips of 0:3;1:2;-1:2 attack each other both ways (same
+    # diagonal, and one diagonal up); at 1 or 2 variables its tall strips,
+    # and those of 0:2;-1:3;1:1, have no filling at all
+    both_ways = parse_strips("0:3;1:2;-1:2")
+    strip_of = [s for s, _ in reading_order(both_ways)]
+    assert {(strip_of[p - 1], strip_of[r - 1]) for p, r in attack_pairs(both_ways)} >= {
+        (0, 1),
+        (1, 0),
+    }
+    for t in (
+        parse_strips("0:2;0:2;0:1"),
+        parse_strips("0:1;-1:2;1:1"),
+        (),
+        both_ways,
+        parse_strips("0:2;-1:3;1:1"),
+    ):
         for nvars in (1, 2, 6):
-            assert ssyt_generating_function(t, nvars) == reference_ssyt(t, nvars)
+            assert ssyt_generating_function(t, nvars) == reference_ssyt(t, nvars), (t, nvars)
+
+
+def _inversion_total(strips, nvars):
+    """Sum of the inversions over all fillings, one attack pair at a time:
+    a pair inverts in as many fillings as its two strips' fillings put a
+    smaller value at p than at r, times the fillings of the other strips."""
+    cells = reading_order(strips)
+    counts = [comb(nvars, h) for _, h in strips]
+    total = 0
+    for p, r in attack_pairs(strips):
+        (sp, dp), (sr, dr) = cells[p - 1], cells[r - 1]
+        jp, jr = dp - strips[sp][0], dr - strips[sr][0]
+        low = combinations(range(1, nvars + 1), strips[sp][1])
+        high = list(combinations(range(1, nvars + 1), strips[sr][1]))
+        hits = sum(fp[jp] < fr[jr] for fp in low for fr in high)
+        total += hits * prod(c for s, c in enumerate(counts) if s not in (sp, sr))
+    return total
+
+
+@pytest.mark.parametrize(
+    "text, nvars",
+    [("0:2;0:2;0:1;-1:1", 10), ("0:3;1:2;-1:2", 9), (";".join(["0:1"] * 6), 7), ("0:3;1:2;-1:2", 2)],
+)
+def test_tableau_sum_counts_every_filling(text, nvars):
+    # at q = 1 the coefficients add up to the number of fillings, one
+    # C(nvars, h) per strip, and the derivative at q = 1 to the inversions
+    # summed pair by pair; tuples too big for the per-filling reference
+    strips = parse_strips(text)
+    poly = ssyt_generating_function(strips, nvars)
+    assert sum(c(1) for c in poly.values()) == prod(comb(nvars, h) for _, h in strips)
+    assert sum(i * x for c in poly.values() for i, x in enumerate(c.coeffs)) == \
+        _inversion_total(strips, nvars)
 
 
 def test_operator_side_matches_p_basis_reference():
