@@ -38,7 +38,7 @@ MAX_VERIFY_SEMILENGTH = 8
 # Largest semilength ``expand`` rewrites, and the most cells ``oracle`` takes:
 # a strip tuple's word has semilength equal to its cell count, and the oracle's
 # operator side rewrites that word.  The costliest word of semilength n is
-# -^n +^n: about 10 s and 45 MB at 14, 32 s and 79 MB at 15, and roughly
+# -^n +^n: about 7 s and 47 MB at 14, 18 s and 77 MB at 15, and roughly
 # three times more per step (Python 3.11.7 on a 2-vCPU x86_64 host).
 MAX_EXPAND_SEMILENGTH = 14
 

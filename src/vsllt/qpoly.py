@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import sub
 
 
 def _exact(c) -> int | Fraction:
@@ -93,6 +94,12 @@ class QPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return QPoly()
+        # the rewrite rules' scalars: q shifts a, (q-1) shifts a and subtracts
+        # it.  Matched by identity, so other products pay no coefficient compare.
+        if other is Q:
+            return _canonical([0, *a])
+        if other is Q_MINUS_1:
+            return _canonical(list(map(sub, (0, *a), (*a, 0))))
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:

@@ -26,13 +26,8 @@ def letter_degree(word: Word, pos: int) -> int:
     """
     if not 0 <= pos < len(word):
         raise IndexError(f"position {pos} out of range")
-    deg = 0
-    for tok in word[: pos + 1]:
-        if tok == MINUS:
-            deg += 1
-        elif tok == PLUS:
-            deg -= 1
-    return deg
+    prefix = word[: pos + 1]
+    return prefix.count(MINUS) - prefix.count(PLUS)
 
 
 def leftmost_high_dplus(word: Word) -> int | None:
@@ -48,6 +43,19 @@ def leftmost_high_dplus(word: Word) -> int | None:
     return None
 
 
+def _high_plus_degree(word: Word, pos: int, before: str) -> int:
+    """Degree of the '+' at pos, after checking that a rule applies there:
+    pos in 1..len(word)-1, word[pos-1:pos+1] == (before, '+'), degree >= 1."""
+    if not 1 <= pos < len(word):
+        raise ValueError(f"position {pos} is outside 1..{len(word) - 1}")
+    if word[pos] != PLUS or word[pos - 1] != before:
+        raise ValueError(f"no ({before},+) pair ending at position {pos}")
+    deg = letter_degree(word, pos)
+    if deg < 1:
+        raise ValueError(f"'+' at position {pos} has degree {deg}")
+    return deg
+
+
 def rewrite_case0(word: Word, pos: int) -> LinComb:
     """Rewrite an adjacent (-, +) pair with the '+' at degree >= 1.
 
@@ -55,80 +63,62 @@ def rewrite_case0(word: Word, pos: int) -> LinComb:
     the pair either swaps to (+, -), or collapses to a single '0' with
     coefficient (q-1).
     """
-    if word[pos] != PLUS or word[pos - 1] != MINUS:
-        raise ValueError(f"no (-,+) pair ending at position {pos}")
-    if letter_degree(word, pos) < 1:
-        raise ValueError(f"'+' at position {pos} has degree 0")
-    out: LinComb = {}
-    accumulate(out, word[: pos - 1] + (PLUS, MINUS) + word[pos + 1 :], ONE)
-    accumulate(out, word[: pos - 1] + (ZERO,) + word[pos + 1 :], Q_MINUS_1)
-    return out
+    _high_plus_degree(word, pos, MINUS)
+    head, tail = word[: pos - 1], word[pos + 1 :]
+    return {head + (PLUS, MINUS) + tail: ONE, head + (ZERO,) + tail: Q_MINUS_1}
 
 
-def _bubble_t(word: Word, t: int, k: int) -> LinComb:
-    """Bubble the swap T_1 standing just before position t leftward until it resolves.
+def _bubble_t(word: Word, t: int, k: int) -> int:
+    """Bubble the swap T_1 standing just before position t leftward; return
+    the position t at which it resolves, word[t-2:t] being its last two letters.
 
-    The swap acts on V_k, k being the '-'/'+' balance of word[:t]; it is
-    tracked by its position, index and k, and the word is spliced only when
-    it resolves.  One local identity applies per step:
-      idx <= k-2, left is '0':  pass a diagonal letter, index goes up;
-      idx <= k-2, left is '-':  pass a lowering letter, k goes down;
-      idx == k-1, '0','0' on the left: jump both, index resets to 1;
-      idx == k-1, '-','0' on the left: resolve, factor q, letters swap;
-      idx == k-1, '-','-' on the left: resolve, the swap drops;
-      idx == k-1, '0','-' on the left: resolve into two words,
-                  one with the pair swapped (+1) and one as-is (-(q-1)).
-    Valid inputs always resolve; running off the front is an internal error.
+    The swap acts on V_k, k being the '-'/'+' balance of word[:t].  While its
+    index idx is below k-1, each letter it passes closes the gap k-1-idx by
+    one: a '0' raises idx, a '-' lowers k.  So T_idx passes the next k-1-idx
+    letters in one move.  At idx == k-1 it reads the two letters on its left:
+    on '0','0' it jumps both and its index resets to 1; on any other pair it
+    resolves.  Valid inputs always resolve; meeting a '+' or running off the
+    front is an internal error.
     """
-    idx = 1
+    gap = k - 2
     while True:
-        if t == 0 or word[t - 1] == PLUS:
-            raise RuntimeError(f"swap T{idx} stuck at position {t} in {''.join(word)}")
-        left = word[t - 1]
-        if idx <= k - 2:
-            if left == ZERO:
-                idx += 1
-            else:
-                k -= 1
-            t -= 1
-            continue
-        if idx != k - 1:
-            raise RuntimeError(f"swap index {idx} out of range for degree {k}")
-        if t < 2 or word[t - 2] == PLUS:
-            raise RuntimeError(
-                f"no terminal rule for T{idx} at position {t} in {''.join(word)}"
-            )
-        left2 = word[t - 2]
-        if left == ZERO and left2 == ZERO:
+        if gap:
+            passed = word[t - gap : t]
+            if gap > t or PLUS in passed:
+                raise RuntimeError(f"swap stuck left of position {t} in {''.join(word)}")
+            k -= passed.count(MINUS)
+            t -= gap
+        if t < 2 or PLUS in word[t - 2 : t]:
+            raise RuntimeError(f"no terminal rule left of position {t} in {''.join(word)}")
+        if word[t - 1] == ZERO == word[t - 2]:
             t -= 2
-            idx = 1
+            gap = k - 2
             continue
-        if left2 == MINUS:
-            if left == ZERO:
-                return {word[: t - 2] + (ZERO, MINUS) + word[t:]: Q}
-            return {word: ONE}
-        # left == MINUS, left2 == ZERO
-        return {word[: t - 2] + (MINUS, ZERO) + word[t:]: ONE, word: -Q_MINUS_1}
+        return t
 
 
 def rewrite_push_T(word: Word, pos: int) -> LinComb:
     """Rewrite an adjacent (0, +) pair with the '+' at degree >= 1.
 
-    The pair splits into (q-1) * (+, 0) plus T_1 (+, 0), whose swap is
-    bubbled leftward to completion; cancellations happen through the
-    coefficient arithmetic.
+    The pair splits into (q-1) * (+, 0) plus T_1 (+, 0).  The swap is bubbled
+    leftward (``_bubble_t``) and resolves on the two letters left of it.  So
+    the merged output is one of three closed forms, w being the word with the
+    (0, +) pair swapped and w' being w with those two letters exchanged:
+      '-','-': the swap drops, w gets (q-1) + 1 = q;
+      '-','0': w keeps (q-1), w' gets q;
+      '0','-': w' gets 1, and w's two parts (q-1) - (q-1) cancel.
     """
-    if word[pos] != PLUS or word[pos - 1] != ZERO:
-        raise ValueError(f"no (0,+) pair ending at position {pos}")
-    deg = letter_degree(word, pos)
-    if deg < 1:
-        raise ValueError(f"'+' at position {pos} has degree 0")
+    deg = _high_plus_degree(word, pos, ZERO)
     swapped = word[: pos - 1] + (PLUS, ZERO) + word[pos + 1 :]
-    out: LinComb = {swapped: Q_MINUS_1}
     # the swap sees the balance before the (0, +) pair: deg + 1
-    for w, c in _bubble_t(swapped, pos - 1, deg + 1).items():
-        accumulate(out, w, c)
-    return out
+    t = _bubble_t(swapped, pos - 1, deg + 1)
+    left2, left = swapped[t - 2], swapped[t - 1]
+    if left2 == left:  # '-','-': the bubble never stops on '0','0'
+        return {swapped: Q}
+    exchanged = swapped[: t - 2] + (left, left2) + swapped[t:]
+    if left == MINUS:
+        return {exchanged: ONE}
+    return {swapped: Q_MINUS_1, exchanged: Q}
 
 
 def rewrite_step(word: Word, pos: int) -> LinComb:
@@ -144,6 +134,21 @@ def _plus_weight(word: Word) -> int:
     return sum(i for i, tok in enumerate(word) if tok == PLUS)
 
 
+def _weighed_step(word: Word, pos: int, level: int) -> list[tuple[Word, QPoly, int]]:
+    """The outputs of rewriting the '+' at pos, as (word, coefficient, weight).
+
+    ``level`` is the word's ``_plus_weight``; each output's weight follows from
+    the rule that fired.  A swap and every push_T output sit at level - 1.  A
+    collapse drops the '+' at pos and moves each later '+' one place left.
+    """
+    if word[pos - 1] == MINUS:
+        # rewrite_case0 returns the swap, then the collapse
+        (swapped, one), (collapsed, q_minus_1) = rewrite_case0(word, pos).items()
+        collapsed_weight = level - pos - word[pos + 1 :].count(PLUS)
+        return [(swapped, one, level - 1), (collapsed, q_minus_1, collapsed_weight)]
+    return [(w2, c2, level - 1) for w2, c2 in rewrite_push_T(word, pos).items()]
+
+
 def normalize(word: Word) -> LinComb:
     """Rewrite a path word into terminal words with every '+' at degree 0.
 
@@ -151,8 +156,9 @@ def normalize(word: Word) -> LinComb:
     by 1, a collapse by at least the position of the removed '+'.  So words
     wait in one bucket per weight, and the buckets are walked from the top
     down: each word is rewritten once, after every contribution to its
-    coefficient has been merged.  The result has coefficients in Z[q] that
-    rebase into N[q-1].
+    coefficient has been merged.  Only the input word is weighed; every
+    output's weight is derived from the rule that produced it.  The result
+    has coefficients in Z[q] that rebase into N[q-1].
     """
     validate_word(word)
     buckets: list[LinComb] = [{} for _ in range(_plus_weight(word))] + [{word: ONE}]
@@ -164,8 +170,7 @@ def normalize(word: Word) -> LinComb:
             if pos is None:
                 done[w] = coeff
                 continue
-            for w2, c2 in rewrite_step(w, pos).items():
-                weight = _plus_weight(w2)
+            for w2, c2, weight in _weighed_step(w, pos, level):
                 if weight >= level:
                     raise RuntimeError(
                         f"rewriting {''.join(w)} did not lower the '+' weight {level}"

@@ -3,15 +3,29 @@
 It picks the lexicographically smallest active word at every step and
 bubbles the swap operator as a transient letter "T<i>" inside the word, so
 a word can be rewritten again each time a new contribution to its
-coefficient arrives.  The library's ordered engine must agree with it
-exactly.
+coefficient arrives.  Its rules build every output in a dict and let the
+coefficient arithmetic cancel.  The library's ordered engine must agree with
+it exactly.
 """
 
 from __future__ import annotations
 
 from vsllt.paths import MINUS, PLUS, ZERO, Word, validate_word
 from vsllt.qpoly import ONE, Q, Q_MINUS_1, accumulate
-from vsllt.rewrite import LinComb, leftmost_high_dplus, letter_degree, rewrite_case0
+from vsllt.rewrite import LinComb, leftmost_high_dplus, letter_degree
+
+
+def rewrite_case0(word: Word, pos: int) -> LinComb:
+    """Rewrite an adjacent (-, +) pair with the '+' at degree >= 1: the pair
+    swaps to (+, -), or collapses to a single '0' with coefficient (q-1)."""
+    if word[pos] != PLUS or word[pos - 1] != MINUS:
+        raise ValueError(f"no (-,+) pair ending at position {pos}")
+    if letter_degree(word, pos) < 1:
+        raise ValueError(f"'+' at position {pos} has degree 0")
+    out: LinComb = {}
+    accumulate(out, word[: pos - 1] + (PLUS, MINUS) + word[pos + 1 :], ONE)
+    accumulate(out, word[: pos - 1] + (ZERO,) + word[pos + 1 :], Q_MINUS_1)
+    return out
 
 
 def _bubble_t(word: Word, t: int, idx: int) -> LinComb:

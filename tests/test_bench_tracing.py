@@ -37,5 +37,8 @@ def test_tracer_wraps_and_restores_every_target():
         assert getattr(ns, attr) is fn, (ns, attr)
     assert tracer.counts["dyckalgebra.op_dminus.calls"] > 0
     assert tracer.counts["rewrite.normalize.calls"] > 0
+    # normalize reaches both rules through the names the tracer wraps
+    assert tracer.counts["rewrite.rewrite_case0.calls"] > 0
+    assert tracer.counts["rewrite.rewrite_push_T.calls"] > 0
     assert tracer.counts["llt.llt_in_vars.calls"] > 0
     assert tracer.counts["llt.ssyt_generating_function.calls"] > 0

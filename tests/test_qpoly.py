@@ -194,6 +194,17 @@ def test_int_arithmetic_matches_fraction_arithmetic(a, b):
     assert all(type(c) is int for c in a.rebase_qminus1())
 
 
+@given(qpolys(max_deg=5))
+def test_products_by_q_and_q_minus_1_take_values_of_the_product(p):
+    # q and q-1 take a shortcut in __mul__; a product of degree <= 6 is fixed
+    # by its values at seven points, whichever operand comes first
+    for scalar in (Q, Q_MINUS_1):
+        for got in (p * scalar, scalar * p):
+            assert all(got(x) == p(x) * scalar(x) for x in range(-3, 4))
+            assert got.coeffs == QPoly(got.coeffs).coeffs  # canonical
+            assert _ints(got) == _ints(p)
+
+
 def test_evaluation():
     p = QPoly((1, -3, 2))
     assert p(Fraction(1)) == 0

@@ -57,6 +57,14 @@ def test_case0_preconditions():
         rewrite_case0(W("-+-+"), 1)  # degree 0
 
 
+@pytest.mark.parametrize("rule", [rewrite_case0, rewrite_push_T])
+@pytest.mark.parametrize("word,pos", [("+-", 0), ("-0+", -1), ("--++", -2), ("-0+", 3), ("", 0)])
+def test_rules_refuse_positions_outside_the_word(rule, word, pos):
+    # a pair ends at 1..len-1; pos 0 or below would read word[pos - 1] from the end
+    with pytest.raises(ValueError, match=f"position {pos} is outside"):
+        rule(W(word), pos)
+
+
 def test_push_t_cancellation_case():
     # the (q-1) pieces cancel, leaving a single word with coefficient 1
     out = rewrite_push_T(W("-0-0++"), 4)
@@ -192,19 +200,51 @@ def test_normalize_matches_reference_engine():
         assert normalize(w) == reference_rewrite.normalize(w), render_word(w)
 
 
+def test_every_high_plus_rewrites_as_the_reference_with_derived_weights():
+    # Lemma behind the derived weights: for every '+' of degree >= 1 after a
+    # '-' or '0', not only the leftmost, the rule's outputs equal the
+    # reference engine's merged ones, and the weight derived from the rule is
+    # each output's _plus_weight.  Where the reference's swap gets stuck on a
+    # '+' the library refuses too.
+    rewritten = stuck = 0
+    for w in WORDS_UPTO_6:
+        level = _plus_weight(w)
+        for pos in range(1, len(w)):
+            if w[pos] != "+" or w[pos - 1] == "+" or letter_degree(w, pos) < 1:
+                continue
+            try:
+                want = reference_rewrite.rewrite_step(w, pos)
+            except RuntimeError:
+                with pytest.raises(RuntimeError):
+                    rewrite._weighed_step(w, pos, level)
+                with pytest.raises(RuntimeError):
+                    rewrite.rewrite_step(w, pos)
+                stuck += 1
+                continue
+            assert rewrite.rewrite_step(w, pos) == want, (render_word(w), pos)
+            got = rewrite._weighed_step(w, pos, level)
+            assert {w2: c2 for w2, c2, _ in got} == want, (render_word(w), pos)
+            assert len(got) == len(want), (render_word(w), pos)
+            for w2, _, weight in got:
+                assert weight == _plus_weight(w2), (render_word(w), pos, render_word(w2))
+            rewritten += 1
+    assert (rewritten, stuck) == (1930, 199)
+
+
 def test_every_rewrite_step_lowers_the_plus_weight(monkeypatch):
     # Lemma behind normalize's order: a swap and every bubble output lower the
     # '+' weight by exactly 1, a collapse (one letter shorter) by at least the
     # position of the removed '+'.  Checked on every word normalize rewrites.
-    real_step = rewrite.rewrite_step
+    real_step = rewrite._weighed_step
     steps = []
 
-    def checked_step(word, pos):
-        out = real_step(word, pos)
+    def checked_step(word, pos, level):
+        out = real_step(word, pos, level)
         steps.append(word)
-        level = _plus_weight(word)
-        for w2 in out:
+        assert level == _plus_weight(word)
+        for w2, _, weight in out:
             drop = level - _plus_weight(w2)
+            assert weight == _plus_weight(w2), (render_word(word), render_word(w2))
             if len(w2) == len(word):
                 assert drop == 1, (render_word(word), render_word(w2))
             else:
@@ -212,15 +252,15 @@ def test_every_rewrite_step_lowers_the_plus_weight(monkeypatch):
                 assert drop >= pos, (render_word(word), render_word(w2))
         return out
 
-    monkeypatch.setattr(rewrite, "rewrite_step", checked_step)
+    monkeypatch.setattr(rewrite, "_weighed_step", checked_step)
     for w in WORDS_UPTO_6:
         normalize(w)
     assert len(steps) > 1160
 
 
 def test_normalize_rewrites_each_word_once(monkeypatch):
-    # exactly one rewrite_step call per distinct non-terminal word reached
-    real_step, real_find = rewrite.rewrite_step, rewrite.leftmost_high_dplus
+    # exactly one rewrite step per distinct non-terminal word reached
+    real_step, real_find = rewrite._weighed_step, rewrite.leftmost_high_dplus
     calls, reached = [], set()
 
     def find(word):
@@ -229,12 +269,12 @@ def test_normalize_rewrites_each_word_once(monkeypatch):
             reached.add(word)
         return pos
 
-    def step(word, pos):
+    def step(word, pos, level):
         calls.append(word)
-        return real_step(word, pos)
+        return real_step(word, pos, level)
 
     monkeypatch.setattr(rewrite, "leftmost_high_dplus", find)
-    monkeypatch.setattr(rewrite, "rewrite_step", step)
+    monkeypatch.setattr(rewrite, "_weighed_step", step)
     for w in WORDS_UPTO_6:
         calls.clear()
         reached.clear()
@@ -248,6 +288,6 @@ def test_normalize_rewrites_each_word_once(monkeypatch):
 
 
 def test_normalize_refuses_a_step_that_does_not_descend(monkeypatch):
-    monkeypatch.setattr(rewrite, "rewrite_step", lambda word, pos: {word: ONE})
+    monkeypatch.setattr(rewrite, "_weighed_step", lambda word, pos, level: [(word, ONE, level)])
     with pytest.raises(RuntimeError, match="did not lower the '\\+' weight"):
         normalize(W("--++"))
