@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from functools import cache
 
-from .paths import MINUS, PLUS, Word, WordError, semilength
+from .paths import MINUS, PLUS, Word, WordError, primitive_factors, semilength
 from .qpoly import ONE, Q, Q_MINUS_1, QPoly, accumulate
-from .symfunc import GradedSym, Partition, e_expansion_in_p, merge_partitions
+from .symfunc import GradedSym, Partition, e_expansion_in_p, merge_partitions, multiply_expansions
 # unused here, but bench/tracing.py wraps dyckalgebra.e_in_p by name
 from .symfunc import e_in_p  # noqa: F401
 
@@ -276,14 +276,33 @@ def apply_word(word: Word, f: VElement) -> VElement:
     return f
 
 
+@cache
+def _primitive_value(word: Word) -> tuple[tuple[Partition, QPoly], ...]:
+    """d_P(1) in the e-basis for a primitive word, as (partition, coefficient)
+    pairs, computed at truncation degree semilength(word), which is exact.
+    Memoized per word: a repeat call returns the same tuple, whose entries
+    are immutable."""
+    return tuple(apply_word(word, VElement.one(semilength(word))).sym_part().terms.items())
+
+
 def eval_in_e(word: Word, n: int | None = None) -> GradedSym:
     """d_P(1) in the e-basis for the path encoded by word, at truncation degree n.
 
     The default truncation is the word's semilength, which is exact: the
-    result is homogeneous of that degree.
+    result is homogeneous of that degree.  For a valid word and n at least
+    its semilength, the result is the product of the memoized values of the
+    word's primitive factors.  Two facts make that exact: a word that
+    returns to the diagonal acts on V_0 as multiplication by its value at 1
+    (the paper's corollary), and every letter keeps the total degree
+    (symmetric plus y) or raises it by one, ending at the semilength, so no
+    truncation at n >= semilength drops a term.  Any other input, an invalid
+    word included, is applied letter by letter.
     """
     if n is None:
         n = semilength(word)
+    factors = primitive_factors(word)
+    if factors is not None and n >= semilength(word):
+        return GradedSym(n, multiply_expansions(map(_primitive_value, factors)))
     res = apply_word(word, VElement.one(n))
     if res.k != 0:
         raise WordError("word does not return to the diagonal", len(word))

@@ -59,6 +59,30 @@ def validate_word(word: Word) -> None:
         raise WordError("unbalanced word", len(word))
 
 
+def primitive_factors(word: Word) -> list[Word] | None:
+    """The primitive factors of a valid complete word, or None if it is not one.
+
+    The factors are the pieces between the word's returns to the main
+    diagonal, so each touches the diagonal only at its two ends and their
+    concatenation is the word.  The empty word has no factors.
+    """
+    try:
+        validate_word(word)
+    except WordError:
+        return None
+    factors = []
+    height = start = 0
+    for i, tok in enumerate(word):
+        if tok == MINUS:
+            height += 1
+        elif tok == PLUS:
+            height -= 1
+            if not height:
+                factors.append(word[start : i + 1])
+                start = i + 1
+    return factors
+
+
 def semilength(word: Word) -> int:
     """n for a path ending at (n,n): the number of '+' plus the number of '0'."""
     return sum(1 for tok in word if tok != MINUS)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import sub
+from operator import add, sub
 
 
 def _exact(c) -> int | Fraction:
@@ -73,10 +73,7 @@ class QPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return _canonical(out)
+        return _canonical([*map(add, a, b), *a[len(b) :]])
 
     __radd__ = __add__
 
@@ -100,6 +97,12 @@ class QPoly:
             return _canonical([0, *a])
         if other is Q_MINUS_1:
             return _canonical(list(map(sub, (0, *a), (*a, 0))))
+        # a constant scales the other operand's coefficients in one pass
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            c = b[0]
+            return _canonical([c * x for x in a])
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:

@@ -11,9 +11,11 @@ from the highest such sum down.
 
 from __future__ import annotations
 
-from .paths import MINUS, PLUS, ZERO, Word, validate_word
+from functools import cache
+
+from .paths import MINUS, PLUS, ZERO, Word, primitive_factors, validate_word
 from .qpoly import ONE, Q, Q_MINUS_1, QPoly, accumulate
-from .symfunc import Partition
+from .symfunc import Partition, multiply_expansions
 
 # A linear combination of words: {word: QPoly}, no zero coefficients.
 LinComb = dict[Word, QPoly]
@@ -205,9 +207,27 @@ def lincomb_to_e(lc: LinComb) -> dict[Partition, QPoly]:
     return out
 
 
+@cache
+def _primitive_expansion(word: Word) -> tuple[tuple[Partition, QPoly], ...]:
+    """expand_word's value on a primitive word, as (partition, coefficient)
+    pairs.  Memoized per word: a repeat call returns the same tuple, whose
+    entries are immutable."""
+    return tuple(lincomb_to_e(normalize(word)).items())
+
+
 def expand_word(word: Word) -> dict[Partition, QPoly]:
-    """e-expansion of d_P(1) for a path word: normalize then collect."""
-    return lincomb_to_e(normalize(word))
+    """e-expansion of d_P(1) for a path word: normalize then collect.
+
+    A valid word is normalized factor by factor, one primitive factor (the
+    piece between two returns to the diagonal) at a time, and the factors'
+    expansions multiply.  That is exact: no rule crosses a return to the
+    diagonal, since the bubble refuses to pass a '+' and every earlier factor
+    ends in one.  An invalid word goes to normalize, which raises.
+    """
+    factors = primitive_factors(word)
+    if factors is None:
+        return lincomb_to_e(normalize(word))
+    return multiply_expansions(map(_primitive_expansion, factors))
 
 
 def e_positivity_report(expansion: dict[Partition, QPoly]) -> dict:

@@ -37,6 +37,22 @@ def merge_partitions(mu: Partition, nu: Partition) -> Partition:
     return tuple(sorted(mu + nu, reverse=True))
 
 
+def multiply_expansions(factors) -> dict[Partition, QPoly]:
+    """Product of expansions in one multiplicative basis, each an iterable of
+    (partition, coefficient) pairs: keys merge and coefficients multiply.
+
+    Untruncated; returns a new dict, {(): 1} for no factors.
+    """
+    out: dict[Partition, QPoly] = {(): ONE}
+    for factor in factors:
+        nxt: dict[Partition, QPoly] = {}
+        for mu, c in out.items():
+            for nu, d in factor:
+                accumulate(nxt, merge_partitions(mu, nu), c * d)
+        out = nxt
+    return out
+
+
 class GradedSym:
     """Symmetric function truncated at degree n, stored as {partition: QPoly}.
 
@@ -106,15 +122,7 @@ class GradedSym:
     def __mul__(self, other: "GradedSym") -> "GradedSym":
         """Product, truncated at degree n; in a multiplicative basis this is key merging."""
         self._check_same(other)
-        n = self.n
-        out: dict[Partition, QPoly] = {}
-        for mu, cm in self.terms.items():
-            smu = sum(mu)
-            for nu, cn in other.terms.items():
-                if smu + sum(nu) > n:
-                    continue
-                accumulate(out, merge_partitions(mu, nu), cm * cn)
-        return _raw(n, out)
+        return GradedSym(self.n, multiply_expansions((self.terms.items(), other.terms.items())))
 
     def _check_same(self, other: "GradedSym") -> None:
         if self.n != other.n:

@@ -1,9 +1,12 @@
 """Shared strategies for randomized algebra tests."""
 
+from itertools import product
+
 import hypothesis.strategies as st
 from hypothesis import settings
 
 from vsllt.dyckalgebra import VElement
+from vsllt.paths import TOKENS, WordError, primitive_factors
 from vsllt.qpoly import QPoly
 from vsllt.symfunc import GradedSym, e_expansion_in_p
 
@@ -70,3 +73,18 @@ def all_strip_tuples(max_cells, max_strips, d_range):
                 if len(t) < max_strips and cells + h < max_cells:
                     yield from rec(t, cells + h)
     yield from rec((), 0)
+
+
+# every word over {-, 0, +} of length <= 6 that is not a valid complete word;
+# 27 of the 1093 words are valid, the empty one included
+INVALID_WORDS_UPTO_LENGTH_6 = [
+    w for length in range(7) for w in product(TOKENS, repeat=length) if primitive_factors(w) is None
+]
+
+
+def outcome(fn, *args):
+    """fn(*args), or the message and position of the WordError it raises."""
+    try:
+        return fn(*args)
+    except WordError as exc:
+        return ("WordError", str(exc), exc.position)

@@ -13,7 +13,14 @@ from vsllt.dyckalgebra import VElement, apply_word, eval_in_e, op_dminus, op_dpl
 from vsllt.llt import oracle_compare
 from vsllt.paths import iter_paths, iter_paths_upto, parse_word, semilength
 from vsllt.qpoly import ONE, Q, Q_MINUS_1, QPoly
-from vsllt.rewrite import e_positivity_report, expand_word, leftmost_high_dplus, rewrite_push_T
+from vsllt.rewrite import (
+    e_positivity_report,
+    expand_word,
+    leftmost_high_dplus,
+    lincomb_to_e,
+    normalize,
+    rewrite_push_T,
+)
 from vsllt.symfunc import GradedSym, e_in_p
 
 W = parse_word
@@ -83,6 +90,14 @@ def test_criterion_4_three_way_agreement():
     mismatches = [w for w, agrees, _, _ in results if not agrees]
     assert mismatches == []
     assert elapsed < 600.0, f"sweep took {elapsed:.0f}s"
+    # _verify_one multiplies primitive factors on both sides; the criterion
+    # also holds word by word, each side run on the whole word
+    plain_mismatches = [
+        "".join(w)
+        for w in iter_paths_upto(6)
+        if lincomb_to_e(normalize(w)) != apply_word(w, VElement.one(semilength(w))).sym_part().terms
+    ]
+    assert plain_mismatches == []
     print(f"\n  [sweep over {len(results)} words in {elapsed:.1f}s single-threaded]")
 
 

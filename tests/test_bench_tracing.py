@@ -11,7 +11,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import tracing  # noqa: E402
-from vsllt import cli, llt  # noqa: E402
+from vsllt import cli, dyckalgebra, llt, rewrite  # noqa: E402
 from vsllt.paths import iter_paths_upto, render_word  # noqa: E402
 
 
@@ -21,6 +21,10 @@ def test_tracer_wraps_and_restores_every_target():
         for _name, _kind, namespaces, attr, _hook in tracing.TARGETS
         for ns in namespaces
     ]
+    # a benchmark pass is a fresh process, so its per-word memos start cold:
+    # clear them, or words memoized by earlier tests reach no traced function
+    rewrite._primitive_expansion.cache_clear()
+    dyckalgebra._primitive_value.cache_clear()
     tracer = tracing.Tracer()
     tracer.install()
     try:

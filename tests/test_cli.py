@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -109,6 +110,18 @@ def test_verify_small(capsys):
     assert "semilength 1: 1 paths, 1/1 pass (ok)" in out
     assert "semilength 2: 3 paths, 3/3 pass (ok)" in out
     assert "all checks pass" in out
+
+
+def test_verify_summary_reports_words_per_second(capsys):
+    code, out, _ = run(capsys, "verify", "--max-semilength", "3")
+    assert code == 0
+    summary = out.splitlines()[-1]
+    m = re.fullmatch(
+        r"checked 15 paths up to semilength 3 in (\d+\.\d)s \((\d+) words/s\): all checks pass",
+        summary,
+    )
+    assert m, summary
+    assert int(m.group(2)) > 0
 
 
 def test_verify_parallel_matches_serial(capsys):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import graded_syms, velement_in_p, velements
+from conftest import INVALID_WORDS_UPTO_LENGTH_6, graded_syms, outcome, velement_in_p, velements
 from vsllt.dyckalgebra import (
     VElement,
     apply_word,
@@ -14,7 +14,14 @@ from vsllt.dyckalgebra import (
     op_t,
     retruncate,
 )
-from vsllt.paths import WordError, iter_paths_upto, parse_word, render_word
+from vsllt.paths import (
+    WordError,
+    iter_paths_upto,
+    parse_word,
+    primitive_factors,
+    render_word,
+    semilength,
+)
 from vsllt.qpoly import ONE, Q, Q_MINUS_1, QPoly
 from vsllt.symfunc import GradedSym, e_in_p, e_mu_in_p
 
@@ -276,6 +283,48 @@ def test_eval_word_rejects_bad_words():
             evaluate(parse_word("0-+"))
         with pytest.raises(WordError):
             evaluate(parse_word("-0"))
+
+
+def _plain_eval_in_e(word, n):
+    """eval_in_e's reference: the whole word applied letter by letter."""
+    res = apply_word(word, VElement.one(n))
+    if res.k != 0:
+        raise WordError("word does not return to the diagonal", len(word))
+    return res.sym_part()
+
+
+def test_eval_in_e_is_the_product_over_primitive_factors():
+    # Lemma (the paper's corollary): a word that returns to the diagonal acts
+    # on V_0 as multiplication by its value at 1, so d_{P1...Pr}(1) is the
+    # product of the d_{Pi}(1).  eval_in_e's factored route against the whole
+    # word applied letter by letter, on every composite word of semilength
+    # <= 6 and at every truncation from the semilength to two above it.
+    composite = [w for w in iter_paths_upto(6) if len(primitive_factors(w)) > 1]
+    assert len(composite) == 645
+    for w in composite:
+        s = semilength(w)
+        for n in range(s, s + 3):
+            assert eval_in_e(w, n) == _plain_eval_in_e(w, n), (render_word(w), n)
+
+
+def test_eval_in_e_below_the_semilength_matches_the_reference():
+    # a truncation below the semilength takes the letter-by-letter route
+    for w in iter_paths_upto(4):
+        for n in range(semilength(w)):
+            assert eval_in_e(w, n) == _plain_eval_in_e(w, n), (render_word(w), n)
+
+
+def test_invalid_words_are_refused_as_the_reference_refuses_them():
+    # every invalid word of length <= 6 takes the letter-by-letter route:
+    # the same message at the same position as the reference
+    assert len(INVALID_WORDS_UPTO_LENGTH_6) == 1093 - 27
+    for w in INVALID_WORDS_UPTO_LENGTH_6:
+        s = semilength(w)
+        want = outcome(_plain_eval_in_e, w, s)
+        assert want[0] == "WordError", render_word(w)
+        assert outcome(eval_in_e, w) == want, render_word(w)
+        assert outcome(eval_word, w) == want, render_word(w)
+        assert outcome(eval_in_e, w, s + 1) == outcome(_plain_eval_in_e, w, s + 1), render_word(w)
 
 
 def test_operator_oracle_stays_in_integer_polynomials():

@@ -1,7 +1,7 @@
 """The e-basis raising and lowering operators and shift table agree exactly
 with their per-term p-basis reference forms (tests/reference_dyck.py),
 compared through a coefficient-wise e->p conversion; every memoized function
-agrees with a fresh recompute."""
+agrees with a fresh recompute, and no caller can change a memoized value."""
 
 from fractions import Fraction
 from itertools import combinations, groupby, permutations, product
@@ -13,10 +13,19 @@ from hypothesis import given, settings
 import reference_dyck
 import reference_llt
 from conftest import qpolys, velement_in_p, velements
-from vsllt import llt, symfunc
+from vsllt import dyckalgebra, llt, rewrite, symfunc
 from vsllt.cli import _verify_one
-from vsllt.dyckalgebra import VElement, _shift_table, eval_word, op_dminus, op_dplus, op_phi
-from vsllt.paths import MINUS, PLUS, iter_paths
+from vsllt.dyckalgebra import (
+    VElement,
+    _shift_table,
+    apply_word,
+    eval_in_e,
+    eval_word,
+    op_dminus,
+    op_dplus,
+    op_phi,
+)
+from vsllt.paths import MINUS, PLUS, iter_paths, parse_word, primitive_factors, semilength
 from vsllt.qpoly import ONE, QPoly, accumulate
 from vsllt.symfunc import GradedSym, _e_in_p_raw, e_mu_in_p
 
@@ -236,6 +245,8 @@ CACHED = {
     symfunc._e_to_m: _count_01_matrices,
     symfunc._orbit: lambda lam, nvars: set(permutations(lam + (0,) * (nvars - len(lam)))),
     _shift_table: _unmerged_expansion,
+    rewrite._primitive_expansion: lambda w: rewrite.lincomb_to_e(rewrite.normalize(w)),
+    dyckalgebra._primitive_value: lambda w: apply_word(w, VElement.one(semilength(w))).sym_part().terms,
 }
 
 
@@ -243,6 +254,9 @@ def _cache_domain(size):
     """Keys of every memoized function, covering all partitions up to size and
     truncation degrees / variable counts up to size."""
     parts = [mu for s in range(size + 1) for mu in _partitions(s)]
+    primitive = [
+        (w,) for s in range(1, size + 1) for w in iter_paths(s) if len(primitive_factors(w)) == 1
+    ]
     return {
         symfunc._e_in_p_raw: [(k,) for k in range(size + 1)],
         symfunc.e_in_p: [(k, n) for n in range(1, size + 1) for k in range(n + 1)],
@@ -251,6 +265,8 @@ def _cache_domain(size):
         symfunc._e_to_m: [(mu, lam) for mu in parts for lam in parts],
         symfunc._orbit: [(lam, v) for v in range(1, size + 1) for lam in parts if len(lam) <= v],
         _shift_table: [(mu, sign) for mu in parts for sign in (+1, -1)],
+        rewrite._primitive_expansion: primitive,
+        dyckalgebra._primitive_value: primitive,
     }
 
 
@@ -260,6 +276,8 @@ def _as_compared(fn, value):
         return set(value)
     if fn is _shift_table:
         return {(p, extra): c for p, extra, c in value}
+    if fn in (rewrite._primitive_expansion, dyckalgebra._primitive_value):
+        return dict(value)
     return value
 
 
@@ -289,3 +307,20 @@ def test_bridge_caches_survive_verify():
             assert _as_compared(fn, cached) == fresh(*key), (fn.__name__, key)
             assert fn(*key) is cached, (fn.__name__, key)
         assert fn.cache_info().currsize == len(keys), fn.__name__
+
+
+def test_mutating_a_returned_value_leaves_the_memos_unchanged():
+    # expand_word and eval_in_e build each result from memoized factor values;
+    # every call returns a new dict or GradedSym, so a caller that edits one
+    # changes no later result.  "-0+" is a single factor, the others two.
+    for text in ("-0+", "-+-0+", "--++-+"):
+        w = parse_word(text)
+        want_e = rewrite.lincomb_to_e(rewrite.normalize(w))
+        want_g = apply_word(w, VElement.one(semilength(w))).sym_part()
+        for _ in range(2):
+            got_e, got_g = rewrite.expand_word(w), eval_in_e(w)
+            assert got_e == want_e and got_g == want_g, text
+            got_e.clear()
+            got_e[(9,)] = ONE
+            got_g.terms.clear()
+            got_g.terms[(9,)] = ONE

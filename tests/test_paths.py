@@ -6,6 +6,7 @@ from vsllt.paths import (
     iter_paths,
     iter_paths_upto,
     parse_word,
+    primitive_factors,
     render_word,
     semilength,
     validate_word,
@@ -66,3 +67,20 @@ def test_enumeration_counts(n):
 
 def test_iter_paths_upto():
     assert sum(1 for _ in iter_paths_upto(4)) == 1 + 3 + 11 + 45
+
+
+def test_primitive_factors():
+    W = parse_word
+    assert primitive_factors(W("-0-0++")) == [W("-0-0++")]
+    assert primitive_factors(W("-+--++-0+")) == [W("-+"), W("--++"), W("-0+")]
+    assert primitive_factors(()) == []
+    for bad in ("+-", "0-+", "-0", "--+"):
+        assert primitive_factors(W(bad)) is None
+    for n in range(1, 6):
+        for w in iter_paths(n):
+            factors = primitive_factors(w)
+            assert sum(factors, ()) == w
+            for f in factors:
+                # each factor touches the diagonal only at its two ends
+                heights = [f[: i + 1].count("-") - f[: i + 1].count("+") for i in range(len(f))]
+                assert heights[-1] == 0 and all(heights[:-1])

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given
 
 from conftest import qpolys
@@ -203,6 +204,52 @@ def test_products_by_q_and_q_minus_1_take_values_of_the_product(p):
             assert all(got(x) == p(x) * scalar(x) for x in range(-3, 4))
             assert got.coeffs == QPoly(got.coeffs).coeffs  # canonical
             assert _ints(got) == _ints(p)
+
+
+def _schoolbook_sum(a, b):
+    n = max(len(a), len(b))
+    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+
+
+def _schoolbook_product(a, b):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _canonical_coeffs(cs):
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+exact_coeffs = st.one_of(
+    st.integers(-4, 4), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+# zero, a constant, or a polynomial of degree <= 4, over ints or Fractions
+exact_qpolys = st.one_of(
+    st.just(ZERO),
+    st.builds(QPoly.const, exact_coeffs),
+    st.lists(exact_coeffs, max_size=5).map(QPoly),
+    st.lists(st.integers(-4, 4), max_size=5).map(QPoly),
+)
+
+
+@given(exact_qpolys, exact_qpolys)
+def test_sum_and_product_match_the_schoolbook_forms(a, b):
+    # __add__ merges with map and __mul__ scales by a constant in one pass;
+    # both must agree with the coefficient-by-coefficient definitions
+    for got, want in [
+        (a + b, _schoolbook_sum(a.coeffs, b.coeffs)),
+        (a * b, _schoolbook_product(a.coeffs, b.coeffs)),
+        (b * a, _schoolbook_product(a.coeffs, b.coeffs)),
+    ]:
+        assert got.coeffs == _canonical_coeffs(want)
+        assert not got.coeffs or got.coeffs[-1] != 0
+        if _ints(a) and _ints(b):
+            assert _ints(got)
 
 
 def test_evaluation():

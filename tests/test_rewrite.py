@@ -3,9 +3,16 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import reference_rewrite
+from conftest import INVALID_WORDS_UPTO_LENGTH_6, outcome
 from vsllt import rewrite
 from vsllt.cli import _verify_one
-from vsllt.paths import iter_paths_upto, parse_word, render_word, semilength
+from vsllt.paths import (
+    iter_paths_upto,
+    parse_word,
+    primitive_factors,
+    render_word,
+    semilength,
+)
 from vsllt.qpoly import ONE, Q, Q_MINUS_1, QPoly
 from vsllt.rewrite import (
     _plus_weight,
@@ -123,6 +130,26 @@ def test_lincomb_to_e():
 def test_expand_word_collects_blocks():
     assert expand_word(W("-0-0++")) == {(3, 1): Q, (4,): Q * Q_MINUS_1}
     assert expand_word(W("--++")) == {(1, 1): ONE, (2,): Q_MINUS_1}
+
+
+def test_expand_word_is_the_product_over_primitive_factors():
+    # Lemma behind expand_word's factored route: no rule crosses a return to
+    # the diagonal, so normalizing a composite word whole gives the product
+    # of its primitive factors' expansions.  Checked on every composite word
+    # of semilength <= 6 against normalize run on the whole word.
+    composite = [w for w in iter_paths_upto(6) if len(primitive_factors(w)) > 1]
+    assert len(composite) == 645
+    for w in composite:
+        assert expand_word(w) == lincomb_to_e(normalize(w)), render_word(w)
+
+
+def test_expand_word_refuses_invalid_words_as_normalize_does():
+    # an invalid word takes the whole-word route: same message, same position
+    assert len(INVALID_WORDS_UPTO_LENGTH_6) == 1093 - 27
+    for w in INVALID_WORDS_UPTO_LENGTH_6:
+        got = outcome(expand_word, w)
+        assert got == outcome(lambda w: lincomb_to_e(normalize(w)), w), render_word(w)
+        assert got[0] == "WordError", render_word(w)
 
 
 def test_positivity_report():
