@@ -31,7 +31,8 @@ from .rewrite import e_positivity_report, expand_word
 MAX_ORACLE_FILLINGS = 10**6
 
 # Largest semilength ``verify`` sweeps: all 26232 words through 8 take about
-# 81 s and 123 MB peak RSS in one process (Python 3.11.7 on a 2-vCPU x86_64
+# 84 s and 38 MB peak RSS in one process, or 50 s with --jobs 2, where the
+# parent and each worker peak near 25 MB (Python 3.11.7 on a 2-vCPU x86_64
 # host); semilength 9 adds 103049 more words, each costlier than those at 8.
 MAX_VERIFY_SEMILENGTH = 8
 

@@ -278,10 +278,10 @@ def apply_word(word: Word, f: VElement) -> VElement:
 
 @cache
 def _primitive_value(word: Word) -> tuple[tuple[Partition, QPoly], ...]:
-    """d_P(1) in the e-basis for a primitive word, as (partition, coefficient)
-    pairs, computed at truncation degree semilength(word), which is exact.
-    Memoized per word: a repeat call returns the same tuple, whose entries
-    are immutable."""
+    """d_P(1) in the e-basis for a primitive factor of a composite word, as
+    (partition, coefficient) pairs, computed at truncation degree
+    semilength(word), which is exact.  Memoized per word: a repeat call
+    returns the same tuple, whose entries are immutable."""
     return tuple(apply_word(word, VElement.one(semilength(word))).sym_part().terms.items())
 
 
@@ -289,19 +289,19 @@ def eval_in_e(word: Word, n: int | None = None) -> GradedSym:
     """d_P(1) in the e-basis for the path encoded by word, at truncation degree n.
 
     The default truncation is the word's semilength, which is exact: the
-    result is homogeneous of that degree.  For a valid word and n at least
-    its semilength, the result is the product of the memoized values of the
-    word's primitive factors.  Two facts make that exact: a word that
+    result is homogeneous of that degree.  For a valid composite word and n
+    at least its semilength, the result is the product of the memoized values
+    of the word's primitive factors.  Two facts make that exact: a word that
     returns to the diagonal acts on V_0 as multiplication by its value at 1
     (the paper's corollary), and every letter keeps the total degree
     (symmetric plus y) or raises it by one, ending at the semilength, so no
-    truncation at n >= semilength drops a term.  Any other input, an invalid
-    word included, is applied letter by letter.
+    truncation at n >= semilength drops a term.  Any other input, a
+    primitive or invalid word included, is applied letter by letter.
     """
     if n is None:
         n = semilength(word)
     factors = primitive_factors(word)
-    if factors is not None and n >= semilength(word):
+    if factors is not None and len(factors) > 1 and n >= semilength(word):
         return GradedSym(n, multiply_expansions(map(_primitive_value, factors)))
     res = apply_word(word, VElement.one(n))
     if res.k != 0:

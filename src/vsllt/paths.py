@@ -64,23 +64,27 @@ def primitive_factors(word: Word) -> list[Word] | None:
 
     The factors are the pieces between the word's returns to the main
     diagonal, so each touches the diagonal only at its two ends and their
-    concatenation is the word.  The empty word has no factors.
+    concatenation is the word.  The empty word has no factors.  Validity is
+    ``validate_word``'s, checked in the same walk.
     """
-    try:
-        validate_word(word)
-    except WordError:
-        return None
     factors = []
     height = start = 0
     for i, tok in enumerate(word):
         if tok == MINUS:
             height += 1
+        elif tok == ZERO:
+            if height < 1:
+                return None
         elif tok == PLUS:
+            if height < 1:
+                return None
             height -= 1
             if not height:
                 factors.append(word[start : i + 1])
                 start = i + 1
-    return factors
+        else:
+            return None
+    return factors if height == 0 else None
 
 
 def semilength(word: Word) -> int:

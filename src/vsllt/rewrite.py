@@ -209,23 +209,25 @@ def lincomb_to_e(lc: LinComb) -> dict[Partition, QPoly]:
 
 @cache
 def _primitive_expansion(word: Word) -> tuple[tuple[Partition, QPoly], ...]:
-    """expand_word's value on a primitive word, as (partition, coefficient)
-    pairs.  Memoized per word: a repeat call returns the same tuple, whose
-    entries are immutable."""
+    """expand_word's value on a primitive factor of a composite word, as
+    (partition, coefficient) pairs.  Memoized per word: a repeat call returns
+    the same tuple, whose entries are immutable."""
     return tuple(lincomb_to_e(normalize(word)).items())
 
 
 def expand_word(word: Word) -> dict[Partition, QPoly]:
     """e-expansion of d_P(1) for a path word: normalize then collect.
 
-    A valid word is normalized factor by factor, one primitive factor (the
-    piece between two returns to the diagonal) at a time, and the factors'
+    A valid composite word is normalized one primitive factor (the piece
+    between two returns to the diagonal) at a time, and the factors'
     expansions multiply.  That is exact: no rule crosses a return to the
     diagonal, since the bubble refuses to pass a '+' and every earlier factor
-    ends in one.  An invalid word goes to normalize, which raises.
+    ends in one.  Only those factors are memoized.  A primitive word is
+    rewritten whole and not kept, so a sweep holds no value that only its own
+    word uses; an invalid word goes to normalize, which refuses it.
     """
     factors = primitive_factors(word)
-    if factors is None:
+    if factors is None or len(factors) < 2:
         return lincomb_to_e(normalize(word))
     return multiply_expansions(map(_primitive_expansion, factors))
 

@@ -310,9 +310,10 @@ def test_bridge_caches_survive_verify():
 
 
 def test_mutating_a_returned_value_leaves_the_memos_unchanged():
-    # expand_word and eval_in_e build each result from memoized factor values;
-    # every call returns a new dict or GradedSym, so a caller that edits one
-    # changes no later result.  "-0+" is a single factor, the others two.
+    # expand_word and eval_in_e build a composite word's result from memoized
+    # factor values; every call returns a new dict or GradedSym, so a caller
+    # that edits one changes no later result.  "-0+" is a single factor,
+    # evaluated whole, the others two.
     for text in ("-0+", "-+-0+", "--++-+"):
         w = parse_word(text)
         want_e = rewrite.lincomb_to_e(rewrite.normalize(w))
@@ -324,3 +325,20 @@ def test_mutating_a_returned_value_leaves_the_memos_unchanged():
             got_e[(9,)] = ONE
             got_g.terms.clear()
             got_g.terms[(9,)] = ONE
+
+
+def test_only_factors_of_composite_words_are_memoized():
+    # a primitive word evaluated on its own is not kept: in a sweep no later
+    # word reuses it except as a factor of a longer word
+    memos = (rewrite._primitive_expansion, dyckalgebra._primitive_value)
+    for fn in memos:
+        fn.cache_clear()
+    for text in ("-0+", "--0++", ""):
+        w = parse_word(text)
+        rewrite.expand_word(w)
+        eval_in_e(w)
+    assert [fn.cache_info().currsize for fn in memos] == [0, 0]
+    w = parse_word("-+-0+-+")
+    rewrite.expand_word(w)
+    eval_in_e(w)
+    assert [fn.cache_info().currsize for fn in memos] == [2, 2]

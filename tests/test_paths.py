@@ -1,6 +1,10 @@
+from itertools import product
+
 import pytest
 
+from conftest import outcome
 from vsllt.paths import (
+    TOKENS,
     WordError,
     count_paths_reference,
     iter_paths,
@@ -76,6 +80,11 @@ def test_primitive_factors():
     assert primitive_factors(()) == []
     for bad in ("+-", "0-+", "-0", "--+"):
         assert primitive_factors(W(bad)) is None
+    assert primitive_factors(("-", "x", "+")) is None
+    # None exactly where validate_word raises, on every word of length <= 6
+    for length in range(7):
+        for w in product(TOKENS, repeat=length):
+            assert (primitive_factors(w) is None) == (outcome(validate_word, w) is not None), w
     for n in range(1, 6):
         for w in iter_paths(n):
             factors = primitive_factors(w)
