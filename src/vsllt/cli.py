@@ -160,7 +160,8 @@ def _xpoly_lines(poly) -> list[str]:
 
 def cmd_oracle(args) -> int:
     strips = llt.parse_strips(args.strips)
-    nvars = args.nvars if args.nvars is not None else max(llt.cell_count(strips), 1)
+    cells = llt.cell_count(strips)
+    nvars = args.nvars if args.nvars is not None else max(cells, 1)
     if nvars >= 1:
         fillings = prod(comb(nvars, h) for _, h in strips)
         if fillings > MAX_ORACLE_FILLINGS:
@@ -170,7 +171,16 @@ def cmd_oracle(args) -> int:
                 file=sys.stderr,
             )
             return 2
-    cells = llt.cell_count(strips)
+        # the tableau side has at most one exponent vector per filling, either
+        # side at most one per monomial of degree cells, each of nvars entries
+        entries = min(fillings, comb(nvars + cells - 1, cells)) * nvars
+        if entries > MAX_ORACLE_FILLINGS:
+            print(
+                f"oracle: up to {entries} exponent entries per side in {nvars} variables "
+                f"exceed the limit of {MAX_ORACLE_FILLINGS}; use fewer cells or a smaller --nvars",
+                file=sys.stderr,
+            )
+            return 2
     if cells > MAX_EXPAND_SEMILENGTH:
         print(
             f"oracle: {cells} cells exceed the limit of {MAX_EXPAND_SEMILENGTH}; "

@@ -285,23 +285,20 @@ def _primitive_value(word: Word) -> tuple[tuple[Partition, QPoly], ...]:
     return tuple(apply_word(word, VElement.one(semilength(word))).sym_part().terms.items())
 
 
-def eval_in_e(word: Word, n: int | None = None) -> GradedSym:
-    """d_P(1) in the e-basis for the path encoded by word, at truncation degree n.
-
-    The default truncation is the word's semilength, which is exact: the
-    result is homogeneous of that degree.  For a valid composite word and n
-    at least its semilength, the result is the product of the memoized values
-    of the word's primitive factors.  Two facts make that exact: a word that
-    returns to the diagonal acts on V_0 as multiplication by its value at 1
-    (the paper's corollary), and every letter keeps the total degree
-    (symmetric plus y) or raises it by one, ending at the semilength, so no
-    truncation at n >= semilength drops a term.  Any other input, a
-    primitive or invalid word included, is applied letter by letter.
+def eval_in_e(word: Word) -> GradedSym:
+    """d_P(1) in the e-basis for the path encoded by word, at truncation
+    degree semilength(word), where it is exact: the result is homogeneous of
+    that degree.  A valid composite word's value is the product of the
+    memoized values of its primitive factors.  Two facts make that exact: a
+    word that returns to the diagonal acts on V_0 as multiplication by its
+    value at 1 (the paper's corollary), and every letter keeps the total
+    degree (symmetric plus y) or raises it by one, ending at the semilength,
+    so no truncation drops a term.  Any other input, a primitive or invalid
+    word included, is applied letter by letter.
     """
-    if n is None:
-        n = semilength(word)
+    n = semilength(word)
     factors = primitive_factors(word)
-    if factors is not None and len(factors) > 1 and n >= semilength(word):
+    if factors is not None and len(factors) > 1:
         return GradedSym(n, multiply_expansions(map(_primitive_value, factors)))
     res = apply_word(word, VElement.one(n))
     if res.k != 0:
@@ -311,5 +308,7 @@ def eval_in_e(word: Word, n: int | None = None) -> GradedSym:
 
 def eval_word(word: Word, n: int | None = None) -> GradedSym:
     """d_P(1) converted to the p-basis, at truncation degree n (default: semilength)."""
-    g = eval_in_e(word, n)
+    g = eval_in_e(word)
+    if n is not None:
+        g = g.retruncate(n)
     return e_expansion_in_p(g.terms, g.n)

@@ -13,6 +13,7 @@ which the dots, crosses and path of the standard picture all agree.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import combinations, repeat
 from math import comb
@@ -95,24 +96,20 @@ def area_and_crosses(strips: StripTuple) -> tuple[tuple[int, ...], dict[int, int
 
     Returns (area, crosses): area[r-1] counts the attack pairs ending at r,
     and crosses maps r to p when cell r sits directly above cell p in the
-    same strip.  Attackers of r always form a contiguous run ending at r-1;
-    a violation means broken tuple geometry and raises.
+    same strip.  The attackers of a cell (s, d) are the cells on diagonal d
+    with a smaller strip index and those on diagonal d - 1 with a larger one,
+    counted by bisecting each diagonal's ascending strip indices.  In reading
+    order they are the run just before the cell, so by construction they are
+    contiguous and the area never rises by more than one from cell to cell.
     """
     cells = reading_order(strips)
-    n = len(cells)
-    attackers_of: list[list[int]] = [[] for _ in range(n + 1)]
-    for p, r in attack_pairs(strips):
-        attackers_of[r].append(p)
+    on: dict[int, list[int]] = {}
+    for s, d in cells:
+        on.setdefault(d, []).append(s)  # ascending, as in reading order
     area = []
-    for r in range(1, n + 1):
-        attackers = sorted(attackers_of[r])
-        a = len(attackers)
-        if attackers != list(range(r - a, r)):
-            raise ValueError(f"attackers of cell {r} are not contiguous: {attackers}")
-        area.append(a)
-    for r in range(n - 1):
-        if area[r + 1] > area[r] + 1:
-            raise ValueError(f"area rises by more than one at cell {r + 2}")
+    for s, d in cells:
+        below = on.get(d - 1, ())
+        area.append(bisect_left(on[d], s) + len(below) - bisect_right(below, s))
     crosses: dict[int, int] = {}
     index = {cell: i + 1 for i, cell in enumerate(cells)}
     for s, d in cells:

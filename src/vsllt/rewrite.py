@@ -123,14 +123,6 @@ def rewrite_push_T(word: Word, pos: int) -> LinComb:
     return {swapped: Q_MINUS_1, exchanged: Q}
 
 
-def rewrite_step(word: Word, pos: int) -> LinComb:
-    if word[pos - 1] == MINUS:
-        return rewrite_case0(word, pos)
-    if word[pos - 1] == ZERO:
-        return rewrite_push_T(word, pos)
-    raise RuntimeError(f"unexpected letter {word[pos - 1]!r} before high '+'")
-
-
 def _plus_weight(word: Word) -> int:
     """Sum of the positions of the '+' letters; every rewrite rule lowers it."""
     return sum(i for i, tok in enumerate(word) if tok == PLUS)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cache
-from itertools import groupby
+from itertools import combinations, groupby
 from math import comb
 
 from .qpoly import ONE, QPoly, accumulate, render_qpoly
@@ -288,26 +288,25 @@ def _e_to_m(mu: Partition, lam: Partition) -> int:
     )
 
 
-def _rearrangements(counts: dict[int, int], length: int):
-    """Every distinct sequence of the given length with these value counts."""
-    if not length:
-        yield ()
-        return
-    for v, k in counts.items():
-        if k:
-            counts[v] = k - 1
-            for tail in _rearrangements(counts, length - 1):
-                yield (v,) + tail
-            counts[v] = k
-
-
 @cache
 def _orbit(lam: Partition, nvars: int) -> tuple[tuple[int, ...], ...]:
-    """The exponent vectors of the monomial m_lam in nvars variables."""
-    counts: dict[int, int] = {0: nvars - len(lam)}
-    for v in lam:
-        counts[v] = counts.get(v, 0) + 1
-    return tuple(_rearrangements(counts, nvars))
+    """The exponent vectors of the monomial m_lam in nvars variables.
+
+    Each distinct part of lam in turn takes its places among the positions
+    still 0, so every vector comes out exactly once.
+    """
+    placed = [(0,) * nvars]
+    for v, run in groupby(lam):
+        k = len(list(run))
+        grown = []
+        for vec in placed:
+            for spots in combinations([i for i, x in enumerate(vec) if not x], k):
+                out = list(vec)
+                for i in spots:
+                    out[i] = v
+                grown.append(tuple(out))
+        placed = grown
+    return tuple(placed)
 
 
 def _partitions_within(size: int, parts: int, largest: int | None = None):

@@ -194,6 +194,29 @@ def test_oracle_refuses_huge_enumerations(capsys, monkeypatch):
         assert str(cli.MAX_ORACLE_FILLINGS) in err
 
 
+def test_oracle_refuses_huge_outputs(capsys, monkeypatch):
+    # 40000 fillings are under the limit, but each side could return 20100
+    # exponent vectors of 200 entries
+    def no_enumeration(*_args, **_kwargs):
+        raise AssertionError("a refused oracle run may not enumerate")
+
+    monkeypatch.setattr(cli.llt, "ssyt_generating_function", no_enumeration)
+    monkeypatch.setattr(cli.llt, "llt_in_vars", no_enumeration)
+    code, out, err = run(capsys, "oracle", "--strips", "0:1;0:1", "--nvars", "200", "--json")
+    assert code == 2
+    assert out == ""
+    assert f"{20100 * 200} exponent entries" in err
+    assert str(cli.MAX_ORACLE_FILLINGS) in err
+
+
+def test_oracle_takes_many_variables(capsys):
+    # one exponent vector per variable, each as long as the variable count
+    for strips in ("0:1", ""):
+        code, out, _ = run(capsys, "oracle", "--strips", strips, "--nvars", "1000")
+        assert code == 0
+        assert "match: yes" in out
+
+
 def test_oracle_under_the_limit_still_matches(capsys):
     code, out, _ = run(capsys, "oracle", "--strips", "0:2;0:2;0:1")
     assert code == 0

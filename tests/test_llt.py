@@ -104,6 +104,18 @@ def test_area_and_crosses_matches_per_cell_count():
         assert area_and_crosses(t) == _brute_area_and_crosses(t), render_strips(t)
 
 
+def test_area_and_crosses_on_large_tuples():
+    # exact answers where listing the attack pairs would not scale: one tall
+    # strip has no attackers, only crosses; 3000 one-cell strips on one
+    # diagonal have about 4.5 million attack pairs and no crosses
+    area, crosses = area_and_crosses(((0, 20000),))
+    assert area == (0,) * 20000
+    assert crosses == {r: r - 1 for r in range(2, 20001)}
+    area, crosses = area_and_crosses(((0, 1),) * 3000)
+    assert area == tuple(range(3000))
+    assert crosses == {}
+
+
 def test_to_schroeder_word():
     assert render_word(to_schroeder_word(BIG), compact=False) == \
         "-,-,0,0,-,+,-,-,+,+,0,0,-,+,+,+"

@@ -244,11 +244,8 @@ def test_every_high_plus_rewrites_as_the_reference_with_derived_weights():
             except RuntimeError:
                 with pytest.raises(RuntimeError):
                     rewrite._weighed_step(w, pos, level)
-                with pytest.raises(RuntimeError):
-                    rewrite.rewrite_step(w, pos)
                 stuck += 1
                 continue
-            assert rewrite.rewrite_step(w, pos) == want, (render_word(w), pos)
             got = rewrite._weighed_step(w, pos, level)
             assert {w2: c2 for w2, c2, _ in got} == want, (render_word(w), pos)
             assert len(got) == len(want), (render_word(w), pos)
