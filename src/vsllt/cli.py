@@ -39,9 +39,33 @@ MAX_VERIFY_SEMILENGTH = 8
 # Largest semilength ``expand`` rewrites, and the most cells ``oracle`` takes:
 # a strip tuple's word has semilength equal to its cell count, and the oracle's
 # operator side rewrites that word.  The costliest word of semilength n is
-# -^n +^n: about 7 s and 47 MB at 14, 18 s and 77 MB at 15, and roughly
-# three times more per step (Python 3.11.7 on a 2-vCPU x86_64 host).
+# -^n +^n: about 3.5 s and 48 MB peak RSS at 14, 9 s and 83 MB at 15, and
+# roughly three times more time per step (Python 3.11.7 on a 2-vCPU x86_64
+# host).
 MAX_EXPAND_SEMILENGTH = 14
+
+
+def _json_indent2(value, pad: str = "") -> str:
+    """The text of json.dumps(value, indent=2) for nested dicts (string keys)
+    and lists of strings, ints and bools.
+
+    json's C encoder writes no newlines, and indent= switches to its
+    pure-Python encoder, which dominated ``path --json`` on large tuples.
+    Here Python only joins the lines; json.dumps still writes every string.
+    """
+    if type(value) is int:
+        return str(value)
+    if not isinstance(value, (dict, list)) or not value:
+        return json.dumps(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [f"{json.dumps(k)}: {_json_indent2(v, inner)}" for k, v in value.items()]
+        opening, closing = "{", "}"
+    else:
+        items = [_json_indent2(v, inner) for v in value]
+        opening, closing = "[", "]"
+    sep = ",\n" + inner
+    return f"{opening}\n{inner}{sep.join(items)}\n{pad}{closing}"
 
 
 def _partition_key(mu) -> str:
@@ -96,7 +120,7 @@ def cmd_expand(args) -> int:
         }
         if strips is not None:
             doc["strips"] = llt.render_strips(strips)
-        print(json.dumps(doc, indent=2))
+        print(_json_indent2(doc))
         return 0
     if strips is not None:
         print(f"strips: {llt.render_strips(strips)}")
@@ -119,15 +143,14 @@ def cmd_path(args) -> int:
     cross_pairs = sorted((p, r) for r, p in crosses.items())
     if args.json:
         print(
-            json.dumps(
+            _json_indent2(
                 {
                     "strips": llt.render_strips(strips),
                     "word": render_word(word, compact=False),
                     "compact": render_word(word),
                     "area": list(area),
                     "crosses": [list(c) for c in cross_pairs],
-                },
-                indent=2,
+                }
             )
         )
         return 0
@@ -193,15 +216,14 @@ def cmd_oracle(args) -> int:
     match = tableau_side == operator_side
     if args.json:
         print(
-            json.dumps(
+            _json_indent2(
                 {
                     "strips": llt.render_strips(strips),
                     "nvars": nvars,
                     "tableau_side": _xpoly_json(tableau_side),
                     "operator_side": _xpoly_json(operator_side),
                     "match": match,
-                },
-                indent=2,
+                }
             )
         )
         return 0 if match else 1
@@ -277,7 +299,7 @@ def cmd_verify(args) -> int:
                     flags.append("negative or fractional (q-1)-coefficient")
                 if not positive:
                     flags.append("not e-positive at q+1")
-                print(f"FAIL {word}: {', '.join(flags)}")
+                print(f"FAIL {word}: {', '.join(flags)}; reproduce: vsllt expand --word {word}")
             status = "ok" if not failures else f"{len(failures)} FAILURES"
             print(f"semilength {n}: {len(words)} paths, {len(words) - len(failures)}/{len(words)} pass ({status})")
             total += len(words)

@@ -120,15 +120,8 @@ class QPoly:
         return acc
 
     def shift_plus_one(self) -> "QPoly":
-        """Return a(q+1), via Horner in the shifted variable, in place on a list."""
-        acc: list = []
-        for c in reversed(self.coeffs):
-            # acc <- acc * (q + 1) + c
-            acc.append(0)
-            for i in range(len(acc) - 1, 0, -1):
-                acc[i] += acc[i - 1]
-            acc[0] += c
-        return _canonical(acc)
+        """Return a(q+1)."""
+        return _taylor_shift(list(self.coeffs), 1)
 
     def rebase_qminus1(self) -> tuple:
         """Coefficients c_0..c_d with a(q) = sum c_i (q-1)^i.
@@ -147,11 +140,9 @@ class QPoly:
 
     @classmethod
     def from_qminus1(cls, coeffs) -> "QPoly":
-        """Inverse of rebase_qminus1: build sum c_i (q-1)^i."""
-        acc = cls()
-        for c in reversed(tuple(coeffs)):
-            acc = acc * Q_MINUS_1 + cls.const(c)
-        return acc
+        """Inverse of rebase_qminus1: build sum c_i (q-1)^i, that is, shift
+        the polynomial with coefficients c_i by -1."""
+        return _taylor_shift(list(cls(coeffs).coeffs), -1)
 
     def divexact_qminus1(self) -> "QPoly":
         """Divide exactly by (q-1); raise if the remainder is nonzero."""
@@ -175,6 +166,21 @@ class QPoly:
     def to_json(self) -> list[str]:
         """Coefficient list, constant term first, exact rationals as strings."""
         return [str(c) for c in self.coeffs]
+
+
+def _taylor_shift(cs: list, a: int) -> QPoly:
+    """The polynomial p(q + a), for a = 1 or -1, p having the exact
+    coefficients cs (constant term first).
+
+    Shifts cs in place: pass i divides the polynomial cs[i:] synthetically
+    by (q - a), leaving the remainder, the next Taylor coefficient of p at a,
+    in cs[i].
+    """
+    n = len(cs)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            cs[j] += a * cs[j + 1]
+    return _canonical(cs)
 
 
 def _divide_qminus1(coeffs) -> tuple[list, int | Fraction]:
@@ -204,9 +210,10 @@ def _canonical(cs: list) -> QPoly:
 def accumulate(terms: dict, key, value) -> None:
     """Add value into terms[key], removing the key when the sum is zero.
 
-    This is the one sparse-sum primitive of the package: values are QPoly
-    or GradedSym (anything with + and is_zero()).  A zero value on an
-    absent key inserts nothing.
+    This is the one sparse-sum primitive for QPoly and GradedSym values
+    (anything with + and is_zero()); the rewriting engine's packed ints,
+    never zero, are added directly.  A zero value on an absent key inserts
+    nothing.
     """
     s = terms.get(key)
     s = value if s is None else s + value

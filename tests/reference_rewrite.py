@@ -5,14 +5,26 @@ bubbles the swap operator as a transient letter "T<i>" inside the word, so
 a word can be rewritten again each time a new contribution to its
 coefficient arrives.  Its rules build every output in a dict and let the
 coefficient arithmetic cancel.  The library's ordered engine must agree with
-it exactly.
+it exactly.  ``letter_degree`` is the definition of a letter's degree, which
+the library's scan returns and its rules take.
 """
 
 from __future__ import annotations
 
 from vsllt.paths import MINUS, PLUS, ZERO, Word, validate_word
 from vsllt.qpoly import ONE, Q, Q_MINUS_1, accumulate
-from vsllt.rewrite import LinComb, leftmost_high_dplus, letter_degree
+from vsllt.rewrite import LinComb, leftmost_high_dplus
+
+
+def letter_degree(word: Word, pos: int) -> int:
+    """Number of '-' minus number of '+' weakly to the left of pos.
+
+    For a '+' letter this is the k of its domain V_k.
+    """
+    if not 0 <= pos < len(word):
+        raise IndexError(f"position {pos} out of range")
+    prefix = word[: pos + 1]
+    return prefix.count(MINUS) - prefix.count(PLUS)
 
 
 def rewrite_case0(word: Word, pos: int) -> LinComb:
@@ -127,10 +139,10 @@ def normalize(word: Word) -> LinComb:
     while active:
         w = min(active)
         coeff = active.pop(w)
-        pos = leftmost_high_dplus(w)
-        if pos is None:
+        found = leftmost_high_dplus(w)
+        if found is None:
             accumulate(done, w, coeff)
             continue
-        for w2, c2 in rewrite_step(w, pos).items():
+        for w2, c2 in rewrite_step(w, found[0]).items():
             accumulate(active, w2, coeff * c2)
     return done

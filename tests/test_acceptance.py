@@ -60,9 +60,9 @@ def test_criterion_1_worked_example(capsys):
 @criterion(2, 'one T-push on "-0--0000+++" yields "--0-000+0++" with coefficient 1')
 def test_criterion_2_rewrite_trace():
     word = W("-0--0000+++")
-    pos = leftmost_high_dplus(word)
-    assert pos == 8
-    assert rewrite_push_T(word, pos) == {W("--0-000+0++"): ONE}
+    pos, deg = leftmost_high_dplus(word)
+    assert (pos, deg) == (8, 2)
+    assert rewrite_push_T(word, pos, deg) == {W("--0-000+0++"): ONE}
 
 
 @criterion(3, "ten-cell strip tuple maps to the documented Schröder path")

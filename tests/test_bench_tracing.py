@@ -12,7 +12,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import tracing  # noqa: E402
 from vsllt import cli, dyckalgebra, llt, rewrite  # noqa: E402
-from vsllt.paths import iter_paths_upto, render_word  # noqa: E402
+from vsllt.paths import (  # noqa: E402
+    iter_paths_upto,
+    parse_word,
+    primitive_factors,
+    render_word,
+    semilength,
+)
 
 
 def test_tracer_wraps_and_restores_every_target():
@@ -46,3 +52,24 @@ def test_tracer_wraps_and_restores_every_target():
     assert tracer.counts["rewrite.rewrite_push_T.calls"] > 0
     assert tracer.counts["llt.llt_in_vars.calls"] > 0
     assert tracer.counts["llt.ssyt_generating_function.calls"] > 0
+
+
+def test_tracer_sees_both_rules_in_an_expand_deep_item():
+    # the expand-deep item is normalize -> lincomb_to_e -> e_positivity_report
+    # on a primitive word; the rules take the scan's degree as an extra
+    # argument, which the wrappers forward, and both must still be counted
+    word = parse_word("--0-0+++")
+    assert semilength(word) == 5 and primitive_factors(word) == [word]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report = rewrite.e_positivity_report(rewrite.lincomb_to_e(rewrite.normalize(word)))
+    finally:
+        tracer.uninstall()
+    assert report["e_positive"]
+    assert report["e"] == rewrite.expand_word(word)
+    for name in ("normalize", "lincomb_to_e", "e_positivity_report"):
+        assert tracer.counts[f"rewrite.{name}.calls"] == 1, name
+    assert tracer.counts["rewrite.rewrite_case0.calls"] > 0
+    assert tracer.counts["rewrite.rewrite_push_T.calls"] > 0
+    assert tracer.counts["rewrite.terminal_words"] == len(rewrite.normalize(word))

@@ -2,6 +2,7 @@ import json
 import re
 
 import pytest
+from conftest import all_strip_tuples
 
 from vsllt import cli, llt, rewrite
 from vsllt.cli import main
@@ -86,6 +87,55 @@ def test_path_json(capsys):
     assert doc["crosses"] == [[1, 2]]
 
 
+def test_json_indent2_writes_what_json_dumps_indent_2_writes():
+    doc = {
+        "s": "a\u00e9\"\n",
+        "n": -3,
+        "flags": [True, False, None],
+        "empty_list": [],
+        "empty_dict": {},
+        "nested": {"[3, 1]": [0, [1, [2]]], "k": {"x": 1}},
+        "pairs": [[1, 2], [3, 4]],
+    }
+    assert cli._json_indent2(doc) == json.dumps(doc, indent=2)
+    for value in ([], {}, 7, "x", [1], {"a": []}):
+        assert cli._json_indent2(value) == json.dumps(value, indent=2)
+
+
+def _assert_indent_2_json(out):
+    # the printed text is exactly json.dumps(..., indent=2) of what it holds
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_path_json_is_indent_2_json_on_every_small_tuple(capsys):
+    tuples = sorted(set(all_strip_tuples(5, 3, range(-2, 3))))
+    assert len(tuples) == 1526
+    for t in tuples:
+        code, out, _ = run(capsys, "path", "--strips", llt.render_strips(t), "--json")
+        assert code == 0
+        _assert_indent_2_json(out)
+
+
+def test_path_json_is_indent_2_json_on_a_long_strip(capsys):
+    code, out, _ = run(capsys, "path", "--strips", "0:20000", "--json")
+    assert code == 0
+    _assert_indent_2_json(out)
+    doc = json.loads(out)
+    assert len(doc["area"]) == 20000 and len(doc["crosses"]) == 19999
+
+
+def test_expand_and_oracle_json_are_indent_2_json(capsys):
+    for argv in (
+        ["expand", "--word", "-0-0++", "--json"],
+        ["expand", "--strips", "0:2;-2:2", "--json"],
+        ["oracle", "--strips", "0:1;-1:2", "--json"],
+        ["oracle", "--strips", "", "--json"],
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        _assert_indent_2_json(out)
+
+
 def test_oracle_command(capsys):
     code, out, _ = run(capsys, "oracle", "--strips", "0:1;0:1")
     assert code == 0
@@ -131,6 +181,29 @@ def test_verify_parallel_matches_serial(capsys):
     assert code == 0
     strip = lambda text: [l for l in text.splitlines() if not l.startswith("checked")]
     assert strip(serial) == strip(parallel)
+
+
+def test_verify_fail_line_ends_with_its_reproducer(capsys, monkeypatch):
+    real = cli._verify_one
+
+    def one_fails(word):
+        text, agrees, rebased_ok, positive = real(word)
+        return text, agrees, rebased_ok, positive and text != "--++"
+
+    monkeypatch.setattr(cli, "_verify_one", one_fails)
+    code, out, _ = run(capsys, "verify", "--max-semilength", "2")
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails == [
+        "FAIL --++: not e-positive at q+1; reproduce: vsllt expand --word --++"
+    ]
+    assert "semilength 2: 3 paths, 2/3 pass (1 FAILURES)" in out
+    # the reproducer is a command line this CLI runs
+    monkeypatch.undo()
+    argv = fails[0].split("reproduce: vsllt ")[1].split()
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "word: --++" in out
 
 
 def test_verify_rejects_bad_bound(capsys):
