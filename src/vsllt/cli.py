@@ -18,6 +18,7 @@ from .paths import (
     count_paths_reference,
     iter_paths,
     parse_word,
+    primitive_factors,
     render_word,
     semilength,
 )
@@ -31,9 +32,10 @@ from .rewrite import e_positivity_report, expand_word
 MAX_ORACLE_FILLINGS = 10**6
 
 # Largest semilength ``verify`` sweeps: all 26232 words through 8 take about
-# 84 s and 38 MB peak RSS in one process, or 50 s with --jobs 2, where the
+# 35 s and 37 MB peak RSS in one process, or 16 s with --jobs 2, where the
 # parent and each worker peak near 25 MB (Python 3.11.7 on a 2-vCPU x86_64
-# host); semilength 9 adds 103049 more words, each costlier than those at 8.
+# host); semilength 9 adds 103049 more words, each costlier than those at 8,
+# and has not been timed.
 MAX_VERIFY_SEMILENGTH = 8
 
 # Largest semilength ``expand`` rewrites, and the most cells ``oracle`` takes:
@@ -253,6 +255,20 @@ def _verify_one(word):
     return render_word(word), agrees, rebased_ok, report["e_positive"]
 
 
+def _factor_note(text: str) -> str:
+    """For a FAIL line: which primitive factors of a composite word fail
+    ``_verify_one`` on their own.  Both sides evaluate a composite word from
+    its factors, so this names where to look; it runs only on failures."""
+    factors = primitive_factors(parse_word(text))
+    if factors is None or len(factors) < 2:
+        return ""
+    failing = [render_word(f) for f in factors if not all(_verify_one(f)[1:])]
+    if not failing:
+        return "; every primitive factor passes on its own"
+    noun = "factor" if len(failing) == 1 else "factors"
+    return f"; failing primitive {noun} {', '.join(failing)}"
+
+
 def _pool_size(jobs: int) -> int:
     """Worker processes for ``verify --jobs``: at most one per CPU."""
     if jobs < 1:
@@ -299,7 +315,8 @@ def cmd_verify(args) -> int:
                     flags.append("negative or fractional (q-1)-coefficient")
                 if not positive:
                     flags.append("not e-positive at q+1")
-                print(f"FAIL {word}: {', '.join(flags)}; reproduce: vsllt expand --word {word}")
+                print(f"FAIL {word}: {', '.join(flags)}{_factor_note(word)}; "
+                      f"reproduce: vsllt expand --word {word}")
             status = "ok" if not failures else f"{len(failures)} FAILURES"
             print(f"semilength {n}: {len(words)} paths, {len(words) - len(failures)}/{len(words)} pass ({status})")
             total += len(words)

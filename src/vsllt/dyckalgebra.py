@@ -6,6 +6,15 @@ module serves as the semantic oracle against which the symbolic rewriting
 engine is checked.  Symmetric-function coefficients are kept in the e-basis,
 where the only two places the operators touch Lambda, the alphabet shift and
 the product with e_{a+1}, are integral.
+
+The operators are one code over a scalar ring (``Scalars``): they take 0,
+1, q-1 and the alphabet-shift scalars from the ring of the element they act
+on, and use only +, *, unary - and truth value on scalars.  ``QPOLY``, with
+QPoly scalars, is the reference ring.  ``eval_in_e`` runs in
+``packed(bits)``, whose scalars are Python ints, the value of a polynomial
+at q = 2**bits (Kronecker substitution), and decodes each output
+coefficient once (``unpack_balanced``); ``coefficient_bound`` proves the
+width.
 """
 
 from __future__ import annotations
@@ -13,25 +22,74 @@ from __future__ import annotations
 from functools import cache
 
 from .paths import MINUS, PLUS, Word, WordError, primitive_factors, semilength
-from .qpoly import ONE, Q, Q_MINUS_1, QPoly, accumulate
+from .qpoly import ONE, Q, Q_MINUS_1, ZERO, QPoly, _canonical, accumulate
 from .symfunc import GradedSym, Partition, e_expansion_in_p, merge_partitions, multiply_expansions
+from .symfunc import _raw as _raw_sym
 # unused here, but bench/tracing.py wraps dyckalgebra.e_in_p by name
 from .symfunc import e_in_p  # noqa: F401
 
 YExps = tuple[int, ...]
 
 
+class Scalars:
+    """A scalar ring for the operators: its 0, 1 and q-1, and lift, the ring
+    map from Z[q] (QPoly) into it, which carries the alphabet-shift scalars.
+
+    The operators take these from the element they act on and use only +,
+    *, unary - and truth value on scalars, so one code serves every ring.
+    """
+
+    __slots__ = ("zero", "one", "q_minus_1", "lift")
+
+    def __init__(self, zero, one, q_minus_1, lift):
+        self.zero = zero
+        self.one = one
+        self.q_minus_1 = q_minus_1
+        self.lift = lift
+
+
+# The reference ring: QPoly scalars.
+QPOLY = Scalars(ZERO, ONE, Q_MINUS_1, lambda p: p)
+
+
+@cache
+def packed(bits: int) -> Scalars:
+    """Z[q] mapped into Z by q -> 2**bits, a ring homomorphism: scalars are
+    Python ints, and every sum and product stays exact.
+    ``unpack_balanced`` recovers a polynomial whose coefficients all have
+    absolute value below 2**(bits-1)."""
+    return Scalars(0, 1, (1 << bits) - 1, lambda p: p(1 << bits))
+
+
+def unpack_balanced(value: int, bits: int) -> QPoly:
+    """The polynomial p with p(2**bits) = value and every coefficient of
+    absolute value below 2**(bits-1): value's balanced base-2**bits digits,
+    constant term first."""
+    half, full = 1 << (bits - 1), 1 << bits
+    mask = full - 1
+    digits = []
+    while value:
+        d = value & mask
+        if d >= half:
+            d -= full
+        digits.append(d)
+        value = (value - d) >> bits
+    return _canonical(digits)
+
+
 class VElement:
-    """Element of V_k at truncation degree n: {y-exponent vector: GradedSym}.
+    """Element of V_k at truncation degree n: {y-exponent vector: GradedSym},
+    with scalars in ``ring``.
 
     Exponent vectors have length exactly k; zero coefficients are dropped.
     """
 
-    __slots__ = ("k", "n", "terms")
+    __slots__ = ("k", "n", "terms", "ring")
 
-    def __init__(self, k: int, n: int, terms=None):
+    def __init__(self, k: int, n: int, terms=None, ring: Scalars = QPOLY):
         self.k = k
         self.n = n
+        self.ring = ring
         clean: dict[YExps, GradedSym] = {}
         if terms:
             for e, g in terms.items():
@@ -42,8 +100,8 @@ class VElement:
         self.terms = clean
 
     @classmethod
-    def one(cls, n: int) -> "VElement":
-        return cls(0, n, {(): GradedSym.one(n)})
+    def one(cls, n: int, ring: Scalars = QPOLY) -> "VElement":
+        return cls(0, n, {(): GradedSym(n, {(): ring.one})}, ring)
 
     @classmethod
     def from_sym(cls, g: GradedSym) -> "VElement":
@@ -65,24 +123,15 @@ class VElement:
         out = dict(self.terms)
         for e, g in other.terms.items():
             accumulate(out, e, g)
-        return _raw(self.k, self.n, out)
+        return _raw(self.k, self.n, out, self.ring)
 
     def __sub__(self, other: "VElement") -> "VElement":
-        return self + other.scale(QPoly.const(-1))
+        return self + other.scale(-self.ring.one)
 
-    def scale(self, c: QPoly) -> "VElement":
-        if c.is_zero():
-            return _raw(self.k, self.n, {})
-        return _raw(self.k, self.n, {e: g.scale(c) for e, g in self.terms.items()})
-
-    def mul_sym(self, g: GradedSym) -> "VElement":
-        """Multiply by a symmetric function (acts on every coefficient)."""
-        out: dict[YExps, GradedSym] = {}
-        for e, h in self.terms.items():
-            prod = h * g
-            if not prod.is_zero():
-                out[e] = prod
-        return _raw(self.k, self.n, out)
+    def scale(self, c) -> "VElement":
+        if not c:
+            return _raw(self.k, self.n, {}, self.ring)
+        return _raw(self.k, self.n, {e: g.scale(c) for e, g in self.terms.items()}, self.ring)
 
     def sym_part(self) -> GradedSym:
         """The coefficient of y^0; for k = 0 this is the whole element."""
@@ -95,12 +144,34 @@ class VElement:
         return f"VElement<k={self.k}, {bits}>"
 
 
-def _raw(k: int, n: int, terms: dict) -> VElement:
+def _raw(k: int, n: int, terms: dict, ring: Scalars) -> VElement:
     v = VElement.__new__(VElement)
     v.k = k
     v.n = n
     v.terms = terms
+    v.ring = ring
     return v
+
+
+def _wrap(k: int, n: int, out: dict, ring: Scalars) -> VElement:
+    """A VElement over {y-exponents: {partition: scalar}} sums, dropping zero
+    scalars and then empty y-coefficients; every key is already of degree <= n."""
+    terms = {}
+    for e, sums in out.items():
+        kept = {mu: c for mu, c in sums.items() if c}
+        if kept:
+            terms[e] = _raw_sym(n, kept)
+    return _raw(k, n, terms, ring)
+
+
+def _add_into(out: dict, key, terms: dict, zero) -> None:
+    """out[key] += terms, coefficient by coefficient, zeros kept."""
+    acc = out.get(key)
+    if acc is None:
+        out[key] = dict(terms)
+    else:
+        for mu, c in terms.items():
+            acc[mu] = acc.get(mu, zero) + c
 
 
 def op_t(i: int, f: VElement) -> VElement:
@@ -112,30 +183,22 @@ def op_t(i: int, f: VElement) -> VElement:
     is always exact.  This is the normalization satisfying
     (T_i - 1)(T_i + q) = 0, with T_i(1) = 1.
     """
-    k = f.k
+    k, n, ring = f.k, f.n, f.ring
     if k < 2 or not 1 <= i <= k - 1:
         raise ValueError(f"T_{i} undefined on V_{k}")
-    ia, ib = i - 1, i
-    out: dict[YExps, GradedSym] = {}
+    zero, q_minus_1 = ring.zero, ring.q_minus_1
+    out: dict[YExps, dict] = {}
     for e, g in f.terms.items():
-        a, b = e[ia], e[ib]
-        swapped = list(e)
-        swapped[ia], swapped[ib] = b, a
-        accumulate(out, tuple(swapped), g)
+        head, a, b, tail = e[: i - 1], e[i - 1], e[i], e[i + 1 :]
+        _add_into(out, head + (b, a) + tail, g.terms, zero)
         if a == b:
             continue
-        if a < b:
-            dd = g.scale(Q_MINUS_1)
-            lo, hi = a, b
-        else:
-            dd = g.scale(-Q_MINUS_1)
-            lo, hi = b, a
-        # u * dd(u^a v^b) runs over exponent pairs (lo+1+j, hi-1-j)
-        for j in range(hi - lo):
-            mono = list(e)
-            mono[ia], mono[ib] = lo + 1 + j, hi - 1 - j
-            accumulate(out, tuple(mono), dd)
-    return _raw(k, f.n, out)
+        s, lo, hi = (q_minus_1, a, b) if a < b else (-q_minus_1, b, a)
+        dd = {mu: c * s for mu, c in g.terms.items()}
+        # u * dd(u^a v^b) runs over the exponent pairs (u, lo + hi - u), lo < u <= hi
+        for u in range(lo + 1, hi + 1):
+            _add_into(out, head + (u, lo + hi - u) + tail, dd, zero)
+    return _wrap(k, n, out, ring)
 
 
 def _e_of_shift(j: int, sign: int) -> QPoly:
@@ -167,17 +230,95 @@ def _shift_table(mu: Partition, sign: int) -> tuple:
     return tuple((parts, size - sum(parts), scalar) for parts, scalar in states.items())
 
 
+@cache
+def _raising_table(mu: Partition, ring: Scalars) -> tuple:
+    """``_shift_table(mu, +1)`` grouped by the extra t-exponent, as
+    (extra, ((kept, scalar), ...)) with scalars in ring."""
+    groups: dict[int, list] = {}
+    for kept, extra, scalar in _shift_table(mu, +1):
+        groups.setdefault(extra, []).append((kept, ring.lift(scalar)))
+    return tuple((extra, tuple(pairs)) for extra, pairs in groups.items())
+
+
+@cache
+def _lowering_table(mu: Partition, a0: int, ring: Scalars) -> tuple:
+    """(partition, scalar) pairs, scalars in ring, that ``op_dminus`` adds
+    c times for a term c e_mu y_k^a0: the shift's (kept, extra, s) gives
+    a = a0 + extra and (-1)^a s at kept merged with a + 1.  Entries that
+    land on one partition are summed, zeros dropped."""
+    out: dict[Partition, QPoly] = {}
+    for kept, extra, scalar in _shift_table(mu, -1):
+        a = a0 + extra
+        accumulate(out, merge_partitions(kept, (a + 1,)), -scalar if a % 2 else scalar)
+    return tuple((key, ring.lift(scalar)) for key, scalar in out.items())
+
+
+# packed widths are rounded up to a multiple of this, so that words share
+# the packed tables of a few widths
+_BITS_STEP = 16
+
+
+def coefficient_bound(word: Word, n: int) -> int:
+    """A bound on |c| for every coefficient c of q^i in
+    apply_word(word, VElement.one(n)), and so of eval_in_e(word) at n.
+
+    Width lemma.  Let ||f|| be the sum, over the terms of f, of the l1 norm
+    of the QPoly scalar (the sum of the absolute values of its
+    coefficients); l1 is subadditive and submultiplicative, so ||op f|| <=
+    N * ||f|| for each operator's norm N below, and ||VElement.one(n)|| = 1.
+    Every term of the element has total degree (symmetric plus y) d, the
+    number of '-' and '0' letters applied so far, so every y-exponent is at
+    most d.
+    - T_i at degree d: the swap has norm 1 and the divided difference adds
+      |a - b| <= d terms scaled by +-(q-1), of l1 norm 2: N = 2d + 1.
+    - The alphabet shift of e_mu, |mu| <= min(d, n): each part m steps to
+      sum_j e_{m-j}[X] e_j[A], where l1(e_0[A]) = 1 and l1(e_j[A]) = 2, so
+      the table's l1 sum is at most prod (1 + 2 m) <= 3^|mu|.  The product
+      with e_{a+1} and the truncation only merge or drop terms.
+    - d+ on V_k is a shift then k swaps; d- is a shift; phi raises the
+      degree, then makes k-1 swaps.
+    The product over the letters is O(letters) work per word.  Where
+    apply_word would refuse the word, the walk stops.
+    """
+    bound = 1
+    k = d = 0
+    for tok in reversed(word):
+        if tok == PLUS:
+            bound *= 3 ** min(d, n) * (2 * d + 1) ** k
+            k += 1
+        elif k < 1:
+            break
+        elif tok == MINUS:
+            bound *= 3 ** min(d, n)
+            k -= 1
+            d += 1
+        else:
+            d += 1
+            bound *= (2 * d + 1) ** (k - 1)
+    return bound
+
+
+def packed_bits(word: Word, n: int) -> int:
+    """The width ``eval_in_e`` packs word's evaluation at n with: every
+    coefficient c has |c| <= coefficient_bound(word, n) < 2**(bits-1),
+    rounded up to a multiple of _BITS_STEP."""
+    bits = coefficient_bound(word, n).bit_length() + 1
+    return -(-bits // _BITS_STEP) * _BITS_STEP
+
+
 def op_dplus(f: VElement) -> VElement:
     """Raising operator V_k -> V_{k+1}: alphabet shift by (q-1) y_{k+1},
     then the swap ladder T_1 ... T_k."""
-    k, n = f.k, f.n
-    out: dict[YExps, dict[Partition, QPoly]] = {}
+    k, n, ring = f.k, f.n, f.ring
+    zero = ring.zero
+    out: dict[YExps, dict] = {}
     for e, g in f.terms.items():
         for mu, c in g.terms.items():
-            for kept, extra, scalar in _shift_table(mu, +1):
-                coeff = c if scalar is ONE else c * scalar
-                accumulate(out.setdefault(e + (extra,), {}), kept, coeff)
-    res = _raw(k + 1, n, {e: GradedSym(n, terms) for e, terms in out.items() if terms})
+            for extra, pairs in _raising_table(mu, ring):
+                acc = out.setdefault(e + (extra,), {})
+                for kept, s in pairs:
+                    acc[kept] = acc.get(kept, zero) + c * s
+    res = _wrap(k + 1, n, out, ring)
     for i in range(k, 0, -1):
         res = op_t(i, res)
     return res
@@ -190,25 +331,24 @@ def op_dminus(f: VElement) -> VElement:
     sum_i (-1/y_k)^i e_i, and take the coefficient of y_k^{-1}, negated.
     For a term with y_k-exponent a after the shift, only i = a+1 survives,
     contributing (-1)^a * e_{a+1} times the coefficient: in the e-basis
-    this merges a+1 into the partition, and a product of degree above n
-    vanishes in the truncation.
+    this merges a+1 into the partition (``_lowering_table``), and a product
+    of degree above n vanishes in the truncation.
     """
-    k, n = f.k, f.n
+    k, n, ring = f.k, f.n, f.ring
     if k < 1:
         raise ValueError("lowering operator needs k >= 1")
-    out: dict[YExps, dict[Partition, QPoly]] = {}
+    zero = ring.zero
+    out: dict[YExps, dict] = {}
     for e, g in f.terms.items():
-        base_a = e[-1]
-        terms = out.setdefault(e[:-1], {})
+        a0 = e[-1]
+        acc = out.setdefault(e[:-1], {})
         for mu, c in g.terms.items():
-            # the shift keeps |mu|, so every product lands in degree |mu| + base_a + 1
-            if sum(mu) + base_a + 1 > n:
+            # the shift keeps |mu|, so every product lands in degree |mu| + a0 + 1
+            if sum(mu) + a0 + 1 > n:
                 continue
-            for kept, extra, scalar in _shift_table(mu, -1):
-                a = base_a + extra
-                coeff = c if scalar is ONE else c * scalar
-                accumulate(terms, merge_partitions(kept, (a + 1,)), -coeff if a % 2 else coeff)
-    return _raw(k - 1, n, {rest: GradedSym(n, terms) for rest, terms in out.items() if terms})
+            for key, s in _lowering_table(mu, a0, ring):
+                acc[key] = acc.get(key, zero) + c * s
+    return _wrap(k - 1, n, out, ring)
 
 
 def op_phi(f: VElement) -> VElement:
@@ -216,47 +356,10 @@ def op_phi(f: VElement) -> VElement:
     k, n = f.k, f.n
     if k < 1:
         raise ValueError("diagonal operator needs k >= 1")
-    out = {}
-    minus_one = QPoly.const(-1)
-    for e, g in f.terms.items():
-        out[e[:-1] + (e[-1] + 1,)] = g.scale(minus_one)
-    res = _raw(k, n, out)
+    res = _raw(k, n, {e[:-1] + (e[-1] + 1,): -g for e, g in f.terms.items()}, f.ring)
     for i in range(k - 1, 0, -1):
         res = op_t(i, res)
     return res
-
-
-def retruncate(f: VElement, n: int) -> VElement:
-    out: dict[YExps, GradedSym] = {}
-    for e, g in f.terms.items():
-        g2 = g.retruncate(n)
-        if not g2.is_zero():
-            out[e] = g2
-    return _raw(f.k, n, out)
-
-
-def op_phi_commutator(f: VElement) -> VElement:
-    """Second, independent route to op_phi: (d- d+ - d+ d-)/(q-1).
-
-    The two routes pass through degree k+1, where the lowering step raises
-    symmetric degree by up to (max y-degree of f) + 1 before the raising
-    step brings it back down, so the commutator is computed with that much
-    truncation headroom and cut back to f.n at the end.  Every scalar must
-    divide exactly by (q-1); a remainder signals an implementation bug.
-    """
-    if f.k < 1:
-        raise ValueError("diagonal operator needs k >= 1")
-    headroom = max((sum(e) for e in f.terms), default=0) + 1
-    lifted = retruncate(f, f.n + headroom)
-    comm = op_dminus(op_dplus(lifted)) - op_dplus(op_dminus(lifted))
-    out: dict[YExps, GradedSym] = {}
-    for e, g in comm.terms.items():
-        g2 = GradedSym(
-            f.n, {mu: c.divexact_qminus1() for mu, c in g.retruncate(f.n).terms.items()}
-        )
-        if not g2.is_zero():
-            out[e] = g2
-    return _raw(f.k, f.n, out)
 
 
 def apply_word(word: Word, f: VElement) -> VElement:
@@ -276,13 +379,24 @@ def apply_word(word: Word, f: VElement) -> VElement:
     return f
 
 
+def eval_packed(word: Word, n: int) -> GradedSym:
+    """The symmetric part of apply_word(word, VElement.one(n)), computed in
+    ``packed(packed_bits(word, n))`` and decoded once per coefficient.
+    Raises WordError as apply_word does, or if the word does not end on V_0."""
+    bits = packed_bits(word, n)
+    res = apply_word(word, VElement.one(n, packed(bits)))
+    if res.k != 0:
+        raise WordError("word does not return to the diagonal", len(word))
+    return GradedSym(n, {mu: unpack_balanced(c, bits) for mu, c in res.sym_part().terms.items()})
+
+
 @cache
 def _primitive_value(word: Word) -> tuple[tuple[Partition, QPoly], ...]:
     """d_P(1) in the e-basis for a primitive factor of a composite word, as
     (partition, coefficient) pairs, computed at truncation degree
     semilength(word), which is exact.  Memoized per word: a repeat call
     returns the same tuple, whose entries are immutable."""
-    return tuple(apply_word(word, VElement.one(semilength(word))).sym_part().terms.items())
+    return tuple(eval_packed(word, semilength(word)).terms.items())
 
 
 def eval_in_e(word: Word) -> GradedSym:
@@ -294,16 +408,13 @@ def eval_in_e(word: Word) -> GradedSym:
     value at 1 (the paper's corollary), and every letter keeps the total
     degree (symmetric plus y) or raises it by one, ending at the semilength,
     so no truncation drops a term.  Any other input, a primitive or invalid
-    word included, is applied letter by letter.
+    word included, is applied letter by letter (``eval_packed``).
     """
     n = semilength(word)
     factors = primitive_factors(word)
     if factors is not None and len(factors) > 1:
         return GradedSym(n, multiply_expansions(map(_primitive_value, factors)))
-    res = apply_word(word, VElement.one(n))
-    if res.k != 0:
-        raise WordError("word does not return to the diagonal", len(word))
-    return res.sym_part()
+    return eval_packed(word, n)
 
 
 def eval_word(word: Word, n: int | None = None) -> GradedSym:

@@ -265,11 +265,3 @@ def llt_in_vars(strips: StripTuple, nvars: int) -> XPoly:
     transition, so every coefficient is a QPoly of ints.
     """
     return e_expansion_in_vars(expand_word(to_schroeder_word(strips)), nvars)
-
-
-def oracle_compare(strips: StripTuple, nvars: int | None = None) -> bool:
-    """Tableau sum versus rewritten-and-expanded operator value, coefficientwise."""
-    n = cell_count(strips)
-    if nvars is None:
-        nvars = max(n, 1)
-    return ssyt_generating_function(strips, nvars) == llt_in_vars(strips, nvars)

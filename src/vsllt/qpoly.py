@@ -1,7 +1,9 @@
 """Exact univariate polynomials in q with integer coefficients, Z[q].
 
-This is the scalar ring for the whole package: every coefficient anywhere
-is a QPoly.  Coefficients are Python ints; a Fraction appears only where a
+This is the scalar ring at every public boundary of the package: every
+coefficient it returns is a QPoly (inside, the rewriting engine and the
+operators hold packed ints, each the value of a QPoly at a power of two).
+Coefficients are Python ints; a Fraction appears only where a
 value really is non-integral, which in practice means the power-sum basis
 (symfunc's e -> p bridge and everything built on it).  Python guarantees
 Fraction(k) == k and hash(Fraction(k)) == hash(k), so a polynomial compares,
@@ -11,7 +13,6 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from operator import add, sub
 
@@ -71,6 +72,11 @@ class QPoly:
     def __add__(self, other) -> "QPoly":
         other = _coerce(other)
         a, b = self.coeffs, other.coeffs
+        # a zero operand (the operators' QPoly sums start from ZERO) adds nothing
+        if not a:
+            return other
+        if not b:
+            return self
         if len(a) < len(b):
             a, b = b, a
         return _canonical([*map(add, a, b), *a[len(b) :]])
@@ -144,15 +150,6 @@ class QPoly:
         the polynomial with coefficients c_i by -1."""
         return _taylor_shift(list(cls(coeffs).coeffs), -1)
 
-    def divexact_qminus1(self) -> "QPoly":
-        """Divide exactly by (q-1); raise if the remainder is nonzero."""
-        if not self.coeffs:
-            return QPoly()
-        quot, remainder = _divide_qminus1(self.coeffs)
-        if remainder != 0:
-            raise ArithmeticError(f"not divisible by (q-1): {self}")
-        return _canonical(quot)
-
     def is_nonneg(self) -> bool:
         """True iff every coefficient is >= 0."""
         return all(c >= 0 for c in self.coeffs)
@@ -211,13 +208,14 @@ def accumulate(terms: dict, key, value) -> None:
     """Add value into terms[key], removing the key when the sum is zero.
 
     This is the one sparse-sum primitive for QPoly and GradedSym values
-    (anything with + and is_zero()); the rewriting engine's packed ints,
-    never zero, are added directly.  A zero value on an absent key inserts
+    (anything with + whose truth value says nonzero); the rewriting engine's
+    packed ints, never zero, are added directly, and the operators drop
+    their zero sums once per result.  A zero value on an absent key inserts
     nothing.
     """
     s = terms.get(key)
     s = value if s is None else s + value
-    if s.is_zero():
+    if not s:
         terms.pop(key, None)
     else:
         terms[key] = s
@@ -259,37 +257,3 @@ def render_qpoly(p: QPoly) -> str:
     for sign, body in parts[1:]:
         text += f" {sign} {body}"
     return text
-
-
-_TERM_RE = re.compile(
-    r"""(?P<sign>[+-]?)\s*
-        (?:
-            (?P<coeff>\d+(?:/\d+)?)\s*(?P<star>\*?)\s*(?P<var1>q(?:\^(?P<exp1>\d+))?)?
-          | (?P<var2>q(?:\^(?P<exp2>\d+))?)
-        )\s*""",
-    re.VERBOSE,
-)
-
-
-def parse_qpoly(text: str) -> QPoly:
-    """Parse the render_qpoly format (also accepts "2*q^3" and no-space forms)."""
-    text = text.strip()
-    if text in ("0", "-0", "+0"):
-        return ZERO
-    pos = 0
-    acc = ZERO
-    while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        if not m or m.end() == pos:
-            raise ValueError(f"bad polynomial at position {pos}: {text!r}")
-        sign = -1 if m.group("sign") == "-" else 1
-        coeff = m.group("coeff")
-        var = m.group("var1") or m.group("var2")
-        exp = m.group("exp1") or m.group("exp2")
-        c = _exact(coeff) if coeff is not None else 1
-        power = 0
-        if var is not None:
-            power = int(exp) if exp is not None else 1
-        acc = acc + QPoly.monomial(power, sign * c)
-        pos = m.end()
-    return acc

@@ -5,11 +5,15 @@ terms of degree > n (the truncation degree).  Its keys are partitions of
 whichever multiplicative basis the caller uses: the e-basis in dyckalgebra,
 the p-basis in the rational bridge below, which e_in_p / e_mu_in_p /
 e_expansion_in_p feed and expand_in_vars evaluates in finitely many
-variables (dyckalgebra.eval_word and the test references use it).
+variables (dyckalgebra.eval_word and the test references use it).  Its
+coefficients are QPoly, or, inside the operators, the packed ints of
+dyckalgebra's packed rings: it needs only +, *, unary - and truth value.
 
-The tableau oracle takes its e-expansion to n variables through
-e_expansion_in_vars instead, the integer e -> monomial bridge at the end of
-the module, which needs no Fraction.
+e_expansion_in_p sums in ints: z_lam [p_lam] e_mu is an integer, so each
+coefficient is an int sum divided by z_lam once, and a Fraction appears
+only in a value that really is non-integral.  The tableau oracle takes its
+e-expansion to n variables through e_expansion_in_vars instead, the integer
+e -> monomial bridge at the end of the module, which needs no Fraction.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ class GradedSym:
         clean: dict[Partition, QPoly] = {}
         if terms:
             for mu, c in terms.items():
-                if sum(mu) > n or c.is_zero():
+                if sum(mu) > n or not c:
                     continue
                 clean[mu] = c
         self.terms = clean
@@ -90,6 +94,9 @@ class GradedSym:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def __eq__(self, other) -> bool:
         return (
@@ -115,7 +122,7 @@ class GradedSym:
         return self + (-other)
 
     def scale(self, c: QPoly) -> "GradedSym":
-        if c.is_zero():
+        if not c:
             return GradedSym.zero(self.n)
         return _raw(self.n, {mu: c * v for mu, v in self.terms.items()})
 
@@ -195,12 +202,47 @@ def e_mu_in_p(mu: Partition, n: int) -> GradedSym:
     return out
 
 
+@cache
+def _e_mu_in_p_scaled(mu: Partition) -> tuple[tuple[Partition, int, int], ...]:
+    """(lam, z_lam, z_lam [p_lam] e_mu) for every p_lam in e_mu, where
+    [p_lam] e_|lam| = +-1/z_lam.
+
+    z_lam [p_lam] e_mu is an integer: it sums, over the ways to split lam
+    among the parts of mu, +-z_lam over the product of the pieces' z, which
+    is a product of multinomial coefficients.  Raises if one is not.
+    """
+    out = []
+    for lam, v in e_mu_in_p(mu, sum(mu)).terms.items():
+        z = _e_in_p_raw(sum(lam))[lam].denominator
+        a = z * v.coeffs[0]
+        if a.denominator != 1:
+            raise ArithmeticError(f"z [p_{list(lam)}] e_{list(mu)} = {a} is not an integer")
+        out.append((lam, z, a.numerator))
+    return tuple(out)
+
+
 def e_expansion_in_p(expansion: dict[Partition, QPoly], n: int) -> GradedSym:
-    """sum_mu c_mu e_mu for an e-expansion {mu: c_mu}, in the p-basis at degree n."""
-    terms: dict[Partition, QPoly] = {}
+    """sum_mu c_mu e_mu for an e-expansion {mu: c_mu}, in the p-basis at degree n.
+
+    Sums in ints: the coefficient of q^i at p_lam adds c_{mu,i} times the
+    integer z_lam [p_lam] e_mu over mu, and is divided by z_lam once at the
+    end (an int when the division is exact, a Fraction otherwise).
+    """
+    sums: dict[Partition, tuple[int, list]] = {}
     for mu, c in expansion.items():
-        for nu, v in e_mu_in_p(mu, n).terms.items():
-            accumulate(terms, nu, c * v)
+        scaled = _e_mu_in_p_scaled(mu)
+        if sum(mu) > n:
+            raise ValueError(f"|mu| = {sum(mu)} exceeds truncation degree {n}")
+        for lam, z, a in scaled:
+            row = sums.setdefault(lam, (z, []))[1]
+            row.extend([0] * (len(c.coeffs) - len(row)))
+            for i, x in enumerate(c.coeffs):
+                row[i] += a * x
+    terms: dict[Partition, QPoly] = {}
+    for lam, (z, row) in sums.items():
+        p = QPoly([x // z if x % z == 0 else Fraction(x, z) for x in row])
+        if p:
+            terms[lam] = p
     return _raw(n, terms)
 
 

@@ -1,5 +1,6 @@
 """Per-term reference versions of the alphabet shift and the raising and
-lowering operators, in the p-basis, kept only for the tests.
+lowering operators, in the p-basis, kept only for the tests, with a second
+route to the diagonal-step operator and the product by a symmetric function.
 
 These are the straightforward forms: every subset of a partition's parts is
 expanded separately, and the lowering operator multiplies by e_{a+1} once
@@ -9,10 +10,62 @@ with them exactly after a coefficient-wise e -> p conversion.
 
 from __future__ import annotations
 
-from vsllt.dyckalgebra import VElement, YExps, _raw, op_t
+from reference_qpoly import divexact_qminus1
+from vsllt import dyckalgebra
+from vsllt.dyckalgebra import VElement, YExps, op_t
 from vsllt.qpoly import ONE, QPoly
 from vsllt.qpoly import accumulate as _add_term
 from vsllt.symfunc import GradedSym, e_in_p
+
+
+def _raw(k: int, n: int, terms: dict) -> VElement:
+    return dyckalgebra._raw(k, n, terms, dyckalgebra.QPOLY)
+
+
+def retruncate(f: VElement, n: int) -> VElement:
+    """f in the quotient at truncation degree n (drops keys if n shrinks)."""
+    out: dict[YExps, GradedSym] = {}
+    for e, g in f.terms.items():
+        g2 = g.retruncate(n)
+        if not g2.is_zero():
+            out[e] = g2
+    return _raw(f.k, n, out)
+
+
+def mul_sym(f: VElement, g: GradedSym) -> VElement:
+    """Multiply f by a symmetric function (acts on every coefficient)."""
+    out: dict[YExps, GradedSym] = {}
+    for e, h in f.terms.items():
+        prod = h * g
+        if not prod.is_zero():
+            out[e] = prod
+    return _raw(f.k, f.n, out)
+
+
+def op_phi_commutator(f: VElement) -> VElement:
+    """Second, independent route to op_phi: (d- d+ - d+ d-)/(q-1).
+
+    The two routes pass through degree k+1, where the lowering step raises
+    symmetric degree by up to (max y-degree of f) + 1 before the raising
+    step brings it back down, so the commutator is computed with that much
+    truncation headroom and cut back to f.n at the end.  Every scalar must
+    divide exactly by (q-1); a remainder signals an implementation bug.
+    """
+    if f.k < 1:
+        raise ValueError("diagonal operator needs k >= 1")
+    headroom = max((sum(e) for e in f.terms), default=0) + 1
+    lifted = retruncate(f, f.n + headroom)
+    comm = dyckalgebra.op_dminus(dyckalgebra.op_dplus(lifted)) - dyckalgebra.op_dplus(
+        dyckalgebra.op_dminus(lifted)
+    )
+    out: dict[YExps, GradedSym] = {}
+    for e, g in comm.terms.items():
+        g2 = GradedSym(
+            f.n, {mu: divexact_qminus1(c) for mu, c in g.retruncate(f.n).terms.items()}
+        )
+        if not g2.is_zero():
+            out[e] = g2
+    return _raw(f.k, f.n, out)
 
 
 def _shifted_sym_terms(g: GradedSym, sign: int):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from itertools import product
 
+from vsllt import llt
 from vsllt.llt import (
     StripTuple,
     _strip_fillings,
@@ -44,6 +45,14 @@ def ssyt_generating_function(strips: StripTuple, nvars: int) -> XPoly:
             exps[v - 1] += 1
         accumulate(out, tuple(exps), QPoly.monomial(inv))
     return out
+
+
+def oracle_compare(strips: StripTuple, nvars: int | None = None) -> bool:
+    """The library's tableau sum versus its rewritten-and-expanded operator
+    value, coefficientwise, in nvars variables (default: the cell count)."""
+    if nvars is None:
+        nvars = max(cell_count(strips), 1)
+    return llt.ssyt_generating_function(strips, nvars) == llt.llt_in_vars(strips, nvars)
 
 
 def llt_in_vars(strips: StripTuple, nvars: int) -> XPoly:

@@ -1,0 +1,57 @@
+"""A parser for the render_qpoly format and exact division by (q-1), kept
+only for the tests.
+
+The tests read ``vsllt expand --json`` output and check render_qpoly by
+round trip through the parser; the package itself never parses a
+polynomial.  The division serves the commutator route to the diagonal-step
+operator in reference_dyck.
+"""
+
+from __future__ import annotations
+
+import re
+
+from vsllt.qpoly import ZERO, QPoly, _canonical, _divide_qminus1, _exact
+
+_TERM_RE = re.compile(
+    r"""(?P<sign>[+-]?)\s*
+        (?:
+            (?P<coeff>\d+(?:/\d+)?)\s*(?P<star>\*?)\s*(?P<var1>q(?:\^(?P<exp1>\d+))?)?
+          | (?P<var2>q(?:\^(?P<exp2>\d+))?)
+        )\s*""",
+    re.VERBOSE,
+)
+
+
+def parse_qpoly(text: str) -> QPoly:
+    """Parse the render_qpoly format (also accepts "2*q^3" and no-space forms)."""
+    text = text.strip()
+    if text in ("0", "-0", "+0"):
+        return ZERO
+    pos = 0
+    acc = ZERO
+    while pos < len(text):
+        m = _TERM_RE.match(text, pos)
+        if not m or m.end() == pos:
+            raise ValueError(f"bad polynomial at position {pos}: {text!r}")
+        sign = -1 if m.group("sign") == "-" else 1
+        coeff = m.group("coeff")
+        var = m.group("var1") or m.group("var2")
+        exp = m.group("exp1") or m.group("exp2")
+        c = _exact(coeff) if coeff is not None else 1
+        power = 0
+        if var is not None:
+            power = int(exp) if exp is not None else 1
+        acc = acc + QPoly.monomial(power, sign * c)
+        pos = m.end()
+    return acc
+
+
+def divexact_qminus1(p: QPoly) -> QPoly:
+    """p divided exactly by (q-1); raise if the remainder is nonzero."""
+    if not p.coeffs:
+        return QPoly()
+    quot, remainder = _divide_qminus1(p.coeffs)
+    if remainder != 0:
+        raise ArithmeticError(f"not divisible by (q-1): {p}")
+    return _canonical(quot)

@@ -11,6 +11,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import tracing  # noqa: E402
+from reference_llt import oracle_compare  # noqa: E402
 from vsllt import cli, dyckalgebra, llt, rewrite  # noqa: E402
 from vsllt.paths import (  # noqa: E402
     iter_paths_upto,
@@ -40,7 +41,7 @@ def test_tracer_wraps_and_restores_every_target():
             assert cli._verify_one(w) == (render_word(w), True, True, True)
         # the oracle-sweep path: tableau side against operator side
         for text in ("", "0:2;0:1", "0:1;-1:2;1:1"):
-            assert llt.oracle_compare(llt.parse_strips(text)), text
+            assert oracle_compare(llt.parse_strips(text)), text
     finally:
         tracer.uninstall()
     for ns, attr, fn in originals:

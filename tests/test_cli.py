@@ -3,12 +3,14 @@ import re
 
 import pytest
 from conftest import all_strip_tuples
+from reference_qpoly import parse_qpoly
 
-from vsllt import cli, llt, rewrite
+from vsllt import cli, dyckalgebra, llt, rewrite
 from vsllt.cli import main
 from vsllt.paths import parse_word
-from vsllt.qpoly import parse_qpoly
+from vsllt.qpoly import ONE
 from vsllt.rewrite import expand_word
+from vsllt.symfunc import GradedSym
 
 
 def run(capsys, *argv):
@@ -204,6 +206,53 @@ def test_verify_fail_line_ends_with_its_reproducer(capsys, monkeypatch):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert "word: --++" in out
+
+
+def test_verify_fail_line_names_the_failing_factor(capsys, monkeypatch):
+    # an injected fault in the operator side's value of one primitive word,
+    # "--0++", reaches every composite word with that factor through the
+    # factor memo; each of their FAIL lines names it, the word's own does not
+    target = parse_word("--0++")
+    real = dyckalgebra.eval_packed
+
+    def faulty(word, n):
+        g = real(word, n)
+        if word == target:
+            g = g + GradedSym(n, {(3,): ONE})
+        return g
+
+    monkeypatch.setattr(dyckalgebra, "eval_packed", faulty)
+    dyckalgebra._primitive_value.cache_clear()
+    try:
+        code, out, _ = run(capsys, "verify", "--max-semilength", "4")
+    finally:
+        dyckalgebra._primitive_value.cache_clear()
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails == [
+        "FAIL --0++: rewrite/evaluation mismatch; reproduce: vsllt expand --word --0++",
+        "FAIL -+--0++: rewrite/evaluation mismatch; failing primitive factor --0++; "
+        "reproduce: vsllt expand --word -+--0++",
+        "FAIL --0++-+: rewrite/evaluation mismatch; failing primitive factor --0++; "
+        "reproduce: vsllt expand --word --0++-+",
+    ]
+
+
+def test_verify_fail_line_when_every_factor_passes(capsys, monkeypatch):
+    # a fault in the product of factors, not in any factor: the FAIL line says so
+    real = cli._verify_one
+
+    def composite_fails(word):
+        text, agrees, rebased_ok, positive = real(word)
+        return text, agrees and text != "-+-+", rebased_ok, positive
+
+    monkeypatch.setattr(cli, "_verify_one", composite_fails)
+    code, out, _ = run(capsys, "verify", "--max-semilength", "2")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL -+-+: rewrite/evaluation mismatch; every primitive factor passes on its own; "
+        "reproduce: vsllt expand --word -+-+"
+    ]
 
 
 def test_verify_rejects_bad_bound(capsys):

@@ -197,21 +197,51 @@ def test_shift_table_in_p_equals_per_term_p_shift():
     assert checked == 2 * 30
 
 
+def _fresh_z(lam):
+    """z_lam = prod_i i^{m_i} m_i!, m_i the multiplicity of i in lam."""
+    z = 1
+    for part, run in groupby(lam):
+        m = len(list(run))
+        z *= part**m * factorial(m)
+    return z
+
+
 def _fresh_e_raw(k):
     """e_k in the p-basis without Newton's recursion or any memo:
     sum over lam |- k of (-1)^(k - len(lam)) p_lam / z_lam."""
-    out = {}
-    for lam in _partitions(k):
-        z = 1
-        for part, run in groupby(lam):
-            m = len(list(run))
-            z *= part**m * factorial(m)
-        out[lam] = Fraction((-1) ** (k - len(lam)), z)
-    return out
+    return {lam: Fraction((-1) ** (k - len(lam)), _fresh_z(lam)) for lam in _partitions(k)}
 
 
 def _fresh_e_in_p(k, n):
     return GradedSym(n, {mu: QPoly.const(c) for mu, c in _fresh_e_raw(k).items()})
+
+
+def _fresh_scaled(mu):
+    """{lam: (z_lam, z_lam [p_lam] e_mu)}, e_mu multiplied out from _fresh_e_raw."""
+    e_mu = prod((_fresh_e_in_p(k, sum(mu)) for k in mu), start=GradedSym.one(sum(mu)))
+    return {lam: (_fresh_z(lam), _fresh_z(lam) * c.coeffs[0]) for lam, c in e_mu.terms.items()}
+
+
+def _fresh_raising_table(mu, ring):
+    """{extra: {kept: scalar in ring}} from the unmerged shift expansion."""
+    out = {}
+    for (kept, extra), s in _unmerged_expansion(mu, +1).items():
+        out.setdefault(extra, {})[kept] = ring.lift(s)
+    return out
+
+
+def _fresh_lowering_table(mu, a0, ring):
+    """{kept with a + 1 merged in: (-1)^a s in ring}, a = a0 + extra."""
+    out = {}
+    for (kept, extra), s in _unmerged_expansion(mu, -1).items():
+        a = a0 + extra
+        accumulate(out, tuple(sorted(kept + (a + 1,), reverse=True)), -s if a % 2 else s)
+    return {key: ring.lift(s) for key, s in out.items()}
+
+
+def _fresh_packed(bits):
+    q = 1 << bits
+    return (0, 1, q - 1, QPoly((3, -2, 1))(q))
 
 
 def _fresh_p_mu_in_vars(mu, nvars):
@@ -245,6 +275,10 @@ CACHED = {
     symfunc._e_to_m: _count_01_matrices,
     symfunc._orbit: lambda lam, nvars: set(permutations(lam + (0,) * (nvars - len(lam)))),
     _shift_table: _unmerged_expansion,
+    symfunc._e_mu_in_p_scaled: _fresh_scaled,
+    dyckalgebra.packed: _fresh_packed,
+    dyckalgebra._raising_table: _fresh_raising_table,
+    dyckalgebra._lowering_table: _fresh_lowering_table,
     rewrite._primitive_expansion: lambda w: rewrite.lincomb_to_e(rewrite.normalize(w)),
     dyckalgebra._primitive_value: lambda w: apply_word(w, VElement.one(semilength(w))).sym_part().terms,
 }
@@ -257,6 +291,8 @@ def _cache_domain(size):
     primitive = [
         (w,) for s in range(1, size + 1) for w in iter_paths(s) if len(primitive_factors(w)) == 1
     ]
+    widths = sorted({dyckalgebra.packed_bits(w, s) for s in range(1, size + 1) for w in iter_paths(s)})
+    rings = [dyckalgebra.packed(bits) for bits in widths]
     return {
         symfunc._e_in_p_raw: [(k,) for k in range(size + 1)],
         symfunc.e_in_p: [(k, n) for n in range(1, size + 1) for k in range(n + 1)],
@@ -265,6 +301,12 @@ def _cache_domain(size):
         symfunc._e_to_m: [(mu, lam) for mu in parts for lam in parts],
         symfunc._orbit: [(lam, v) for v in range(1, size + 1) for lam in parts if len(lam) <= v],
         _shift_table: [(mu, sign) for mu in parts for sign in (+1, -1)],
+        symfunc._e_mu_in_p_scaled: [(mu,) for mu in parts],
+        dyckalgebra.packed: [(bits,) for bits in widths],
+        dyckalgebra._raising_table: [(mu, ring) for mu in parts for ring in rings],
+        dyckalgebra._lowering_table: [
+            (mu, a0, ring) for mu in parts for a0 in range(size - sum(mu)) for ring in rings
+        ],
         rewrite._primitive_expansion: primitive,
         dyckalgebra._primitive_value: primitive,
     }
@@ -276,8 +318,18 @@ def _as_compared(fn, value):
         return set(value)
     if fn is _shift_table:
         return {(p, extra): c for p, extra, c in value}
-    if fn in (rewrite._primitive_expansion, dyckalgebra._primitive_value):
+    if fn in (
+        rewrite._primitive_expansion,
+        dyckalgebra._primitive_value,
+        dyckalgebra._lowering_table,
+    ):
         return dict(value)
+    if fn is symfunc._e_mu_in_p_scaled:
+        return {lam: (z, a) for lam, z, a in value}
+    if fn is dyckalgebra.packed:
+        return (value.zero, value.one, value.q_minus_1, value.lift(QPoly((3, -2, 1))))
+    if fn is dyckalgebra._raising_table:
+        return {extra: dict(pairs) for extra, pairs in value}
     return value
 
 

@@ -10,7 +10,6 @@ from vsllt.llt import (
     attack_pairs,
     cell_count,
     llt_in_vars,
-    oracle_compare,
     parse_strips,
     reading_order,
     render_strips,
@@ -19,6 +18,7 @@ from vsllt.llt import (
 )
 from conftest import all_strip_tuples
 from reference_llt import llt_in_vars as reference_llt_in_vars
+from reference_llt import oracle_compare
 from reference_llt import ssyt_generating_function as reference_ssyt
 from vsllt.paths import parse_word, render_word, validate_word
 from vsllt.qpoly import ONE, QPoly

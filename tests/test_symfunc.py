@@ -1,15 +1,23 @@
+import json
 from fractions import Fraction
+from collections import Counter
 from itertools import combinations, permutations
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import reference_symfunc
 from conftest import graded_syms, partitions
+from vsllt.dyckalgebra import eval_in_e
+from vsllt.paths import iter_paths_upto, render_word
 from vsllt.qpoly import ONE, QPoly
 from vsllt.symfunc import (
     GradedSym,
+    _e_mu_in_p_scaled,
     _e_to_m,
+    _partitions_within,
     e_expansion_in_p,
     e_expansion_in_vars,
     e_in_p,
@@ -195,6 +203,46 @@ def test_e_expansion_in_vars_mixed_degrees():
     assert e_expansion_in_vars({}, 2) == {}
     with pytest.raises(ValueError):
         e_expansion_in_vars(expansion, 0)
+
+
+def test_p_numerators_are_integers_up_to_degree_8():
+    # Lemma: z_lam [p_lam] e_mu is an integer.  _e_mu_in_p_scaled raises if
+    # one is not; each divided by z_lam = prod_i i^{m_i} m_i! gives back
+    # e_mu_in_p's coefficient.
+    checked = 0
+    for size in range(9):
+        for mu in _partitions_within(size, size):
+            scaled = _e_mu_in_p_scaled(mu)
+            assert all(type(z) is int and type(a) is int for _, z, a in scaled), mu
+            e_mu = e_mu_in_p(mu, size)
+            assert {lam: Fraction(a, z) for lam, z, a in scaled} == {
+                lam: c.coeffs[0] for lam, c in e_mu.terms.items()
+            }, mu
+            for lam, z, _ in scaled:
+                assert z == prod(part**m * factorial(m) for part, m in Counter(lam).items())
+            checked += 1
+    assert checked == 67
+
+
+def test_e_expansion_in_p_equals_the_fraction_reference_on_every_word():
+    # the int sums divided once per coefficient against the Fraction
+    # accumulation, on every operator value of semilength <= 6; to_json is
+    # compared byte for byte
+    for w in iter_paths_upto(6):
+        g = eval_in_e(w)
+        got = e_expansion_in_p(g.terms, g.n)
+        want = reference_symfunc.e_expansion_in_p(g.terms, g.n)
+        assert got == want, render_word(w)
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json()), render_word(w)
+
+
+def test_e_expansion_in_p_refuses_a_degree_above_n():
+    expansion = {(2, 1): QPoly((1, 2))}
+    for convert in (e_expansion_in_p, reference_symfunc.e_expansion_in_p):
+        with pytest.raises(ValueError, match="exceeds truncation degree 2"):
+            convert(expansion, 2)
+        with pytest.raises(ValueError, match="weakly decreasing"):
+            convert({(1, 2): ONE}, 3)
 
 
 def test_json_rendering():
