@@ -9,12 +9,16 @@ value really is non-integral, which in practice means the power-sum basis
 Fraction(k) == k and hash(Fraction(k)) == hash(k), so a polynomial compares,
 hashes and prints the same whichever of the two holds an integral value.
 No floating point is used anywhere.
+
+One in-place Taylor shift (``_taylor_shift``) serves ``shift_plus_one``,
+``rebase_qminus1`` and ``from_qminus1``: the (q-1)-basis digits of a(q) are
+the coefficients of a(q+1).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, sub
+from operator import add
 
 
 def _exact(c) -> int | Fraction:
@@ -72,11 +76,6 @@ class QPoly:
     def __add__(self, other) -> "QPoly":
         other = _coerce(other)
         a, b = self.coeffs, other.coeffs
-        # a zero operand (the operators' QPoly sums start from ZERO) adds nothing
-        if not a:
-            return other
-        if not b:
-            return self
         if len(a) < len(b):
             a, b = b, a
         return _canonical([*map(add, a, b), *a[len(b) :]])
@@ -97,12 +96,6 @@ class QPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return QPoly()
-        # the rewrite rules' scalars: q shifts a, (q-1) shifts a and subtracts
-        # it.  Matched by identity, so other products pay no coefficient compare.
-        if other is Q:
-            return _canonical([0, *a])
-        if other is Q_MINUS_1:
-            return _canonical(list(map(sub, (0, *a), (*a, 0))))
         # a constant scales the other operand's coefficients in one pass
         if len(a) == 1:
             a, b = b, a
@@ -130,19 +123,9 @@ class QPoly:
         return _taylor_shift(list(self.coeffs), 1)
 
     def rebase_qminus1(self) -> tuple:
-        """Coefficients c_0..c_d with a(q) = sum c_i (q-1)^i.
-
-        Computed by repeated synthetic division by (q-1); independent of
-        shift_plus_one, although the two agree as maps (a Taylor-shift
-        identity that the tests exercise).
-        """
-        rest = self.coeffs
-        out = []
-        # each quotient keeps the leading coefficient, so it stays canonical
-        while rest:
-            rest, remainder = _divide_qminus1(rest)
-            out.append(remainder)
-        return tuple(out)
+        """Coefficients c_0..c_d with a(q) = sum c_i (q-1)^i: the coefficients
+        of a(q+1), since a(q) = a((q-1) + 1)."""
+        return self.shift_plus_one().coeffs
 
     @classmethod
     def from_qminus1(cls, coeffs) -> "QPoly":
@@ -178,19 +161,6 @@ def _taylor_shift(cs: list, a: int) -> QPoly:
         for j in range(n - 2, i - 1, -1):
             cs[j] += a * cs[j + 1]
     return _canonical(cs)
-
-
-def _divide_qminus1(coeffs) -> tuple[list, int | Fraction]:
-    """Synthetic division of a nonzero coefficient sequence by (q-1).
-
-    Returns (quotient coefficients, remainder); the remainder is a(1).
-    """
-    quot = [0] * (len(coeffs) - 1)
-    carry = 0
-    for i in range(len(coeffs) - 1, 0, -1):
-        carry += coeffs[i]
-        quot[i - 1] = carry
-    return quot, coeffs[0] + carry
 
 
 def _canonical(cs: list) -> QPoly:

@@ -292,16 +292,15 @@ def e_positivity_report(expansion: dict[Partition, QPoly]) -> dict:
     """Shift q -> q+1 and certify positivity of an e-expansion.
 
     Returns the expansion at q, at q+1, the (q-1)-rebased coefficient
-    vectors, and the verdict (all shifted coefficients nonnegative).  On a
-    rewritten expansion, which lies in Z[q], every entry is an int.
+    vectors, and the verdict (all shifted coefficients nonnegative).  The
+    (q-1)-digits of c(q) are the coefficients of c(q+1), so one Taylor shift
+    per partition gives both.  On a rewritten expansion, which lies in Z[q],
+    every entry is an int.
     """
     shifted = {mu: c.shift_plus_one() for mu, c in expansion.items()}
-    rebased: dict[Partition, tuple[int, ...]] = {
-        mu: c.rebase_qminus1() for mu, c in expansion.items()
-    }
     return {
         "e": dict(expansion),
         "e_at_q_plus_1": shifted,
-        "qminus1": rebased,
+        "qminus1": {mu: c.coeffs for mu, c in shifted.items()},
         "e_positive": all(c.is_nonneg() for c in shifted.values()),
     }

@@ -1,17 +1,19 @@
-"""A parser for the render_qpoly format and exact division by (q-1), kept
-only for the tests.
+"""A parser for the render_qpoly format and synthetic division by (q-1),
+kept only for the tests.
 
 The tests read ``vsllt expand --json`` output and check render_qpoly by
 round trip through the parser; the package itself never parses a
 polynomial.  The division serves the commutator route to the diagonal-step
-operator in reference_dyck.
+operator in reference_dyck, and, repeated, is the reference that
+``QPoly.rebase_qminus1``'s Taylor shift is compared with.
 """
 
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
-from vsllt.qpoly import ZERO, QPoly, _canonical, _divide_qminus1, _exact
+from vsllt.qpoly import ZERO, QPoly, _canonical, _exact
 
 _TERM_RE = re.compile(
     r"""(?P<sign>[+-]?)\s*
@@ -47,6 +49,19 @@ def parse_qpoly(text: str) -> QPoly:
     return acc
 
 
+def _divide_qminus1(coeffs) -> tuple[list, int | Fraction]:
+    """Synthetic division of a nonzero coefficient sequence by (q-1).
+
+    Returns (quotient coefficients, remainder); the remainder is a(1).
+    """
+    quot = [0] * (len(coeffs) - 1)
+    carry = 0
+    for i in range(len(coeffs) - 1, 0, -1):
+        carry += coeffs[i]
+        quot[i - 1] = carry
+    return quot, coeffs[0] + carry
+
+
 def divexact_qminus1(p: QPoly) -> QPoly:
     """p divided exactly by (q-1); raise if the remainder is nonzero."""
     if not p.coeffs:
@@ -55,3 +70,15 @@ def divexact_qminus1(p: QPoly) -> QPoly:
     if remainder != 0:
         raise ArithmeticError(f"not divisible by (q-1): {p}")
     return _canonical(quot)
+
+
+def rebase_qminus1_by_division(p: QPoly) -> tuple:
+    """Coefficients c_0..c_d with p(q) = sum c_i (q-1)^i, by repeated
+    synthetic division by (q-1): c_i is the remainder of the i-th division."""
+    rest = p.coeffs
+    out = []
+    # each quotient keeps the leading coefficient, so it stays canonical
+    while rest:
+        rest, remainder = _divide_qminus1(rest)
+        out.append(remainder)
+    return tuple(out)

@@ -300,6 +300,19 @@ def test_verify_starts_one_pool(capsys, monkeypatch):
     assert made == [(2,)]
 
 
+def test_path_refuses_tuples_above_the_cap(capsys, monkeypatch):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("a refused path run may not build the path")
+
+    monkeypatch.setattr(cli.llt, "area_and_crosses", no_work)
+    assert cli.MAX_PATH_CELLS == 10**6
+    for strips, cells in (("0:1000001", 10**6 + 1), ("0:100000000;-1:1", 10**8 + 1)):
+        code, out, err = run(capsys, "path", "--strips", strips, "--json")
+        assert code == 2
+        assert out == ""
+        assert f"{cells} cells exceed the limit of {10**6}" in err
+
+
 def test_oracle_refuses_huge_enumerations(capsys, monkeypatch):
     def no_enumeration(*_args, **_kwargs):
         raise AssertionError("a refused oracle run may not enumerate fillings")

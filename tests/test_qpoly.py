@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 from conftest import qpolys
-from reference_qpoly import divexact_qminus1, parse_qpoly
+from reference_qpoly import divexact_qminus1, parse_qpoly, rebase_qminus1_by_division
 from vsllt.qpoly import ONE, Q, Q_MINUS_1, QPoly, ZERO, accumulate, render_qpoly
 from vsllt.symfunc import GradedSym
 
@@ -34,7 +34,19 @@ def test_rebase_examples():
     assert Q.rebase_qminus1() == (1, 1)
     assert (Q * Q_MINUS_1).rebase_qminus1() == (0, 1, 1)
     assert (Q * Q).rebase_qminus1() == (1, 2, 1)
-    assert ZERO.rebase_qminus1() == ()
+    assert ZERO.rebase_qminus1() == rebase_qminus1_by_division(ZERO) == ()
+
+
+def _fraction_qpolys(max_deg=5):
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    return st.lists(coeffs, max_size=max_deg + 1).map(QPoly)
+
+
+@given(st.one_of(qpolys(max_deg=6, lo=-50, hi=50), _fraction_qpolys()))
+def test_rebase_matches_repeated_division(p):
+    # rebase_qminus1 is the Taylor shift; repeated synthetic division by
+    # (q-1) is the independent route to the same digits
+    assert p.rebase_qminus1() == rebase_qminus1_by_division(p)
 
 
 @given(qpolys(max_deg=5))
@@ -198,8 +210,9 @@ def test_int_arithmetic_matches_fraction_arithmetic(a, b):
 
 @given(qpolys(max_deg=5))
 def test_products_by_q_and_q_minus_1_take_values_of_the_product(p):
-    # q and q-1 take a shortcut in __mul__; a product of degree <= 6 is fixed
-    # by its values at seven points, whichever operand comes first
+    # the rules' scalars q and q-1 as operands of the general product; a
+    # product of degree <= 6 is fixed by its values at seven points,
+    # whichever operand comes first
     for scalar in (Q, Q_MINUS_1):
         for got in (p * scalar, scalar * p):
             assert all(got(x) == p(x) * scalar(x) for x in range(-3, 4))

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import reference_rewrite
+from reference_qpoly import rebase_qminus1_by_division
 from reference_rewrite import letter_degree
 from conftest import INVALID_WORDS_UPTO_LENGTH_6, outcome
 from vsllt import rewrite
@@ -229,6 +230,18 @@ def test_positivity_report():
 
     report = e_positivity_report({(1,): -ONE})
     assert not report["e_positive"]
+
+
+def test_report_digits_match_repeated_division():
+    # the report reads its (q-1)-digits off one Taylor shift per coefficient;
+    # the division route checks them on every coefficient of every word <= 6
+    words = 0
+    for w in iter_paths_upto(6):
+        report = e_positivity_report(expand_word(w))
+        for mu, c in report["e"].items():
+            assert report["qminus1"][mu] == rebase_qminus1_by_division(c), (render_word(w), mu)
+        words += 1
+    assert words == 1160
 
 
 TERMINAL_BLOCK_LETTERS = {"-", "0", "+"}
