@@ -31,19 +31,19 @@ from .rewrite import e_positivity_report, expand_word
 # 0.96 s, Python 3.11.7 on a 2-vCPU x86_64 host).
 MAX_ORACLE_FILLINGS = 10**6
 
-# Largest semilength ``verify`` sweeps: all 26232 words through 8 take about
-# 35 s and 37 MB peak RSS in one process, or 16 s with --jobs 2, where the
-# parent and each worker peak near 25 MB (Python 3.11.7 on a 2-vCPU x86_64
-# host); semilength 9 adds 103049 more words, each costlier than those at 8,
-# and has not been timed.
-MAX_VERIFY_SEMILENGTH = 8
+# Largest semilength ``verify`` sweeps: all 129281 words through 9 take about
+# 180 s and 139 MB peak RSS in one process; through 8, about 18 s and 36 MB,
+# or 12 s with --jobs 2, where the parent and each worker peak near 25 MB
+# (Python 3.11.7 on a 2-vCPU x86_64 host).  Semilength 10 adds 518859 more
+# words, each costlier than those at 9.
+MAX_VERIFY_SEMILENGTH = 9
 
 # Largest semilength ``expand`` rewrites, and the most cells ``oracle`` takes:
 # a strip tuple's word has semilength equal to its cell count, and the oracle's
 # operator side rewrites that word.  The costliest word of semilength n is
-# -^n +^n: about 3.5 s and 48 MB peak RSS at 14, 9 s and 83 MB at 15, and
-# roughly three times more time per step (Python 3.11.7 on a 2-vCPU x86_64
-# host).
+# -^n +^n: about 1.4 s and 47 MB peak RSS at 14, and 3.4-4.2 s and 85 MB at
+# 15, where the rewrite memo doubles to 2**15 - 1 open tails (Python 3.11.7
+# on a 2-vCPU x86_64 host).
 MAX_EXPAND_SEMILENGTH = 14
 
 # Most cells ``path`` takes: time and memory grow linearly in the cell count,

@@ -4,19 +4,28 @@ A word over {-, 0, +} is rewritten into a linear combination of terminal
 words, i.e. concatenations of blocks (- 0^m +).  Each block acts as
 multiplication by e_{m+1}, so a normalized combination is exactly an
 expansion in the elementary basis.  The rewrite rules are the local
-operator identities of the Dyck path algebra.  Each one lowers the sum of
-the positions of the '+' letters, so ``normalize`` rewrites every word once,
-from the highest such sum down.
+operator identities of the Dyck path algebra, applied at the leftmost '+'
+of degree >= 1.
+
+Every '+' left of that one has degree 0, so the word left of it is a run of
+blocks followed by an open tail in -{-,0}*, and every rule touches only that
+tail and the '+' (the bubble never passes a '+').  So ``normalize`` reads the
+word left to right, on a state {(mu, tail): coefficient}, mu being the
+partition of the closed blocks: a '-' or '0' appends to every tail, and a '+'
+replaces each entry by ``_close(tail)``, the normal forms of tail+, each of
+which closes at most one block.  ``_close`` is memoized and built from
+shorter tails by one rule step each.  The result is {mu: coefficient}.
 
 Every rule scalar is 1, q-1 or q, so every coefficient the engine holds lies
 in N[t] with t = q-1.  ``normalize`` packs each one into a single int, its
 value at t = 2**B for B = ``digit_bits(n)`` (the width lemma below), and
-``lincomb_to_e`` unpacks the sum of each partition's coefficients once.
+``lincomb_to_e`` unpacks each partition's coefficient once.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from sys import intern
 
 from .paths import (
     MINUS,
@@ -32,26 +41,6 @@ from .symfunc import Partition, multiply_expansions
 
 # A linear combination of words: {word: QPoly}, no zero coefficients.
 LinComb = dict[Word, QPoly]
-# The same with each coefficient packed into one positive int (``unpack``).
-PackedLinComb = dict[Word, int]
-
-
-def leftmost_high_dplus(word: Word) -> tuple[int, int] | None:
-    """Position and degree of the leftmost '+' with degree >= 1, or None if
-    the word is terminal.
-
-    A letter's degree is the number of '-' minus the number of '+' weakly to
-    its left; for a '+' it is the k of its domain V_k.
-    """
-    deg = 0
-    for pos, tok in enumerate(word):
-        if tok == MINUS:
-            deg += 1
-        elif tok == PLUS:
-            deg -= 1
-            if deg >= 1:
-                return pos, deg
-    return None
 
 
 def _check_high_plus(word: Word, pos: int, before: str, deg: int) -> None:
@@ -70,8 +59,8 @@ def rewrite_case0(word: Word, pos: int, deg: int) -> LinComb:
 
     From the commutator definition of the diagonal operator:
     the pair either swaps to (+, -), or collapses to a single '0' with
-    coefficient (q-1).  deg is the '+''s degree, as ``leftmost_high_dplus``
-    finds it.
+    coefficient (q-1).  deg is the '+''s degree: the number of '-' minus the
+    number of '+' weakly left of it.
     """
     _check_high_plus(word, pos, MINUS, deg)
     head, tail = word[: pos - 1], word[pos + 1 :]
@@ -132,29 +121,6 @@ def rewrite_push_T(word: Word, pos: int, deg: int) -> LinComb:
     return {swapped: Q_MINUS_1, exchanged: Q}
 
 
-def _plus_weight(word: Word) -> int:
-    """Sum of the positions of the '+' letters; every rewrite rule lowers it."""
-    return sum(i for i, tok in enumerate(word) if tok == PLUS)
-
-
-def _weighed_step(
-    word: Word, pos: int, deg: int, level: int
-) -> list[tuple[Word, QPoly, int]]:
-    """The outputs of rewriting the '+' at pos, of degree deg, as (word,
-    coefficient, weight).
-
-    ``level`` is the word's ``_plus_weight``; each output's weight follows from
-    the rule that fired.  A swap and every push_T output sit at level - 1.  A
-    collapse drops the '+' at pos and moves each later '+' one place left.
-    """
-    if word[pos - 1] == MINUS:
-        # rewrite_case0 returns the swap, then the collapse
-        (swapped, one), (collapsed, q_minus_1) = rewrite_case0(word, pos, deg).items()
-        collapsed_weight = level - pos - word[pos + 1 :].count(PLUS)
-        return [(swapped, one, level - 1), (collapsed, q_minus_1, collapsed_weight)]
-    return [(w2, c2, level - 1) for w2, c2 in rewrite_push_T(word, pos, deg).items()]
-
-
 def digit_bits(n: int) -> int:
     """B = C(n, 2) + 1, the bits of one t-digit of a packed coefficient at
     semilength n.
@@ -167,7 +133,17 @@ def digit_bits(n: int) -> int:
     has c(t=1) * 2**a(u) <= 2**a(w), and the terminal coefficients sum to
     2**a(w) at t = 1.  A t-digit is at most the value at t = 1, so every
     digit, of a coefficient or of a partition's sum of them, is at most
-    2**a(w) <= 2**C(n, 2) < 2**B.  The tests check each part.
+    2**a(w) <= 2**C(n, 2) < 2**B.
+
+    The same bound covers ``normalize``'s products.  A state coefficient c
+    of (mu, tail) sums the coefficients of words reached from w, and a form r
+    of ``_close(tail)`` is the coefficient of an output of tail+ reached by
+    rule steps, which see neither the closed blocks (height 0, a = 0) nor the
+    rest of w (the same height after the '+' in every output).  So c * r is
+    a coefficient reached from w, at least in part, and each t-digit of the
+    product of the two N[t] polynomials is at most c(1) * r(1) <= 2**a(w).
+    No digit carries into the next one, so the product of the packed ints
+    is the packed product.  The tests check each part.
     """
     return n * (n - 1) // 2 + 1
 
@@ -188,78 +164,94 @@ def unpack(value: int, n: int) -> QPoly:
     return _taylor_shift(digits, -1)
 
 
-def normalize(word: Word) -> PackedLinComb:
-    """Rewrite a path word into terminal words with every '+' at degree 0.
+def _times(scalar: QPoly, c: int, bits: int) -> int:
+    """A rule scalar 1, t or t+1 (t = q-1) times a coefficient packed at
+    t = 2**bits."""
+    if scalar is ONE:
+        return c
+    if scalar is Q_MINUS_1:
+        return c << bits
+    if scalar is Q:
+        return (c << bits) + c
+    raise RuntimeError(f"rule scalar {scalar} is not 1, q-1 or q")
 
-    A (-, +) or (0, +) swap and every bubble output lower ``_plus_weight``
-    by 1, a collapse by at least the position of the removed '+'.  So words
-    wait in one bucket per weight, and the buckets are walked from the top
-    down: each word is rewritten once, after every contribution to its
-    coefficient has been merged.  Only the input word is weighed; every
-    output's weight is derived from the rule that produced it.
 
-    Every coefficient lies in N[t], t = q-1, and is held packed as its value
-    at t = 2**B, B = ``digit_bits`` of the semilength, which no rule changes:
-    the scalars 1, t and t+1 act as c, c << B and (c << B) + c.  A sum of
-    positive ints is never zero, so no zero is ever dropped.  ``unpack``
-    gives a coefficient back in q.
+@cache
+def _close(tail: str, bits: int) -> tuple:
+    """The normal forms of tail+, for an open tail in -{-,0}*, as one flat
+    tuple (part, new tail, packed coefficient, part, ...): part is the size of
+    the block the '+' closed, or 0, and each pair (part, new tail) appears once.
+
+    With one '-' the tail is - 0^m and tail+ is the block e_{m+1}.  Otherwise
+    the '+' has degree >= 1 and one rule step rewrites the last letter of
+    tail = sigma x together with the '+':
+      x = '-': ``rewrite_case0`` gives the swap sigma + -, whose forms are
+        those of sigma+ with '-' appended to each new tail, and the collapse
+        sigma 0, an open tail with nothing closed, times t;
+      x = '0': ``rewrite_push_T`` gives one or two words sigma' + 0, sigma'
+        being sigma or sigma with two letters exchanged; each contributes its
+        scalar times the forms of sigma'+, with '0' appended to each new tail.
+    Every step asks only for shorter tails, so the recursion ends; the tails
+    are interned, so all entries of the memo share them.
+    """
+    minus = tail.count(MINUS)
+    if minus == 1:
+        return (len(tail), "", 1)
+    rule = rewrite_case0 if tail[-1] == MINUS else rewrite_push_T
+    forms: dict[tuple[int, str], int] = {}
+    for out, scalar in rule((*tail, PLUS), len(tail), minus - 1).items():
+        if out[-2] != PLUS:  # the collapse: the '+' is gone
+            key = (0, intern("".join(out)))
+            forms[key] = forms.get(key, 0) + _times(scalar, 1, bits)
+            continue
+        x = out[-1]
+        inner = iter(_close(intern("".join(out[:-2])), bits))
+        for part, rest, r in zip(inner, inner, inner):
+            key = (part, intern(rest + x))
+            forms[key] = forms.get(key, 0) + _times(scalar, r, bits)
+    return tuple(v for (part, rest), c in forms.items() for v in (part, rest, c))
+
+
+def normalize(word: Word) -> dict[Partition, int]:
+    """Rewrite a path word into its e-expansion, {mu: packed coefficient}.
+
+    The word is read left to right on a state {(mu, tail): coefficient}: a
+    run of '-' and '0' appends to every open tail, and a '+' maps each entry
+    through ``_close``, merging the block it closes into mu and multiplying
+    the coefficients.  A valid word leaves every tail empty.
+
+    Each coefficient lies in N[t], t = q-1, packed as its value at t = 2**B,
+    B = ``digit_bits`` of the semilength, so a product of two is one int
+    product (the width lemma), and a sum of positive ints is never zero.
+    ``unpack`` gives a coefficient back in q.
     """
     validate_word(word)
     bits = digit_bits(semilength(word))
-    buckets: list[PackedLinComb] = [{} for _ in range(_plus_weight(word))] + [{word: 1}]
-    done: PackedLinComb = {}
-    while buckets:
-        level = len(buckets) - 1
-        for w, c in buckets.pop().items():
-            found = leftmost_high_dplus(w)
-            if found is None:
-                done[w] = c
-                continue
-            pos, deg = found
-            for w2, scalar, weight in _weighed_step(w, pos, deg, level):
-                if weight >= level:
-                    raise RuntimeError(
-                        f"rewriting {''.join(w)} did not lower the '+' weight {level}"
-                    )
-                if scalar is ONE:
-                    scaled = c
-                elif scalar is Q_MINUS_1:
-                    scaled = c << bits
-                elif scalar is Q:
-                    scaled = (c << bits) + c
-                else:
-                    raise RuntimeError(f"rule scalar {scalar} is not 1, q-1 or q")
-                bucket = buckets[weight]
-                bucket[w2] = bucket.get(w2, 0) + scaled
-    return done
+    state: dict[tuple[Partition, str], int] = {((), ""): 1}
+    run = ""
+    for letter in word:
+        if letter != PLUS:
+            run += letter
+            continue
+        nxt: dict[tuple[Partition, str], int] = {}
+        for (mu, tail), c in state.items():
+            forms = iter(_close(tail + run, bits))
+            for part, rest, r in zip(forms, forms, forms):
+                key = (_with_part(mu, part) if part else mu, rest)
+                nxt[key] = nxt.get(key, 0) + c * r
+        state, run = nxt, ""
+    return {mu: c for (mu, _), c in state.items()}
 
 
-def lincomb_to_e(lc: PackedLinComb) -> dict[Partition, QPoly]:
-    """Collect a packed terminal linear combination into an e-basis expansion.
+@cache
+def _with_part(mu: Partition, part: int) -> Partition:
+    """mu with one more part; memoized, since few (mu, part) pairs recur."""
+    return tuple(sorted((*mu, part), reverse=True))
 
-    Each terminal word splits uniquely into blocks (- 0^m +), one e_{m+1}
-    factor per block; the block sizes sorted decreasingly index e_mu.  The
-    packed coefficients add up per partition mu and are unpacked once each,
-    at the semilength |mu|.
-    """
-    packed: dict[Partition, int] = {}
-    for word, coeff in lc.items():
-        parts = []
-        i = 0
-        while i < len(word):
-            if word[i] != MINUS:
-                raise ValueError(f"non-terminal word {''.join(word)}")
-            i += 1
-            m = 0
-            while i < len(word) and word[i] == ZERO:
-                m += 1
-                i += 1
-            if i >= len(word) or word[i] != PLUS:
-                raise ValueError(f"non-terminal word {''.join(word)}")
-            i += 1
-            parts.append(m + 1)
-        mu = tuple(sorted(parts, reverse=True))
-        packed[mu] = packed.get(mu, 0) + coeff
+
+def lincomb_to_e(packed: dict[Partition, int]) -> dict[Partition, QPoly]:
+    """``normalize``'s packed e-expansion with each coefficient unpacked in q,
+    at the semilength |mu|."""
     return {mu: unpack(c, sum(mu)) for mu, c in packed.items()}
 
 

@@ -11,13 +11,13 @@ from conftest import all_strip_tuples, velement_in_p
 from vsllt.cli import _verify_one, main
 from reference_dyck import mul_sym, op_phi_commutator
 from reference_llt import oracle_compare
+from reference_rewrite import leftmost_high_dplus
 from vsllt.dyckalgebra import VElement, apply_word, eval_in_e, op_dminus, op_dplus, op_phi, op_t
 from vsllt.paths import iter_paths, iter_paths_upto, parse_word, semilength
 from vsllt.qpoly import ONE, Q, Q_MINUS_1, QPoly
 from vsllt.rewrite import (
     e_positivity_report,
     expand_word,
-    leftmost_high_dplus,
     lincomb_to_e,
     normalize,
     rewrite_push_T,

@@ -28,9 +28,11 @@ def test_tracer_wraps_and_restores_every_target():
         for _name, _kind, namespaces, attr, _hook in tracing.TARGETS
         for ns in namespaces
     ]
-    # a benchmark pass is a fresh process, so its per-word memos start cold:
-    # clear them, or words memoized by earlier tests reach no traced function
+    # a benchmark pass is a fresh process, so its memos start cold: clear
+    # them, or words and tails memoized by earlier tests reach no traced
+    # function
     rewrite._primitive_expansion.cache_clear()
+    rewrite._close.cache_clear()
     dyckalgebra._primitive_value.cache_clear()
     tracer = tracing.Tracer()
     tracer.install()
@@ -48,7 +50,8 @@ def test_tracer_wraps_and_restores_every_target():
         assert getattr(ns, attr) is fn, (ns, attr)
     assert tracer.counts["dyckalgebra.op_dminus.calls"] > 0
     assert tracer.counts["rewrite.normalize.calls"] > 0
-    # normalize reaches both rules through the names the tracer wraps
+    # normalize reaches both rules, once per new _close entry, through the
+    # names the tracer wraps
     assert tracer.counts["rewrite.rewrite_case0.calls"] > 0
     assert tracer.counts["rewrite.rewrite_push_T.calls"] > 0
     assert tracer.counts["llt.llt_in_vars.calls"] > 0
@@ -57,10 +60,12 @@ def test_tracer_wraps_and_restores_every_target():
 
 def test_tracer_sees_both_rules_in_an_expand_deep_item():
     # the expand-deep item is normalize -> lincomb_to_e -> e_positivity_report
-    # on a primitive word; the rules take the scan's degree as an extra
-    # argument, which the wrappers forward, and both must still be counted
+    # on a primitive word; the rules take the '+''s degree as an extra
+    # argument, which the wrappers forward, and both must still be counted.
+    # They run only while _close's memo fills, as in a fresh benchmark pass.
     word = parse_word("--0-0+++")
     assert semilength(word) == 5 and primitive_factors(word) == [word]
+    rewrite._close.cache_clear()
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -73,4 +78,7 @@ def test_tracer_sees_both_rules_in_an_expand_deep_item():
         assert tracer.counts[f"rewrite.{name}.calls"] == 1, name
     assert tracer.counts["rewrite.rewrite_case0.calls"] > 0
     assert tracer.counts["rewrite.rewrite_push_T.calls"] > 0
-    assert tracer.counts["rewrite.terminal_words"] == len(rewrite.normalize(word))
+    # normalize returns one entry per partition, which the tracer counts
+    assert tracer.counts["rewrite.terminal_words"] == len(rewrite.normalize(word)) == len(
+        report["e"]
+    )

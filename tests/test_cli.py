@@ -365,17 +365,17 @@ def test_verify_refuses_semilengths_above_the_cap(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_verify_one", no_work)
     monkeypatch.setattr(cli, "iter_paths", no_work)
     monkeypatch.setattr(cli, "Pool", no_work)
-    assert cli.MAX_VERIFY_SEMILENGTH == 8
-    code, out, err = run(capsys, "verify", "--max-semilength", "9")
+    assert cli.MAX_VERIFY_SEMILENGTH == 9
+    code, out, err = run(capsys, "verify", "--max-semilength", "10")
     assert code == 2
     assert out == ""
-    assert "129281 words (103049 at semilength 9)" in err
-    assert "limit of semilength 8" in err
+    assert "648140 words (518859 at semilength 10)" in err
+    assert "limit of semilength 9" in err
     # far beyond the cap the count stops one level past it, so refusing is instant
     code, out, err = run(capsys, "verify", "--max-semilength", str(10**9), "--jobs", "2")
     assert code == 2
     assert out == ""
-    assert "more than 129281 words" in err
+    assert "more than 648140 words" in err
 
 
 def test_expand_refuses_semilengths_above_the_cap(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+from itertools import product
 from math import comb
 
 import pytest
@@ -6,10 +7,18 @@ import hypothesis.strategies as st
 
 import reference_rewrite
 from reference_qpoly import rebase_qminus1_by_division
-from reference_rewrite import letter_degree
+from reference_rewrite import (
+    _plus_weight,
+    leftmost_high_dplus,
+    letter_degree,
+    normalize_by_weight,
+    terminal_blocks,
+    terminal_lincomb_to_e,
+)
 from conftest import INVALID_WORDS_UPTO_LENGTH_6, outcome
 from vsllt import rewrite
 from vsllt.cli import _verify_one
+from vsllt.dyckalgebra import eval_in_e, eval_packed
 from vsllt.paths import (
     iter_paths,
     iter_paths_upto,
@@ -18,13 +27,12 @@ from vsllt.paths import (
     render_word,
     semilength,
 )
-from vsllt.qpoly import ONE, Q, Q_MINUS_1, QPoly
+from vsllt.qpoly import ONE, Q, Q_MINUS_1, QPoly, accumulate
 from vsllt.rewrite import (
-    _plus_weight,
+    _close,
     digit_bits,
     e_positivity_report,
     expand_word,
-    leftmost_high_dplus,
     lincomb_to_e,
     normalize,
     rewrite_case0,
@@ -35,10 +43,33 @@ from vsllt.rewrite import (
 W = parse_word
 
 
+@pytest.fixture
+def cold_close():
+    """An empty ``_close`` memo before the test and after it, so a test that
+    patches a rule leaves no entry built with the patch."""
+    _close.cache_clear()
+    yield _close
+    _close.cache_clear()
+
+
 def decoded(word):
     """normalize's packed coefficients, unpacked at the word's semilength."""
     n = semilength(word)
-    return {w: unpack(c, n) for w, c in normalize(word).items()}
+    return {mu: unpack(c, n) for mu, c in normalize(word).items()}
+
+
+def decoded_words(word):
+    """The reference engine's packed terminal words, unpacked."""
+    n = semilength(word)
+    return {w: unpack(c, n) for w, c in normalize_by_weight(word).items()}
+
+
+def collected(lc):
+    """A word-level linear combination collected into {partition: QPoly}."""
+    out = {}
+    for w, c in lc.items():
+        accumulate(out, terminal_blocks(w), c)
+    return out
 
 
 def packed(p, n):
@@ -136,23 +167,32 @@ def test_push_t_preconditions():
 
 
 def test_normalize_four_cell_example():
-    assert decoded(W("-0-0++")) == {W("-+-00+"): Q, W("-000+"): Q * Q_MINUS_1}
+    assert decoded(W("-0-0++")) == {(3, 1): Q, (4,): Q * Q_MINUS_1}
     # q = t + 1 and q(q-1) = t^2 + t, at t = 2**7
-    assert normalize(W("-0-0++")) == {W("-+-00+"): 2**7 + 1, W("-000+"): 2**14 + 2**7}
+    assert normalize(W("-0-0++")) == {(3, 1): 2**7 + 1, (4,): 2**14 + 2**7}
+    # the whole-word reference reaches one terminal word per partition here
+    assert decoded_words(W("-0-0++")) == {W("-+-00+"): Q, W("-000+"): Q * Q_MINUS_1}
+    assert normalize_by_weight(W("-0-0++")) == {W("-+-00+"): 2**7 + 1, W("-000+"): 2**14 + 2**7}
 
 
 def test_normalize_terminal_word_is_fixed():
-    assert normalize(W("-+")) == {W("-+"): 1}
-    assert normalize(W("-0+")) == {W("-0+"): 1}
+    # a terminal word is its own normal form: one partition, coefficient 1
+    assert normalize(W("-+")) == {(1,): 1}
+    assert normalize(W("-0+")) == {(2,): 1}
+    assert normalize(W("-0+-+-00+")) == {(3, 2, 1): 1}
+    assert normalize_by_weight(W("-+")) == {W("-+"): 1}
+    assert normalize_by_weight(W("-0+")) == {W("-0+"): 1}
 
 
 def test_normalize_two_blocks():
-    assert decoded(W("--++")) == {W("-+-+"): ONE, W("-0+"): Q_MINUS_1}
+    assert decoded(W("--++")) == {(1, 1): ONE, (2,): Q_MINUS_1}
+    assert decoded_words(W("--++")) == {W("-+-+"): ONE, W("-0+"): Q_MINUS_1}
 
 
 def test_normalize_empty_word():
     assert normalize(()) == {(): 1}
     assert lincomb_to_e(normalize(())) == {(): ONE}
+    assert normalize_by_weight(()) == {(): 1}
 
 
 def test_unpack():
@@ -183,14 +223,27 @@ def test_normalize_rejects_bad_input():
 
 
 def test_lincomb_to_e():
-    assert lincomb_to_e({W("-000+"): packed(Q * Q_MINUS_1, 4)}) == {(4,): Q * Q_MINUS_1}
-    assert lincomb_to_e({W("-+-00+"): packed(Q, 4)}) == {(3, 1): Q}
-    assert lincomb_to_e({W("-+"): 1}) == {(1,): ONE}
+    # each partition's coefficient is unpacked at its own size |mu|
+    assert lincomb_to_e({(4,): packed(Q * Q_MINUS_1, 4)}) == {(4,): Q * Q_MINUS_1}
+    assert lincomb_to_e({(3, 1): packed(Q, 4)}) == {(3, 1): Q}
+    assert lincomb_to_e({(1,): 1}) == {(1,): ONE}
+    assert lincomb_to_e({(2, 1): packed(Q, 3), (3,): packed(Q_MINUS_1, 3)}) == {
+        (2, 1): Q,
+        (3,): Q_MINUS_1,
+    }
+    assert lincomb_to_e({(): 1}) == {(): ONE}
+
+
+def test_reference_block_parser():
+    # the whole-word reference parses its terminal words into blocks, and
     # words of one partition add up before the one unpacking
+    assert terminal_blocks(W("-+-00+")) == terminal_blocks(W("-00+-+")) == (3, 1)
+    assert terminal_blocks(()) == ()
     two = {W("-+-00+"): packed(Q, 4), W("-00+-+"): packed(Q_MINUS_1, 4)}
-    assert lincomb_to_e(two) == {(3, 1): Q + Q_MINUS_1}
-    with pytest.raises(ValueError):
-        lincomb_to_e({W("--++"): 1})
+    assert terminal_lincomb_to_e(two) == {(3, 1): Q + Q_MINUS_1}
+    for word in ("--++", "-0", "0+", "-+0"):
+        with pytest.raises(ValueError, match="non-terminal"):
+            terminal_blocks(W(word))
 
 
 def test_expand_word_collects_blocks():
@@ -207,6 +260,21 @@ def test_expand_word_is_the_product_over_primitive_factors():
     assert len(composite) == 645
     for w in composite:
         assert expand_word(w) == lincomb_to_e(normalize(w)), render_word(w)
+
+
+def test_composite_words_of_semilength_8_match_their_factors_whole():
+    # Both factor lemmas past the semilength where every composite word is
+    # checked: on every 100th composite word of semilength 8, in iter_paths
+    # order, the transducer run on the whole word (not through the factors)
+    # equals expand_word's product over the primitive factors, and so does
+    # the packed operator path run on the whole word against eval_in_e's.
+    composite = [w for w in iter_paths(8) if len(primitive_factors(w)) > 1]
+    assert len(composite) == 12235
+    sample = composite[50::100]
+    assert len(sample) == 122
+    for w in sample:
+        assert lincomb_to_e(normalize(w)) == expand_word(w), render_word(w)
+        assert eval_packed(w, 8) == eval_in_e(w), render_word(w)
 
 
 def test_expand_word_refuses_invalid_words_as_normalize_does():
@@ -261,11 +329,15 @@ def _assert_terminal_grammar(word):
 
 
 def test_rewrite_agreement_and_positivity_small():
-    # full check at semilength <= 4; the acceptance suite pushes this to 6
+    # full check at semilength <= 4; the acceptance suite pushes this to 6.
+    # The reference's outputs are terminal words; the transducer's are their
+    # partitions, with the coefficients summed.
     for w in iter_paths_upto(4):
-        for term, coeff in decoded(w).items():
+        for term in normalize_by_weight(w):
             _assert_terminal_grammar(term)
             assert semilength(term) == semilength(w)
+        for mu, coeff in decoded(w).items():
+            assert sum(mu) == semilength(w) and list(mu) == sorted(mu, reverse=True)
             vec = coeff.rebase_qminus1()
             assert all(c >= 0 and c.denominator == 1 for c in vec)
         assert _verify_one(w) == (render_word(w), True, True, True)
@@ -292,18 +364,34 @@ def test_rewriting_stays_in_integer_polynomials():
 @given(st.sampled_from(sorted(iter_paths_upto(3))))
 @settings(max_examples=20, deadline=None)
 def test_normalized_words_all_have_input_semilength(w):
-    for term in normalize(w):
+    for term in normalize_by_weight(w):
         assert semilength(term) == semilength(w)
+    for mu in normalize(w):
+        assert sum(mu) == semilength(w)
 
 
 WORDS_UPTO_6 = list(iter_paths_upto(6))
 
 
 def test_normalize_matches_reference_engine():
-    # the ordered engine against the earlier min(active) engine with swap letters
+    # the transducer and the bucket engine against the earliest min(active)
+    # engine with swap letters, which builds its coefficients in QPoly
     assert len(WORDS_UPTO_6) == 1160
     for w in WORDS_UPTO_6:
-        assert decoded(w) == reference_rewrite.normalize(w), render_word(w)
+        want = reference_rewrite.normalize(w)
+        assert decoded_words(w) == want, render_word(w)
+        assert decoded(w) == collected(want), render_word(w)
+
+
+def test_transducer_matches_the_whole_word_engine_up_to_semilength_7():
+    # every word <= 7, each rewritten whole on both sides (not through
+    # expand_word's primitive factors): the transducer against the bucket
+    # engine it replaced
+    words = list(iter_paths_upto(7))
+    assert len(words) == 5439
+    for w in words:
+        want = terminal_lincomb_to_e(normalize_by_weight(w))
+        assert lincomb_to_e(normalize(w)) == want, render_word(w)
 
 
 def _high_pluses(words):
@@ -327,10 +415,10 @@ def test_every_high_plus_rewrites_as_the_reference_with_derived_weights():
             want = reference_rewrite.rewrite_step(w, pos)
         except RuntimeError:
             with pytest.raises(RuntimeError):
-                rewrite._weighed_step(w, pos, deg, level)
+                reference_rewrite._weighed_step(w, pos, deg, level)
             stuck += 1
             continue
-        got = rewrite._weighed_step(w, pos, deg, level)
+        got = reference_rewrite._weighed_step(w, pos, deg, level)
         assert {w2: c2 for w2, c2, _ in got} == want, (render_word(w), pos)
         assert len(got) == len(want), (render_word(w), pos)
         for w2, _, weight in got:
@@ -347,7 +435,7 @@ def test_every_rule_step_conserves_the_excess_mass():
     rewritten = refused = 0
     for w, pos, deg in _high_pluses(WORDS_UPTO_6):
         try:
-            got = rewrite._weighed_step(w, pos, deg, _plus_weight(w))
+            got = reference_rewrite._weighed_step(w, pos, deg, _plus_weight(w))
         except RuntimeError:
             refused += 1
             continue
@@ -380,10 +468,11 @@ def test_largest_excess_is_n_choose_2():
 
 
 def test_every_rewrite_step_lowers_the_plus_weight(monkeypatch):
-    # Lemma behind normalize's order: a swap and every bubble output lower the
-    # '+' weight by exactly 1, a collapse (one letter shorter) by at least the
-    # position of the removed '+'.  Checked on every word normalize rewrites.
-    real_step = rewrite._weighed_step
+    # Lemma behind the reference engine's order: a swap and every bubble
+    # output lower the '+' weight by exactly 1, a collapse (one letter
+    # shorter) by at least the position of the removed '+'.  Checked on every
+    # word the reference engine rewrites.
+    real_step = reference_rewrite._weighed_step
     steps = []
 
     def checked_step(word, pos, deg, level):
@@ -400,15 +489,43 @@ def test_every_rewrite_step_lowers_the_plus_weight(monkeypatch):
                 assert drop >= pos, (render_word(word), render_word(w2))
         return out
 
-    monkeypatch.setattr(rewrite, "_weighed_step", checked_step)
+    monkeypatch.setattr(reference_rewrite, "_weighed_step", checked_step)
     for w in WORDS_UPTO_6:
-        normalize(w)
+        normalize_by_weight(w)
     assert len(steps) > 1160
 
 
+def test_close_asks_only_for_shorter_tails(monkeypatch, cold_close):
+    # The transducer's counterpart: building _close(tail) asks _close only for
+    # tails one letter shorter, at the same width, each again an open tail in
+    # -{-,0}*, so the recursion ends; a tail with one '-' asks for nothing.
+    # Checked on every tail normalize reaches on the words <= 6.
+    stack, nested = [], []
+
+    def watched(tail, bits):
+        assert tail[0] == "-" and set(tail) <= {"-", "0"}, tail
+        if stack:
+            caller, caller_bits = stack[-1]
+            assert len(tail) == len(caller) - 1 and bits == caller_bits, (caller, tail)
+            assert caller.count("-") > 1, (caller, tail)
+            nested.append(tail)
+        stack.append((tail, bits))
+        try:
+            return cold_close(tail, bits)
+        finally:
+            stack.pop()
+
+    monkeypatch.setattr(rewrite, "_close", watched)
+    for w in WORDS_UPTO_6:
+        normalize(w)
+    assert not stack
+    assert nested  # the recursion ran
+
+
 def test_normalize_rewrites_each_word_once(monkeypatch):
-    # exactly one rewrite step per distinct non-terminal word reached
-    real_step, real_find = rewrite._weighed_step, rewrite.leftmost_high_dplus
+    # the reference engine: exactly one rewrite step per distinct
+    # non-terminal word reached
+    real_step, real_find = reference_rewrite._weighed_step, reference_rewrite.leftmost_high_dplus
     calls, reached = [], set()
 
     def find(word):
@@ -421,32 +538,162 @@ def test_normalize_rewrites_each_word_once(monkeypatch):
         calls.append(word)
         return real_step(word, pos, deg, level)
 
-    monkeypatch.setattr(rewrite, "leftmost_high_dplus", find)
-    monkeypatch.setattr(rewrite, "_weighed_step", step)
+    monkeypatch.setattr(reference_rewrite, "leftmost_high_dplus", find)
+    monkeypatch.setattr(reference_rewrite, "_weighed_step", step)
     for w in WORDS_UPTO_6:
         calls.clear()
         reached.clear()
-        normalize(w)
+        normalize_by_weight(w)
         assert len(calls) == len(set(calls)), render_word(w)
         assert set(calls) == reached, render_word(w)
     # the largest-area word of semilength 6, which the reference engine rewrites 795 times
     calls.clear()
-    normalize(W("------++++++"))
+    normalize_by_weight(W("------++++++"))
     assert len(calls) == len(set(calls)) == 240
 
 
-def test_normalize_refuses_a_scalar_other_than_the_rules(monkeypatch):
-    # only 1, q-1 and q have a packed form; anything else is an internal error
+def test_close_applies_one_rule_per_tail(monkeypatch, cold_close):
+    # The transducer's counterpart: each rule runs once per memo entry, on
+    # tail+, and never for a tail with one '-' (a block); a second pass over
+    # the same words runs no rule at all.
+    calls = []
+    real_case0, real_push_t = rewrite.rewrite_case0, rewrite.rewrite_push_T
+
+    def record(rule):
+        def step(word, pos, deg):
+            calls.append(word)
+            return rule(word, pos, deg)
+        return step
+
+    monkeypatch.setattr(rewrite, "rewrite_case0", record(real_case0))
+    monkeypatch.setattr(rewrite, "rewrite_push_T", record(real_push_t))
+    word = W("------++++++")
+    normalize(word)
+    # one memo entry per tail, the six blocks -0^m included
+    assert cold_close.cache_info().currsize == 2**6 - 1
+    assert len(calls) == len(set(calls)) == 2**6 - 1 - 6
+    assert all(w[-1] == "+" and "+" not in w[:-1] for w in calls)
+    calls.clear()
+    normalize(word)
+    assert calls == []
+
+
+def test_normalize_refuses_a_scalar_other_than_the_rules(monkeypatch, cold_close):
+    # only 1, q-1 and q have a packed form; anything else is an internal
+    # error, in the reference engine and in the transducer's _close
     monkeypatch.setattr(
-        rewrite, "_weighed_step", lambda word, pos, deg, level: [(word, Q * Q, level - 1)]
+        reference_rewrite,
+        "_weighed_step",
+        lambda word, pos, deg, level: [(word, Q * Q, level - 1)],
     )
+    with pytest.raises(RuntimeError, match="is not 1, q-1 or q"):
+        normalize_by_weight(W("--++"))
+    monkeypatch.setattr(rewrite, "rewrite_case0", lambda word, pos, deg: {word[:-2] + ("0",): Q * Q})
     with pytest.raises(RuntimeError, match="is not 1, q-1 or q"):
         normalize(W("--++"))
 
 
 def test_normalize_refuses_a_step_that_does_not_descend(monkeypatch):
+    # the reference engine's guard; the transducer has no order to guard
+    # (test_close_asks_only_for_shorter_tails)
     monkeypatch.setattr(
-        rewrite, "_weighed_step", lambda word, pos, deg, level: [(word, ONE, level)]
+        reference_rewrite, "_weighed_step", lambda word, pos, deg, level: [(word, ONE, level)]
     )
     with pytest.raises(RuntimeError, match="did not lower the '\\+' weight"):
-        normalize(W("--++"))
+        normalize_by_weight(W("--++"))
+
+
+def _open_tails(max_length):
+    """Every open tail - {-,0}* of length 1..max_length."""
+    for length in range(1, max_length + 1):
+        for rest in product("-0", repeat=length - 1):
+            yield "-" + "".join(rest)
+
+
+def _unflatten(forms):
+    return {(forms[i], forms[i + 1]): forms[i + 2] for i in range(0, len(forms), 3)}
+
+
+def test_close_is_the_reference_normal_form_of_tail_plus():
+    """Lemma (a), the close recurrence: for every open tail of length <= 8,
+    _close(tail, B), built one rule step at a time from shorter tails, equals
+    the whole-word reference engine's normal form of tail+, its outputs
+    grouped by (closed part, open tail).  Every reference output is at most
+    one block followed by an open tail, and each group appears once in
+    _close."""
+    bits = digit_bits(8)
+    tails = list(_open_tails(8))
+    assert len(tails) == 2**8 - 1
+    for tail in tails:
+        want = {}
+        for out, c in reference_rewrite.rewrite_by_weight((*tail, "+"), bits).items():
+            text = "".join(out)
+            if "+" in text:
+                block, rest = text.split("+", 1)
+                assert block[0] == "-" and block.count("-") == 1, (tail, text)
+                assert rest[:1] in ("", "-") and "+" not in rest, (tail, text)
+                key = (len(block), rest)
+            else:
+                key = (0, text)
+            want[key] = want.get(key, 0) + c
+        forms = _close(tail, bits)
+        assert len(forms) == 3 * len(want), tail
+        assert _unflatten(forms) == want, tail
+
+
+def _digits(value, bits):
+    out = []
+    while value:
+        out.append(value & ((1 << bits) - 1))
+        value >>= bits
+    return out
+
+
+def test_every_state_coefficient_and_product_fits_the_width():
+    """Lemma (b), the width (``digit_bits``): every coefficient normalize's
+    state holds and every product c * r it forms has t-digits at most
+    2**a(w) < 2**B.  Each is decoded: its value at t = 1, the sum of its
+    digits, bounds every digit of the product of the two N[t] polynomials,
+    so c(1) * r(1) <= 2**a(w) shows the packed product carried nothing, and
+    the product's digits sum to exactly c(1) * r(1).  The test follows
+    normalize's loop step by step and must end where normalize does; checked
+    on every word <= 7."""
+    words = 0
+    for w in iter_paths_upto(7):
+        n = semilength(w)
+        bits = digit_bits(n)
+        cap = 2 ** excess(w)
+        assert cap < 2**bits
+        state, run = {((), ""): 1}, ""
+        for letter in w:
+            if letter != "+":
+                run += letter
+                continue
+            nxt = {}
+            for (mu, tail), c in state.items():
+                c1 = sum(_digits(c, bits))
+                assert max(_digits(c, bits)) <= c1 <= cap, render_word(w)
+                forms = _close(tail + run, bits)
+                for part, rest, r in zip(forms[::3], forms[1::3], forms[2::3]):
+                    r1 = sum(_digits(r, bits))
+                    assert c1 * r1 <= cap, render_word(w)
+                    product_digits = _digits(c * r, bits)
+                    assert sum(product_digits) == c1 * r1, render_word(w)
+                    key = (tuple(sorted((*mu, part), reverse=True)) if part else mu, rest)
+                    nxt[key] = nxt.get(key, 0) + c * r
+            state, run = nxt, ""
+        assert {mu: c for (mu, _), c in state.items()} == normalize(w), render_word(w)
+        for c in state.values():
+            assert max(_digits(c, bits)) <= sum(_digits(c, bits)) <= cap, render_word(w)
+        words += 1
+    assert words == 5439
+
+
+def test_close_holds_at_most_two_to_the_n_tails(cold_close):
+    """Lemma (c), the memo bound: -^n +^n reaches at most the open tails
+    - {-,0}^k, k < n, at its width, so _close holds at most 2**n - 1 tails
+    after it, each memoized once; for n <= 10 it holds exactly that many."""
+    for n in range(1, 11):
+        cold_close.cache_clear()
+        normalize(W("-" * n + "+" * n))
+        assert cold_close.cache_info().currsize == 2**n - 1, n
