@@ -22,20 +22,20 @@ from .paths import (
     render_word,
     semilength,
 )
-from .dyckalgebra import eval_in_e
-from .qpoly import render_qpoly
-from .rewrite import e_positivity_report, expand_word
+from .dyckalgebra import coefficient_bound, eval_in_e, packed_value, width_for
+from .qpoly import ZERO, render_qpoly
+from .rewrite import e_positivity_report, expand_word, packed_expansion, split_digits
 
 # Largest tableau enumeration ``oracle`` starts; at 0.6-1 us per filling this
 # is about a second (10^6 fillings of six one-cell strips in 10 variables take
 # 0.96 s, Python 3.11.7 on a 2-vCPU x86_64 host).
 MAX_ORACLE_FILLINGS = 10**6
 
-# Largest semilength ``verify`` sweeps: all 129281 words through 9 take about
-# 180 s and 139 MB peak RSS in one process; through 8, about 18 s and 36 MB,
-# or 12 s with --jobs 2, where the parent and each worker peak near 25 MB
-# (Python 3.11.7 on a 2-vCPU x86_64 host).  Semilength 10 adds 518859 more
-# words, each costlier than those at 9.
+# Largest semilength ``verify`` sweeps: all 129281 words through 9 take
+# 146-160 s and 128 MB peak RSS in one process; through 8, 15-18 s and 35 MB,
+# or about 9 s with --jobs 2, where the parent and each worker peak near
+# 25 MB; through 7, about 2 s and 20 MB (Python 3.11.7 on a 2-vCPU x86_64
+# host).  Semilength 10 adds 518859 more words, each costlier than those at 9.
 MAX_VERIFY_SEMILENGTH = 9
 
 # Largest semilength ``expand`` rewrites, and the most cells ``oracle`` takes:
@@ -258,13 +258,59 @@ def _verify_one(word):
     e-expansion equals direct operator evaluation in the e-basis, every
     coefficient rebases into N[q-1], and every coefficient at q+1 is
     nonnegative.  This is the one per-word check; tests call it too.
+
+    Each coefficient is compared as one int.  The rewrite side's packed
+    value splits into its (q-1)-digits d_0..d_m, which are also its
+    coefficients at q+1, so the two flags read them.  Its q-coefficients
+    s_j = sum_i d_i (-1)^(i-j) C(i, j) have |s_j| <= sum_i d_i 2^i <
+    max_i d_i * 2^(m+1), a bound read off the actual digits, so a faulty
+    rule cannot alias.  bits leaves that bound and ``coefficient_bound``
+    below 2**(bits-1); the oracle runs at q = 2**bits, and the digits are
+    read at t = 2**bits - 1 (``_at_q``).  Two polynomials whose coefficients
+    all lie below 2**(bits-1) in absolute value are equal iff their values
+    at 2**bits are.
     """
-    report = e_positivity_report(expand_word(word))
-    agrees = report["e"] == eval_in_e(word).terms
-    rebased_ok = all(
-        x >= 0 and x.denominator == 1 for vec in report["qminus1"].values() for x in vec
+    n = semilength(word)
+    rewritten = packed_expansion(word)
+    rebased_ok = all(c >= 0 for c in rewritten.values())
+    if not rebased_ok:
+        return render_word(word), False, False, False
+    digits = {mu: split_digits(c, n) for mu, c in rewritten.items()}
+    bound = coefficient_bound(word, n)
+    for ds in digits.values():
+        bound = max(bound, max(ds, default=0) << len(ds))
+    bits = width_for(bound)
+    evaluated = packed_value(word, bits)
+    agrees = evaluated.keys() == digits.keys() and all(
+        evaluated[mu] == _at_q(ds, bits) for mu, ds in digits.items()
     )
-    return render_word(word), agrees, rebased_ok, report["e_positive"]
+    # the digits are c(q+1)'s coefficients: a nonnegative value splits into
+    # nonnegative digits, so positivity at q+1 is the same split
+    return render_word(word), agrees, rebased_ok, rebased_ok
+
+
+def _at_q(digits, bits: int) -> int:
+    """The polynomial with the given (q-1)-digits, constant first, at
+    q = 2**bits: Horner at t = 2**bits - 1, each step a shift and a
+    subtraction."""
+    acc = 0
+    for d in reversed(digits):
+        acc = (acc << bits) - acc + d
+    return acc
+
+
+def _first_difference(text: str) -> str:
+    """For a FAIL line: the first partition, in ``expand``'s order, whose
+    e-coefficient differs between the two sides, both decoded in q.  It runs
+    only on failures; empty if the decoded sides agree."""
+    word = parse_word(text)
+    rewritten, evaluated = expand_word(word), eval_in_e(word).terms
+    for mu in _sorted_partitions(rewritten.keys() | evaluated.keys()):
+        a, b = rewritten.get(mu, ZERO), evaluated.get(mu, ZERO)
+        if a != b:
+            return (f", first difference at e{list(mu)}: rewrite {render_qpoly(a)}, "
+                    f"evaluation {render_qpoly(b)}")
+    return ""
 
 
 def _factor_note(text: str) -> str:
@@ -322,7 +368,9 @@ def cmd_verify(args) -> int:
             for word, agrees, rebased_ok, positive in failures:
                 flags = []
                 if not agrees:
-                    flags.append("rewrite/evaluation mismatch")
+                    # a negative packed value has no digits to decode
+                    where = _first_difference(word) if rebased_ok else ""
+                    flags.append(f"rewrite/evaluation mismatch{where}")
                 if not rebased_ok:
                     flags.append("negative or fractional (q-1)-coefficient")
                 if not positive:

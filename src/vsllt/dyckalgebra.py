@@ -10,11 +10,11 @@ the product with e_{a+1}, are integral.
 The operators are one code over a scalar ring (``Scalars``): they take 0,
 1, q-1 and the alphabet-shift scalars from the ring of the element they act
 on, and use only +, *, unary - and truth value on scalars.  ``QPOLY``, with
-QPoly scalars, is the reference ring.  ``eval_in_e`` runs in
+QPoly scalars, is the reference ring.  ``packed_value`` runs in
 ``packed(bits)``, whose scalars are Python ints, the value of a polynomial
-at q = 2**bits (Kronecker substitution), and decodes each output
-coefficient once (``unpack_balanced``); ``coefficient_bound`` proves the
-width.
+at q = 2**bits (Kronecker substitution), and ``eval_in_e`` decodes each of
+its output coefficients once (``unpack_balanced``); ``coefficient_bound``
+proves the width.
 """
 
 from __future__ import annotations
@@ -174,6 +174,33 @@ def _add_into(out: dict, key, terms: dict, zero) -> None:
             acc[mu] = acc.get(mu, zero) + c
 
 
+def _swap(i: int, terms: dict, zero, q_minus_1) -> dict:
+    """T_i on raw {y-exponents: {partition: scalar}} sums, zeros kept: the
+    one swap of ``op_t`` and of the ladders in ``op_dplus`` and ``op_phi``,
+    which drop their zero sums once, at the end (``_wrap``)."""
+    out: dict[YExps, dict] = {}
+    for e, g in terms.items():
+        head, a, b, tail = e[: i - 1], e[i - 1], e[i], e[i + 1 :]
+        _add_into(out, head + (b, a) + tail, g, zero)
+        if a == b:
+            continue
+        s, lo, hi = (q_minus_1, a, b) if a < b else (-q_minus_1, b, a)
+        dd = {mu: c * s for mu, c in g.items()}
+        # u * dd(u^a v^b) runs over the exponent pairs (u, lo + hi - u), lo < u <= hi
+        for u in range(lo + 1, hi + 1):
+            _add_into(out, head + (u, lo + hi - u) + tail, dd, zero)
+    return out
+
+
+def _ladder(k: int, n: int, out: dict, top: int, ring: Scalars) -> VElement:
+    """T_1 T_2 ... T_top applied to raw sums on V_k (T_top first), wrapped
+    once at the end."""
+    zero, q_minus_1 = ring.zero, ring.q_minus_1
+    for i in range(top, 0, -1):
+        out = _swap(i, out, zero, q_minus_1)
+    return _wrap(k, n, out, ring)
+
+
 def op_t(i: int, f: VElement) -> VElement:
     """The swap operator between u = y_i and v = y_{i+1} (1-based i).
 
@@ -186,18 +213,7 @@ def op_t(i: int, f: VElement) -> VElement:
     k, n, ring = f.k, f.n, f.ring
     if k < 2 or not 1 <= i <= k - 1:
         raise ValueError(f"T_{i} undefined on V_{k}")
-    zero, q_minus_1 = ring.zero, ring.q_minus_1
-    out: dict[YExps, dict] = {}
-    for e, g in f.terms.items():
-        head, a, b, tail = e[: i - 1], e[i - 1], e[i], e[i + 1 :]
-        _add_into(out, head + (b, a) + tail, g.terms, zero)
-        if a == b:
-            continue
-        s, lo, hi = (q_minus_1, a, b) if a < b else (-q_minus_1, b, a)
-        dd = {mu: c * s for mu, c in g.terms.items()}
-        # u * dd(u^a v^b) runs over the exponent pairs (u, lo + hi - u), lo < u <= hi
-        for u in range(lo + 1, hi + 1):
-            _add_into(out, head + (u, lo + hi - u) + tail, dd, zero)
+    out = _swap(i, {e: g.terms for e, g in f.terms.items()}, ring.zero, ring.q_minus_1)
     return _wrap(k, n, out, ring)
 
 
@@ -298,12 +314,17 @@ def coefficient_bound(word: Word, n: int) -> int:
     return bound
 
 
+def width_for(bound: int) -> int:
+    """The least multiple of _BITS_STEP with bound < 2**(bits-1): the packed
+    width for coefficients of absolute value at most bound."""
+    bits = bound.bit_length() + 1
+    return -(-bits // _BITS_STEP) * _BITS_STEP
+
+
 def packed_bits(word: Word, n: int) -> int:
     """The width ``eval_in_e`` packs word's evaluation at n with: every
-    coefficient c has |c| <= coefficient_bound(word, n) < 2**(bits-1),
-    rounded up to a multiple of _BITS_STEP."""
-    bits = coefficient_bound(word, n).bit_length() + 1
-    return -(-bits // _BITS_STEP) * _BITS_STEP
+    coefficient c has |c| <= coefficient_bound(word, n) < 2**(bits-1)."""
+    return width_for(coefficient_bound(word, n))
 
 
 def op_dplus(f: VElement) -> VElement:
@@ -318,10 +339,7 @@ def op_dplus(f: VElement) -> VElement:
                 acc = out.setdefault(e + (extra,), {})
                 for kept, s in pairs:
                     acc[kept] = acc.get(kept, zero) + c * s
-    res = _wrap(k + 1, n, out, ring)
-    for i in range(k, 0, -1):
-        res = op_t(i, res)
-    return res
+    return _ladder(k + 1, n, out, k, ring)
 
 
 def op_dminus(f: VElement) -> VElement:
@@ -356,10 +374,8 @@ def op_phi(f: VElement) -> VElement:
     k, n = f.k, f.n
     if k < 1:
         raise ValueError("diagonal operator needs k >= 1")
-    res = _raw(k, n, {e[:-1] + (e[-1] + 1,): -g for e, g in f.terms.items()}, f.ring)
-    for i in range(k - 1, 0, -1):
-        res = op_t(i, res)
-    return res
+    out = {e[:-1] + (e[-1] + 1,): {mu: -c for mu, c in g.terms.items()} for e, g in f.terms.items()}
+    return _ladder(k, n, out, k - 1, f.ring)
 
 
 def apply_word(word: Word, f: VElement) -> VElement:
@@ -379,15 +395,23 @@ def apply_word(word: Word, f: VElement) -> VElement:
     return f
 
 
+def _apply_packed(word: Word, n: int, bits: int) -> dict[Partition, int]:
+    """The symmetric part of apply_word(word, VElement.one(n)) in
+    ``packed(bits)``, undecoded.  Raises WordError as apply_word does, or if
+    the word does not end on V_0."""
+    res = apply_word(word, VElement.one(n, packed(bits)))
+    if res.k != 0:
+        raise WordError("word does not return to the diagonal", len(word))
+    return res.sym_part().terms
+
+
 def eval_packed(word: Word, n: int) -> GradedSym:
     """The symmetric part of apply_word(word, VElement.one(n)), computed in
     ``packed(packed_bits(word, n))`` and decoded once per coefficient.
     Raises WordError as apply_word does, or if the word does not end on V_0."""
     bits = packed_bits(word, n)
-    res = apply_word(word, VElement.one(n, packed(bits)))
-    if res.k != 0:
-        raise WordError("word does not return to the diagonal", len(word))
-    return GradedSym(n, {mu: unpack_balanced(c, bits) for mu, c in res.sym_part().terms.items()})
+    terms = _apply_packed(word, n, bits)
+    return GradedSym(n, {mu: unpack_balanced(c, bits) for mu, c in terms.items()})
 
 
 @cache
@@ -399,22 +423,37 @@ def _primitive_value(word: Word) -> tuple[tuple[Partition, QPoly], ...]:
     return tuple(eval_packed(word, semilength(word)).terms.items())
 
 
-def eval_in_e(word: Word) -> GradedSym:
-    """d_P(1) in the e-basis for the path encoded by word, at truncation
-    degree semilength(word), where it is exact: the result is homogeneous of
-    that degree.  A valid composite word's value is the product of the
-    memoized values of its primitive factors.  Two facts make that exact: a
-    word that returns to the diagonal acts on V_0 as multiplication by its
-    value at 1 (the paper's corollary), and every letter keeps the total
-    degree (symmetric plus y) or raises it by one, ending at the semilength,
-    so no truncation drops a term.  Any other input, a primitive or invalid
-    word included, is applied letter by letter (``eval_packed``).
+def packed_value(word: Word, bits: int) -> dict[Partition, int]:
+    """d_P(1) in the e-basis at q = 2**bits, at truncation degree
+    semilength(word), for any bits >= packed_bits(word, semilength(word)).
+
+    A valid composite word's value is the product of the values of its
+    primitive factors.  Two facts make that exact: a word that returns to
+    the diagonal acts on V_0 as multiplication by its value at 1 (the
+    paper's corollary), and every letter keeps the total degree (symmetric
+    plus y) or raises it by one, ending at the semilength, so no truncation
+    drops a term.  Each factor's decoded value is memoized and packed again
+    for every word: a factor recurs at many widths, and memoizing it at all
+    of them took 183 MB peak RSS at semilength 9 against 128 MB.  Any other
+    input, a primitive or invalid word included, is applied letter by letter.
     """
     n = semilength(word)
     factors = primitive_factors(word)
     if factors is not None and len(factors) > 1:
-        return GradedSym(n, multiply_expansions(map(_primitive_value, factors)))
-    return eval_packed(word, n)
+        at = 1 << bits
+        values = ([(mu, c(at)) for mu, c in _primitive_value(f)] for f in factors)
+        return multiply_expansions(values, 1)
+    return _apply_packed(word, n, bits)
+
+
+def eval_in_e(word: Word) -> GradedSym:
+    """d_P(1) in the e-basis for the path encoded by word, at truncation
+    degree semilength(word), where it is exact: the result is homogeneous of
+    that degree.  This is ``packed_value`` at ``packed_bits``, decoded once
+    per coefficient."""
+    n = semilength(word)
+    bits = packed_bits(word, n)
+    return GradedSym(n, {mu: unpack_balanced(c, bits) for mu, c in packed_value(word, bits).items()})
 
 
 def eval_word(word: Word, n: int | None = None) -> GradedSym:

@@ -12,7 +12,9 @@ No floating point is used anywhere.
 
 One in-place Taylor shift (``_taylor_shift``) serves ``shift_plus_one``,
 ``rebase_qminus1`` and ``from_qminus1``: the (q-1)-basis digits of a(q) are
-the coefficients of a(q+1).
+the coefficients of a(q+1).  A QPoly remembers its a(q+1), so each
+polynomial is shifted at most once, and one built from its (q-1)-digits by
+``from_qminus1`` is never shifted forward.
 """
 
 from __future__ import annotations
@@ -41,13 +43,14 @@ class QPoly:
     empty coefficient tuple.  Treated as immutable throughout (hashable).
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_plus_one")
 
     def __init__(self, coeffs=()):
         cs = [c if type(c) is int else _exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
+        self._plus_one = None
 
     @classmethod
     def const(cls, c) -> "QPoly":
@@ -119,8 +122,11 @@ class QPoly:
         return acc
 
     def shift_plus_one(self) -> "QPoly":
-        """Return a(q+1)."""
-        return _taylor_shift(list(self.coeffs), 1)
+        """Return a(q+1), computed at most once per instance."""
+        shifted = self._plus_one
+        if shifted is None:
+            shifted = self._plus_one = _taylor_shift(list(self.coeffs), 1)
+        return shifted
 
     def rebase_qminus1(self) -> tuple:
         """Coefficients c_0..c_d with a(q) = sum c_i (q-1)^i: the coefficients
@@ -129,9 +135,13 @@ class QPoly:
 
     @classmethod
     def from_qminus1(cls, coeffs) -> "QPoly":
-        """Inverse of rebase_qminus1: build sum c_i (q-1)^i, that is, shift
-        the polynomial with coefficients c_i by -1."""
-        return _taylor_shift(list(cls(coeffs).coeffs), -1)
+        """Inverse of rebase_qminus1: build a(q) = sum c_i (q-1)^i, that is,
+        shift the polynomial with coefficients c_i by -1.  The result
+        remembers that polynomial as its a(q+1)."""
+        plus_one = cls(coeffs)
+        p = _taylor_shift(list(plus_one.coeffs), -1)
+        p._plus_one = plus_one
+        return p
 
     def is_nonneg(self) -> bool:
         """True iff every coefficient is >= 0."""
@@ -171,6 +181,7 @@ def _canonical(cs: list) -> QPoly:
         cs.pop()
     p = QPoly.__new__(QPoly)
     p.coeffs = tuple(cs)
+    p._plus_one = None
     return p
 
 

@@ -19,7 +19,9 @@ shorter tails by one rule step each.  The result is {mu: coefficient}.
 Every rule scalar is 1, q-1 or q, so every coefficient the engine holds lies
 in N[t] with t = q-1.  ``normalize`` packs each one into a single int, its
 value at t = 2**B for B = ``digit_bits(n)`` (the width lemma below), and
-``lincomb_to_e`` unpacks each partition's coefficient once.
+``lincomb_to_e`` unpacks each partition's coefficient once.  A composite
+word's coefficients are products of its factors' packed values
+(``packed_expansion``).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .paths import (
     semilength,
     validate_word,
 )
-from .qpoly import ONE, Q, Q_MINUS_1, QPoly, _taylor_shift
+from .qpoly import ONE, Q, Q_MINUS_1, QPoly
 from .symfunc import Partition, multiply_expansions
 
 # A linear combination of words: {word: QPoly}, no zero coefficients.
@@ -148,11 +150,10 @@ def digit_bits(n: int) -> int:
     return n * (n - 1) // 2 + 1
 
 
-def unpack(value: int, n: int) -> QPoly:
-    """The coefficient in q that ``normalize`` packed into value at
-    semilength n: value's base 2**digit_bits(n) digits are its coefficients
-    in t = q-1, and the Taylor shift by -1 of ``QPoly.from_qminus1`` takes
-    them back to q."""
+def split_digits(value: int, n: int) -> list[int]:
+    """The coefficients in t = q-1, constant first, of the coefficient that
+    ``normalize`` packed into value at semilength n: its base
+    2**digit_bits(n) digits."""
     if value < 0:
         raise ValueError(f"a packed coefficient is nonnegative, got {value}")
     bits = digit_bits(n)
@@ -161,7 +162,14 @@ def unpack(value: int, n: int) -> QPoly:
     while value:
         digits.append(value & mask)
         value >>= bits
-    return _taylor_shift(digits, -1)
+    return digits
+
+
+def unpack(value: int, n: int) -> QPoly:
+    """The coefficient in q that ``normalize`` packed into value at
+    semilength n: ``QPoly.from_qminus1`` takes its digits back to q, and
+    keeps them as its value at q+1."""
+    return QPoly.from_qminus1(split_digits(value, n))
 
 
 def _times(scalar: QPoly, c: int, bits: int) -> int:
@@ -226,7 +234,12 @@ def normalize(word: Word) -> dict[Partition, int]:
     ``unpack`` gives a coefficient back in q.
     """
     validate_word(word)
-    bits = digit_bits(semilength(word))
+    return _normalize(word, digit_bits(semilength(word)))
+
+
+def _normalize(word: Word, bits: int) -> dict[Partition, int]:
+    """``normalize`` of a valid word, packed at t = 2**bits for any bits at
+    least its ``digit_bits``: every digit stays below 2**digit_bits."""
     state: dict[tuple[Partition, str], int] = {((), ""): 1}
     run = ""
     for letter in word:
@@ -256,28 +269,37 @@ def lincomb_to_e(packed: dict[Partition, int]) -> dict[Partition, QPoly]:
 
 
 @cache
-def _primitive_expansion(word: Word) -> tuple[tuple[Partition, QPoly], ...]:
-    """expand_word's value on a primitive factor of a composite word, as
-    (partition, coefficient) pairs.  Memoized per word: a repeat call returns
-    the same tuple, whose entries are immutable."""
-    return tuple(lincomb_to_e(normalize(word)).items())
+def _primitive_expansion(word: Word, bits: int) -> tuple[tuple[Partition, int], ...]:
+    """``normalize``'s value on a primitive factor of a composite word, packed
+    at the whole word's width, as (partition, packed coefficient) pairs.
+    Memoized per (word, width): a repeat call returns the same tuple."""
+    return tuple(_normalize(word, bits).items())
 
 
-def expand_word(word: Word) -> dict[Partition, QPoly]:
-    """e-expansion of d_P(1) for a path word: normalize then collect.
+def packed_expansion(word: Word) -> dict[Partition, int]:
+    """``normalize``'s {mu: packed coefficient} for a path word, taking a
+    valid composite word as the product of its primitive factors (the pieces
+    between two returns to the diagonal).
 
-    A valid composite word is normalized one primitive factor (the piece
-    between two returns to the diagonal) at a time, and the factors'
-    expansions multiply.  That is exact: no rule crosses a return to the
-    diagonal, since the bubble refuses to pass a '+' and every earlier factor
-    ends in one.  Only those factors are memoized.  A primitive word is
-    rewritten whole and not kept, so a sweep holds no value that only its own
-    word uses; an invalid word goes to normalize, which refuses it.
+    That is exact: no rule crosses a return to the diagonal, since the bubble
+    refuses to pass a '+' and every earlier factor ends in one.  The factors
+    are packed at the whole word's B, and a(w) is additive over them, so
+    each t-digit of a product is at most 2**a(w) < 2**B (the width lemma).
+    Only the factors are memoized: in a sweep no later word reuses a
+    primitive word except as a factor.  An invalid word goes to normalize,
+    which refuses it.
     """
     factors = primitive_factors(word)
     if factors is None or len(factors) < 2:
-        return lincomb_to_e(normalize(word))
-    return multiply_expansions(map(_primitive_expansion, factors))
+        return normalize(word)
+    bits = digit_bits(semilength(word))
+    return multiply_expansions((_primitive_expansion(f, bits) for f in factors), 1)
+
+
+def expand_word(word: Word) -> dict[Partition, QPoly]:
+    """e-expansion of d_P(1) for a path word: ``packed_expansion`` with each
+    partition's coefficient unpacked in q once."""
+    return lincomb_to_e(packed_expansion(word))
 
 
 def e_positivity_report(expansion: dict[Partition, QPoly]) -> dict:
@@ -286,8 +308,9 @@ def e_positivity_report(expansion: dict[Partition, QPoly]) -> dict:
     Returns the expansion at q, at q+1, the (q-1)-rebased coefficient
     vectors, and the verdict (all shifted coefficients nonnegative).  The
     (q-1)-digits of c(q) are the coefficients of c(q+1), so one Taylor shift
-    per partition gives both.  On a rewritten expansion, which lies in Z[q],
-    every entry is an int.
+    per partition gives both, and none on a coefficient that ``unpack``
+    built, which remembers its c(q+1).  On a rewritten expansion, which lies
+    in Z[q], every entry is an int.
     """
     shifted = {mu: c.shift_plus_one() for mu, c in expansion.items()}
     return {

@@ -41,15 +41,16 @@ def merge_partitions(mu: Partition, nu: Partition) -> Partition:
     return tuple(sorted(mu + nu, reverse=True))
 
 
-def multiply_expansions(factors) -> dict[Partition, QPoly]:
+def multiply_expansions(factors, one=ONE) -> dict[Partition, QPoly]:
     """Product of expansions in one multiplicative basis, each an iterable of
     (partition, coefficient) pairs: keys merge and coefficients multiply.
+    Coefficients are QPoly, or packed ints with one = 1.
 
-    Untruncated; returns a new dict, {(): 1} for no factors.
+    Untruncated; returns a new dict, {(): one} for no factors.
     """
-    out: dict[Partition, QPoly] = {(): ONE}
+    out = {(): one}
     for factor in factors:
-        nxt: dict[Partition, QPoly] = {}
+        nxt = {}
         for mu, c in out.items():
             for nu, d in factor:
                 accumulate(nxt, merge_partitions(mu, nu), c * d)

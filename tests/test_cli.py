@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import all_strip_tuples
@@ -8,9 +12,7 @@ from reference_qpoly import parse_qpoly
 from vsllt import cli, dyckalgebra, llt, rewrite
 from vsllt.cli import main
 from vsllt.paths import parse_word
-from vsllt.qpoly import ONE
 from vsllt.rewrite import expand_word
-from vsllt.symfunc import GradedSym
 
 
 def run(capsys, *argv):
@@ -209,19 +211,20 @@ def test_verify_fail_line_ends_with_its_reproducer(capsys, monkeypatch):
 
 
 def test_verify_fail_line_names_the_failing_factor(capsys, monkeypatch):
-    # an injected fault in the operator side's value of one primitive word,
-    # "--0++", reaches every composite word with that factor through the
-    # factor memo; each of their FAIL lines names it, the word's own does not
+    # an injected fault in the operator side's packed value of one primitive
+    # word, "--0++", reaches every composite word with that factor through
+    # the factor memo; each of their FAIL lines names it, the word's own
+    # does not.  The fault adds 1 to e[3], at every width.
     target = parse_word("--0++")
-    real = dyckalgebra.eval_packed
+    real = dyckalgebra._apply_packed
 
-    def faulty(word, n):
-        g = real(word, n)
+    def faulty(word, n, bits):
+        terms = dict(real(word, n, bits))
         if word == target:
-            g = g + GradedSym(n, {(3,): ONE})
-        return g
+            terms[(3,)] = terms.get((3,), 0) + 1
+        return terms
 
-    monkeypatch.setattr(dyckalgebra, "eval_packed", faulty)
+    monkeypatch.setattr(dyckalgebra, "_apply_packed", faulty)
     dyckalgebra._primitive_value.cache_clear()
     try:
         code, out, _ = run(capsys, "verify", "--max-semilength", "4")
@@ -230,11 +233,43 @@ def test_verify_fail_line_names_the_failing_factor(capsys, monkeypatch):
     assert code == 1
     fails = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert fails == [
-        "FAIL --0++: rewrite/evaluation mismatch; reproduce: vsllt expand --word --0++",
-        "FAIL -+--0++: rewrite/evaluation mismatch; failing primitive factor --0++; "
+        "FAIL --0++: rewrite/evaluation mismatch, first difference at e[3]: "
+        "rewrite q^2 - q, evaluation q^2 - q + 1; reproduce: vsllt expand --word --0++",
+        "FAIL -+--0++: rewrite/evaluation mismatch, first difference at e[3, 1]: "
+        "rewrite q^2 - q, evaluation q^2 - q + 1; failing primitive factor --0++; "
         "reproduce: vsllt expand --word -+--0++",
-        "FAIL --0++-+: rewrite/evaluation mismatch; failing primitive factor --0++; "
+        "FAIL --0++-+: rewrite/evaluation mismatch, first difference at e[3, 1]: "
+        "rewrite q^2 - q, evaluation q^2 - q + 1; failing primitive factor --0++; "
         "reproduce: vsllt expand --word --0++-+",
+    ]
+
+
+def test_verify_fail_line_names_the_first_differing_coefficient(capsys, monkeypatch):
+    # a fault on the rewrite side: one more q^2 in the e[2] coefficient of the
+    # factor "--++", at the width of the composite words that have it, so
+    # e[2, 1] of "-+--++" and "--++-+" is off by q^2 and the factor passes
+    # on its own.  The two sides are decoded only for the FAIL line, which
+    # gives the first partition in expand's order where they differ.
+    target = parse_word("--++")
+    real = rewrite._primitive_expansion
+
+    def faulty(word, bits):
+        pairs = real(word, bits)
+        if word != target:
+            return pairs
+        # q^2 = t^2 + 2t + 1 in the digits of t = q-1
+        return tuple((mu, c + (1 << 2 * bits) + (2 << bits) + 1 if mu == (2,) else c)
+                     for mu, c in pairs)
+
+    monkeypatch.setattr(rewrite, "_primitive_expansion", faulty)
+    code, out, _ = run(capsys, "verify", "--max-semilength", "3")
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails == [
+        f"FAIL {text}: rewrite/evaluation mismatch, first difference at e[2, 1]: "
+        f"rewrite q^2 + q - 1, evaluation q - 1; every primitive factor passes on its own; "
+        f"reproduce: vsllt expand --word {text}"
+        for text in ("-+--++", "--++-+")
     ]
 
 
@@ -434,3 +469,22 @@ def test_oracle_refuses_more_cells_than_the_expand_cap(capsys, monkeypatch):
     code, out, _ = run(capsys, "oracle", "--strips", "0:14")
     assert code == 0
     assert "match: yes" in out
+
+
+def test_python_dash_m_runs_the_cli_from_a_checkout():
+    # PYTHONPATH=src python -m vsllt ... runs the same command without an install
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "vsllt", "verify", "--max-semilength", "3"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "semilength 3: 11 paths, 11/11 pass (ok)" in proc.stdout
+    assert proc.stdout.splitlines()[-1].endswith("all checks pass")
+    proc = subprocess.run(
+        [sys.executable, "-m", "vsllt", "verify", "--max-semilength", "0"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "--max-semilength must be >= 1" in proc.stderr

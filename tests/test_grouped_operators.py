@@ -279,9 +279,16 @@ CACHED = {
     dyckalgebra.packed: _fresh_packed,
     dyckalgebra._raising_table: _fresh_raising_table,
     dyckalgebra._lowering_table: _fresh_lowering_table,
-    rewrite._primitive_expansion: lambda w: rewrite.lincomb_to_e(rewrite.normalize(w)),
+    rewrite._primitive_expansion: lambda w, bits: {
+        mu: _packed_in_t(c, bits) for mu, c in rewrite.lincomb_to_e(rewrite.normalize(w)).items()
+    },
     dyckalgebra._primitive_value: lambda w: apply_word(w, VElement.one(semilength(w))).sym_part().terms,
 }
+
+
+def _packed_in_t(p, bits):
+    """p's (q-1)-digits at t = 2**bits, as rewrite packs a coefficient."""
+    return sum(d << (i * bits) for i, d in enumerate(p.rebase_qminus1()))
 
 
 def _cache_domain(size):
@@ -307,7 +314,10 @@ def _cache_domain(size):
         dyckalgebra._lowering_table: [
             (mu, a0, ring) for mu in parts for a0 in range(size - sum(mu)) for ring in rings
         ],
-        rewrite._primitive_expansion: primitive,
+        # composite words take their factors at the whole word's width
+        rewrite._primitive_expansion: [
+            (w, rewrite.digit_bits(s)) for (w,) in primitive for s in range(1, size + 1)
+        ],
         dyckalgebra._primitive_value: primitive,
     }
 
@@ -389,8 +399,13 @@ def test_only_factors_of_composite_words_are_memoized():
         w = parse_word(text)
         rewrite.expand_word(w)
         eval_in_e(w)
+        _verify_one(w)
     assert [fn.cache_info().currsize for fn in memos] == [0, 0]
     w = parse_word("-+-0+-+")
     rewrite.expand_word(w)
     eval_in_e(w)
+    assert [fn.cache_info().currsize for fn in memos] == [2, 2]
+    # verify packs the rewrite side's factors at the same width, and the
+    # operator side's decoded factor values are re-packed, not re-evaluated
+    assert _verify_one(w)[1:] == (True, True, True)
     assert [fn.cache_info().currsize for fn in memos] == [2, 2]

@@ -1,0 +1,291 @@
+"""verify's packed route: each coefficient stays one packed int from the
+engine that produced it to the verdict.  The lemmas it rests on, each
+stated in its test's docstring, and its verdicts against the decoded QPoly
+route of tests/reference_verify.py."""
+
+import hypothesis.strategies as st
+from hypothesis import given
+
+import reference_verify
+from vsllt import cli, dyckalgebra, qpoly, rewrite
+from vsllt.cli import _verify_one
+from vsllt.dyckalgebra import coefficient_bound, packed_bits
+from vsllt.paths import iter_paths, iter_paths_upto, parse_word, primitive_factors, render_word
+from vsllt.qpoly import ONE, QPoly
+from vsllt.rewrite import digit_bits, lincomb_to_e, normalize, split_digits, unpack
+
+
+@st.composite
+def bounded_pairs(draw):
+    """(bits, p, r): two QPolys whose coefficients all have absolute value
+    at most 2**(bits-1) - 1, r often equal to p or one digit away from it."""
+    bits = draw(st.integers(2, 80))
+    top = 2 ** (bits - 1) - 1
+    digit = st.one_of(st.sampled_from([top, -top, 0, 1, -1]), st.integers(-top, top))
+    coeffs = draw(st.lists(digit, max_size=8))
+    how = draw(st.sampled_from(["same", "nudge", "free"]))
+    if how == "same":
+        other = list(coeffs)
+    elif how == "nudge" and coeffs:
+        other = list(coeffs)
+        i = draw(st.integers(0, len(other) - 1))
+        other[i] = draw(digit.filter(lambda d: d != coeffs[i]))
+    else:
+        other = draw(st.lists(digit, max_size=8))
+    return bits, QPoly(coeffs), QPoly(other)
+
+
+@given(bounded_pairs())
+def test_packed_equality(case):
+    """Lemma (a), packed equality.  Two polynomials whose coefficients all
+    lie below 2**(bits-1) in absolute value are equal iff their values at
+    2**bits are: their difference has coefficients below 2**bits in absolute
+    value, and a nonzero such polynomial has a lowest nonzero coefficient d,
+    so its value is d * 2**(bits*i) plus a multiple of 2**(bits*(i+1)),
+    which is not zero."""
+    bits, p, r = case
+    assert (p == r) == (p(2**bits) == r(2**bits))
+
+
+def test_packed_equality_at_the_extreme_digits():
+    bits = 16
+    top = 2 ** (bits - 1) - 1
+    for coeffs in ([top, -top, top], [-top], [0, 0, -1], [-1, top, -top, 1]):
+        p = QPoly(coeffs)
+        for i in range(len(coeffs)):
+            nudged = list(coeffs)
+            nudged[i] += -1 if coeffs[i] > 0 else 1
+            assert p(2**bits) != QPoly(nudged)(2**bits)
+    # one past the bound aliases: 2**(bits-1) = -2**(bits-1) + 2**bits
+    assert QPoly((2 ** (bits - 1),))(2**bits) == QPoly((-(2 ** (bits - 1)), 1))(2**bits)
+
+
+def _t_poly(value, n):
+    """A packed rewrite value's digits as a polynomial (in t)."""
+    return QPoly(split_digits(value, n))
+
+
+def test_factor_product_widths_on_every_composite_word_upto_7():
+    """Lemma (b), the widths of factor products.  Rewrite side: a(w) is
+    additive over the primitive factors, so every t-digit of every partial
+    product of the factors' values (packed at the word's B = digit_bits) is
+    at most 2**a(w) < 2**B; no digit carries, and the packed product is the
+    product of the digit polynomials.  Oracle side: every partial product
+    f_1 ... f_j is the value of a prefix word, whose coefficient_bound is at
+    most the whole word's (each letter's operator norm only grows with the
+    degree added by the letters to its right), so every partial product
+    lies within coefficient_bound(word)."""
+    composite = 0
+    for n in range(2, 8):
+        bits = digit_bits(n)
+        for w in iter_paths(n):
+            factors = primitive_factors(w)
+            if len(factors) < 2:
+                continue
+            composite += 1
+            bound = coefficient_bound(w, n)
+            packed, in_t, in_q = {(): 1}, {(): ONE}, {(): ONE}
+            for f in factors:
+                pairs = rewrite._primitive_expansion(f, bits)
+                packed = _product(packed, pairs)
+                in_t = _product(in_t, [(mu, _t_poly(c, n)) for mu, c in pairs])
+                in_q = _product(in_q, dyckalgebra._primitive_value(f))
+                for mu, c in packed.items():
+                    assert max(in_t[mu].coeffs) < 2**bits, render_word(w)
+                    assert _t_poly(c, n) == in_t[mu], render_word(w)
+                assert max(abs(x) for c in in_q.values() for x in c.coeffs) <= bound, render_word(w)
+            assert lincomb_to_e(packed) == lincomb_to_e(normalize(w)), render_word(w)
+    assert composite == 3118  # of the 5439 words of semilength <= 7
+
+
+def _product(expansion, pairs):
+    out = {}
+    for mu, c in expansion.items():
+        for nu, d in pairs:
+            key = tuple(sorted(mu + nu, reverse=True))
+            out[key] = out[key] + c * d if key in out else c * d
+    return out
+
+
+def test_from_qminus1_remembers_its_shift(monkeypatch):
+    """Lemma (c), the memo.  ``from_qminus1(d)`` is a(q) with a(q+1) = d, so
+    its ``shift_plus_one`` is d itself, with no shift run; any QPoly shifts
+    at most once, and a repeated call returns the same object."""
+    calls = []
+    real = qpoly._taylor_shift
+
+    def counting(cs, a):
+        calls.append(a)
+        return real(cs, a)
+
+    monkeypatch.setattr(qpoly, "_taylor_shift", counting)
+    for digits in ([0, 1, 1], [3], [1, 0, 0, 2], [], [5, 7, 0, 1]):
+        a = QPoly.from_qminus1(digits)
+        assert calls == [-1] * bool(digits) or calls == [-1]
+        calls.clear()
+        shifted = a.shift_plus_one()
+        assert shifted.coeffs == tuple(digits) and calls == []
+        assert a.shift_plus_one() is shifted
+        assert a.rebase_qminus1() == tuple(digits) and calls == []
+    p = QPoly((2, -3, 1))
+    shifted = p.shift_plus_one()
+    assert calls == [1] and shifted == QPoly((0, -1, 1))
+    assert p.shift_plus_one() is shifted and calls == [1]
+
+
+def test_certificate_shifts_once_per_coefficient(monkeypatch):
+    # the expand certificate unpacks each coefficient with one shift by -1,
+    # and the report reads the remembered c(q+1): no shift by +1
+    calls = []
+    real = qpoly._taylor_shift
+
+    def counting(cs, a):
+        calls.append(a)
+        return real(cs, a)
+
+    monkeypatch.setattr(qpoly, "_taylor_shift", counting)
+    word = parse_word("--0-0+++")
+    report = rewrite.e_positivity_report(lincomb_to_e(normalize(word)))
+    assert calls == [-1] * len(report["e"])
+    for mu, c in report["e"].items():
+        assert report["qminus1"][mu] == tuple(split_digits(normalize(word)[mu], 5))
+        assert report["e_at_q_plus_1"][mu] is c.shift_plus_one()
+    assert unpack(2**7 + 1, 4).shift_plus_one().coeffs == (1, 1)
+
+
+def test_verify_one_matches_the_decoded_route():
+    """Lemma (d): ``_verify_one``'s one int comparison per partition gives
+    the verdicts of the decoded QPoly route on all 1160 words of semilength
+    <= 6 and on every 100th composite word of semilength 8 (122 words)."""
+    words = list(iter_paths_upto(6))
+    assert len(words) == 1160
+    composite = [w for w in iter_paths(8) if len(primitive_factors(w)) > 1]
+    sample = composite[50::100]
+    assert len(sample) == 122
+    for w in words + sample:
+        assert _verify_one(w) == reference_verify.verify_one(w), render_word(w)
+
+
+def test_verify_one_matches_the_decoded_route_under_faults(monkeypatch):
+    # faults on either side, at digits the packed comparison must not miss:
+    # a high rewrite digit, and an oracle value off by the top coefficient
+    # the width allows, reach the same verdicts on both routes
+    words = list(iter_paths_upto(5))
+    target = parse_word("--0++")
+    real_rewrite = rewrite._primitive_expansion
+
+    def rewrite_fault(word, bits):
+        pairs = real_rewrite(word, bits)
+        if word != target:
+            return pairs
+        return tuple((mu, c + (1 << 3 * bits)) for mu, c in pairs)
+
+    monkeypatch.setattr(rewrite, "_primitive_expansion", rewrite_fault)
+    want = [reference_verify.verify_one(w) for w in words]
+    assert [_verify_one(w) for w in words] == want
+    assert sum(not agrees for _, agrees, _, _ in want) > 1
+    monkeypatch.undo()
+
+    real_oracle = dyckalgebra._apply_packed
+
+    def oracle_fault(word, n, bits):
+        terms = dict(real_oracle(word, n, bits))
+        if word == target:
+            # q**2 times the largest coefficient that still decodes
+            terms[(3,)] = terms.get((3,), 0) + (2 ** (packed_bits(word, n) - 1) - 1) * (1 << 2 * bits)
+        return terms
+
+    monkeypatch.setattr(dyckalgebra, "_apply_packed", oracle_fault)
+    dyckalgebra._primitive_value.cache_clear()
+    try:
+        verdicts = [_verify_one(w) for w in words]
+        assert verdicts == [reference_verify.verify_one(w) for w in words]
+    finally:
+        dyckalgebra._primitive_value.cache_clear()
+    assert sum(not agrees for _, agrees, _, _ in verdicts) > 1
+
+
+def test_verify_runs_no_taylor_shift(monkeypatch):
+    # verify runs no Taylor shift; once the factor memos hold a composite
+    # word's factors (the operator side's decoded once, at the factor's own
+    # width), a passing word decodes nothing either
+    def no_shift(*_args):
+        raise AssertionError("verify ran a Taylor shift")
+
+    def no_decode(*_args):
+        raise AssertionError("verify decoded a packed value")
+
+    words = list(iter_paths_upto(5))
+    monkeypatch.setattr(qpoly, "_taylor_shift", no_shift)
+    for w in words:
+        assert all(_verify_one(w)[1:]), render_word(w)
+    monkeypatch.setattr(dyckalgebra, "unpack_balanced", no_decode)
+    monkeypatch.setattr(rewrite, "unpack", no_decode)
+    for w in words:
+        assert all(_verify_one(w)[1:]), render_word(w)
+
+
+def test_a_negative_packed_value_fails_every_check(capsys, monkeypatch):
+    # a packed rewrite value below 0 has no digit split: all three checks
+    # fail, and the FAIL line decodes nothing (unpack refuses the value)
+    word = parse_word("--++")
+    real = rewrite.packed_expansion
+
+    def negative(w):
+        return {mu: -c for mu, c in real(w).items()} if w == word else real(w)
+
+    monkeypatch.setattr(cli, "packed_expansion", negative)
+    assert _verify_one(word) == ("--++", False, False, False)
+    assert cli.main(["verify", "--max-semilength", "2"]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert fails == [
+        "FAIL --++: rewrite/evaluation mismatch, negative or fractional (q-1)-coefficient, "
+        "not e-positive at q+1; reproduce: vsllt expand --word --++"
+    ]
+
+
+def test_a_wide_rewrite_value_cannot_alias(monkeypatch):
+    # on "-000--+++" the oracle's width is 16 bits and e[4, 2] is q - 1,
+    # digits (0, 1) at B = 16.  A faulty rewrite value with the single digit
+    # 2**16 - 1 is a different polynomial with the same value at q = 2**16;
+    # the width read off the digits is wider, so the check still fails
+    word = parse_word("-000--+++")
+    assert packed_bits(word, 6) == 16
+    real = rewrite.packed_expansion
+    assert split_digits(real(word)[(4, 2)], 6) == [0, 1]
+
+    def aliasing(w):
+        out = real(w)
+        if w == word:
+            out[(4, 2)] = 2**16 - 1
+        return out
+
+    monkeypatch.setattr(cli, "packed_expansion", aliasing)
+    assert _verify_one(word) == ("-000--+++", False, True, True)
+
+
+def test_a_partition_on_one_side_only_fails(monkeypatch):
+    # each side's partitions must be the other's: an extra oracle term, or a
+    # rewrite term dropped, is a mismatch even where every shared term agrees
+    word = parse_word("--0++")
+    real_oracle = dyckalgebra.packed_value
+
+    def extra(w, bits):
+        out = real_oracle(w, bits)
+        if w == word:
+            out[(1, 1, 1)] = 1
+        return out
+
+    monkeypatch.setattr(cli, "packed_value", extra)
+    assert _verify_one(word)[1:] == (False, True, True)
+    monkeypatch.undo()
+    real_rewrite = rewrite.packed_expansion
+
+    def dropped(w):
+        out = real_rewrite(w)
+        if w == word:
+            del out[max(out)]
+        return out
+
+    monkeypatch.setattr(cli, "packed_expansion", dropped)
+    assert _verify_one(word)[1:] == (False, True, True)
