@@ -23,7 +23,7 @@ from .paths import (
     semilength,
 )
 from .dyckalgebra import coefficient_bound, eval_in_e, packed_value, width_for
-from .qpoly import ZERO, render_qpoly
+from .qpoly import ZERO, _at_q, digits_bound, render_qpoly
 from .rewrite import e_positivity_report, expand_word, packed_expansion, split_digits
 
 # Largest tableau enumeration ``oracle`` starts; at 0.6-1 us per filling this
@@ -260,15 +260,14 @@ def _verify_one(word):
     nonnegative.  This is the one per-word check; tests call it too.
 
     Each coefficient is compared as one int.  The rewrite side's packed
-    value splits into its (q-1)-digits d_0..d_m, which are also its
-    coefficients at q+1, so the two flags read them.  Its q-coefficients
-    s_j = sum_i d_i (-1)^(i-j) C(i, j) have |s_j| <= sum_i d_i 2^i <
-    max_i d_i * 2^(m+1), a bound read off the actual digits, so a faulty
-    rule cannot alias.  bits leaves that bound and ``coefficient_bound``
-    below 2**(bits-1); the oracle runs at q = 2**bits, and the digits are
-    read at t = 2**bits - 1 (``_at_q``).  Two polynomials whose coefficients
-    all lie below 2**(bits-1) in absolute value are equal iff their values
-    at 2**bits are.
+    value splits into its (q-1)-digits, which are also its coefficients at
+    q+1, so the two flags read them.  bits leaves ``coefficient_bound`` and
+    the bound on the q-coefficients that qpoly's ``digits_bound`` reads off
+    the actual digits (so a faulty rule cannot alias) below 2**(bits-1); the
+    oracle runs at q = 2**bits, and the digits are read at the same q
+    (``_at_q``), the codec ``rewrite.unpack`` decodes with.  Two polynomials
+    whose coefficients all lie below 2**(bits-1) in absolute value are equal
+    iff their values at 2**bits are.
     """
     n = semilength(word)
     rewritten = packed_expansion(word)
@@ -276,10 +275,7 @@ def _verify_one(word):
     if not rebased_ok:
         return render_word(word), False, False, False
     digits = {mu: split_digits(c, n) for mu, c in rewritten.items()}
-    bound = coefficient_bound(word, n)
-    for ds in digits.values():
-        bound = max(bound, max(ds, default=0) << len(ds))
-    bits = width_for(bound)
+    bits = width_for(max([coefficient_bound(word, n), *map(digits_bound, digits.values())]))
     evaluated = packed_value(word, bits)
     agrees = evaluated.keys() == digits.keys() and all(
         evaluated[mu] == _at_q(ds, bits) for mu, ds in digits.items()
@@ -287,16 +283,6 @@ def _verify_one(word):
     # the digits are c(q+1)'s coefficients: a nonnegative value splits into
     # nonnegative digits, so positivity at q+1 is the same split
     return render_word(word), agrees, rebased_ok, rebased_ok
-
-
-def _at_q(digits, bits: int) -> int:
-    """The polynomial with the given (q-1)-digits, constant first, at
-    q = 2**bits: Horner at t = 2**bits - 1, each step a shift and a
-    subtraction."""
-    acc = 0
-    for d in reversed(digits):
-        acc = (acc << bits) - acc + d
-    return acc
 
 
 def _first_difference(text: str) -> str:

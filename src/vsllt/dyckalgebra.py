@@ -13,8 +13,8 @@ on, and use only +, *, unary - and truth value on scalars.  ``QPOLY``, with
 QPoly scalars, is the reference ring.  ``packed_value`` runs in
 ``packed(bits)``, whose scalars are Python ints, the value of a polynomial
 at q = 2**bits (Kronecker substitution), and ``eval_in_e`` decodes each of
-its output coefficients once (``unpack_balanced``); ``coefficient_bound``
-proves the width.
+its output coefficients once (qpoly's ``unpack_balanced``);
+``coefficient_bound`` proves the width.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import cache
 
 from .paths import MINUS, PLUS, Word, WordError, primitive_factors, semilength
-from .qpoly import ONE, Q, Q_MINUS_1, ZERO, QPoly, _canonical, accumulate
+from .qpoly import ONE, Q, Q_MINUS_1, ZERO, QPoly, accumulate, unpack_balanced
 from .symfunc import GradedSym, Partition, e_expansion_in_p, merge_partitions, multiply_expansions
 from .symfunc import _raw as _raw_sym
 # unused here, but bench/tracing.py wraps dyckalgebra.e_in_p by name
@@ -59,22 +59,6 @@ def packed(bits: int) -> Scalars:
     ``unpack_balanced`` recovers a polynomial whose coefficients all have
     absolute value below 2**(bits-1)."""
     return Scalars(0, 1, (1 << bits) - 1, lambda p: p(1 << bits))
-
-
-def unpack_balanced(value: int, bits: int) -> QPoly:
-    """The polynomial p with p(2**bits) = value and every coefficient of
-    absolute value below 2**(bits-1): value's balanced base-2**bits digits,
-    constant term first."""
-    half, full = 1 << (bits - 1), 1 << bits
-    mask = full - 1
-    digits = []
-    while value:
-        d = value & mask
-        if d >= half:
-            d -= full
-        digits.append(d)
-        value = (value - d) >> bits
-    return _canonical(digits)
 
 
 class VElement:

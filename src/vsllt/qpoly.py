@@ -10,11 +10,12 @@ Fraction(k) == k and hash(Fraction(k)) == hash(k), so a polynomial compares,
 hashes and prints the same whichever of the two holds an integral value.
 No floating point is used anywhere.
 
-One in-place Taylor shift (``_taylor_shift``) serves ``shift_plus_one``,
-``rebase_qminus1`` and ``from_qminus1``: the (q-1)-basis digits of a(q) are
-the coefficients of a(q+1).  A QPoly remembers its a(q+1), so each
-polynomial is shifted at most once, and one built from its (q-1)-digits by
-``from_qminus1`` is never shifted forward.
+One in-place Taylor shift by +1 (``_taylor_shift``) serves
+``shift_plus_one`` and ``rebase_qminus1``: the (q-1)-basis digits of a(q)
+are the coefficients of a(q+1).  A QPoly remembers its a(q+1), so each
+polynomial is shifted at most once.  The way back, from (q-1)-digits to q,
+is the packed-coefficient codec at the end of this module: Kronecker
+substitution, which ``rewrite.unpack``, ``verify`` and the operators share.
 """
 
 from __future__ import annotations
@@ -125,23 +126,13 @@ class QPoly:
         """Return a(q+1), computed at most once per instance."""
         shifted = self._plus_one
         if shifted is None:
-            shifted = self._plus_one = _taylor_shift(list(self.coeffs), 1)
+            shifted = self._plus_one = _taylor_shift(list(self.coeffs))
         return shifted
 
     def rebase_qminus1(self) -> tuple:
         """Coefficients c_0..c_d with a(q) = sum c_i (q-1)^i: the coefficients
         of a(q+1), since a(q) = a((q-1) + 1)."""
         return self.shift_plus_one().coeffs
-
-    @classmethod
-    def from_qminus1(cls, coeffs) -> "QPoly":
-        """Inverse of rebase_qminus1: build a(q) = sum c_i (q-1)^i, that is,
-        shift the polynomial with coefficients c_i by -1.  The result
-        remembers that polynomial as its a(q+1)."""
-        plus_one = cls(coeffs)
-        p = _taylor_shift(list(plus_one.coeffs), -1)
-        p._plus_one = plus_one
-        return p
 
     def is_nonneg(self) -> bool:
         """True iff every coefficient is >= 0."""
@@ -158,18 +149,18 @@ class QPoly:
         return [str(c) for c in self.coeffs]
 
 
-def _taylor_shift(cs: list, a: int) -> QPoly:
-    """The polynomial p(q + a), for a = 1 or -1, p having the exact
-    coefficients cs (constant term first).
+def _taylor_shift(cs: list) -> QPoly:
+    """The polynomial p(q + 1), p having the exact coefficients cs (constant
+    term first).
 
     Shifts cs in place: pass i divides the polynomial cs[i:] synthetically
-    by (q - a), leaving the remainder, the next Taylor coefficient of p at a,
+    by (q - 1), leaving the remainder, the next Taylor coefficient of p at 1,
     in cs[i].
     """
     n = len(cs)
     for i in range(n - 1):
         for j in range(n - 2, i - 1, -1):
-            cs[j] += a * cs[j + 1]
+            cs[j] += cs[j + 1]
     return _canonical(cs)
 
 
@@ -183,6 +174,39 @@ def _canonical(cs: list) -> QPoly:
     p.coeffs = tuple(cs)
     p._plus_one = None
     return p
+
+
+def digits_bound(digits) -> int:
+    """max(d) * 2**len(d), above every |s_j| of a(q) = sum s_j q^j = sum
+    d_i (q-1)^i for nonnegative digits d_i: |s_j| <= sum_i d_i C(i, j) <=
+    sum_i d_i 2^i.  Read off the actual digits, so a wrong one cannot alias."""
+    return max(digits, default=0) << len(digits)
+
+
+def _at_q(digits, bits: int) -> int:
+    """The polynomial with the given (q-1)-digits, constant first, at
+    q = 2**bits: Horner at t = 2**bits - 1, each step a shift and a
+    subtraction."""
+    acc = 0
+    for d in reversed(digits):
+        acc = (acc << bits) - acc + d
+    return acc
+
+
+def unpack_balanced(value: int, bits: int) -> QPoly:
+    """The polynomial p with p(2**bits) = value and every coefficient of
+    absolute value below 2**(bits-1): value's balanced base-2**bits digits,
+    constant term first."""
+    half, full = 1 << (bits - 1), 1 << bits
+    mask = full - 1
+    digits = []
+    while value:
+        d = value & mask
+        if d >= half:
+            d -= full
+        digits.append(d)
+        value = (value - d) >> bits
+    return _canonical(digits)
 
 
 def accumulate(terms: dict, key, value) -> None:

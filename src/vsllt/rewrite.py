@@ -19,7 +19,8 @@ shorter tails by one rule step each.  The result is {mu: coefficient}.
 Every rule scalar is 1, q-1 or q, so every coefficient the engine holds lies
 in N[t] with t = q-1.  ``normalize`` packs each one into a single int, its
 value at t = 2**B for B = ``digit_bits(n)`` (the width lemma below), and
-``lincomb_to_e`` unpacks each partition's coefficient once.  A composite
+``lincomb_to_e`` unpacks each partition's coefficient once, by qpoly's
+Kronecker codec.  A composite
 word's coefficients are products of its factors' packed values
 (``packed_expansion``).
 """
@@ -38,7 +39,7 @@ from .paths import (
     semilength,
     validate_word,
 )
-from .qpoly import ONE, Q, Q_MINUS_1, QPoly
+from .qpoly import ONE, Q, Q_MINUS_1, QPoly, _at_q, _canonical, digits_bound, unpack_balanced
 from .symfunc import Partition, multiply_expansions
 
 # A linear combination of words: {word: QPoly}, no zero coefficients.
@@ -167,9 +168,14 @@ def split_digits(value: int, n: int) -> list[int]:
 
 def unpack(value: int, n: int) -> QPoly:
     """The coefficient in q that ``normalize`` packed into value at
-    semilength n: ``QPoly.from_qminus1`` takes its digits back to q, and
-    keeps them as its value at q+1."""
-    return QPoly.from_qminus1(split_digits(value, n))
+    semilength n, by Kronecker substitution: its digits, read at q = 2**bits
+    for a width read off them, give the q-coefficients as balanced digits.
+    The result keeps the digits as its value at q+1."""
+    digits = split_digits(value, n)
+    bits = digits_bound(digits).bit_length() + 1
+    p = unpack_balanced(_at_q(digits, bits), bits)
+    p._plus_one = _canonical(digits)
+    return p
 
 
 def _times(scalar: QPoly, c: int, bits: int) -> int:

@@ -1,11 +1,13 @@
-"""A parser for the render_qpoly format and synthetic division by (q-1),
-kept only for the tests.
+"""A parser for the render_qpoly format, synthetic division by (q-1) and
+the Taylor shift by -1, kept only for the tests.
 
 The tests read ``vsllt expand --json`` output and check render_qpoly by
 round trip through the parser; the package itself never parses a
 polynomial.  The division serves the commutator route to the diagonal-step
 operator in reference_dyck, and, repeated, is the reference that
-``QPoly.rebase_qminus1``'s Taylor shift is compared with.
+``QPoly.rebase_qminus1``'s Taylor shift is compared with.  The shift by -1
+(``from_qminus1``) is the reference for qpoly's packed-coefficient codec,
+which ``rewrite.unpack`` decodes with by Kronecker substitution.
 """
 
 from __future__ import annotations
@@ -82,3 +84,16 @@ def rebase_qminus1_by_division(p: QPoly) -> tuple:
         rest, remainder = _divide_qminus1(rest)
         out.append(remainder)
     return tuple(out)
+
+
+def from_qminus1(coeffs) -> QPoly:
+    """a(q) = sum c_i (q-1)^i, the inverse of ``QPoly.rebase_qminus1``, by
+    the in-place Taylor shift by -1: pass i divides the polynomial cs[i:]
+    synthetically by (q + 1), leaving the next Taylor coefficient at -1 in
+    cs[i].  O(d^2) additions for d coefficients."""
+    cs = list(QPoly(coeffs).coeffs)
+    n = len(cs)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            cs[j] -= cs[j + 1]
+    return _canonical(cs)

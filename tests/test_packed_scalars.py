@@ -15,10 +15,9 @@ from vsllt.dyckalgebra import (
     eval_in_e,
     eval_packed,
     packed_bits,
-    unpack_balanced,
 )
 from vsllt.paths import iter_paths, iter_paths_upto, parse_word, primitive_factors, render_word, semilength
-from vsllt.qpoly import QPoly
+from vsllt.qpoly import QPoly, unpack_balanced
 
 
 @cache

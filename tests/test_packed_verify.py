@@ -1,18 +1,31 @@
 """verify's packed route: each coefficient stays one packed int from the
 engine that produced it to the verdict.  The lemmas it rests on, each
-stated in its test's docstring, and its verdicts against the decoded QPoly
-route of tests/reference_verify.py."""
+stated in its test's docstring, among them the codec that ``expand``
+decodes with, and its verdicts against the decoded QPoly route of
+tests/reference_verify.py."""
+
+from math import comb
 
 import hypothesis.strategies as st
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 
 import reference_verify
+from reference_qpoly import from_qminus1
 from vsllt import cli, dyckalgebra, qpoly, rewrite
 from vsllt.cli import _verify_one
 from vsllt.dyckalgebra import coefficient_bound, packed_bits
-from vsllt.paths import iter_paths, iter_paths_upto, parse_word, primitive_factors, render_word
+from vsllt.paths import iter_paths, iter_paths_upto, parse_word, primitive_factors, render_word, semilength
 from vsllt.qpoly import ONE, QPoly
-from vsllt.rewrite import digit_bits, lincomb_to_e, normalize, split_digits, unpack
+from vsllt.rewrite import (
+    digit_bits,
+    e_positivity_report,
+    expand_word,
+    lincomb_to_e,
+    normalize,
+    split_digits,
+    unpack,
+)
 
 
 @st.composite
@@ -107,49 +120,87 @@ def _product(expansion, pairs):
     return out
 
 
-def test_from_qminus1_remembers_its_shift(monkeypatch):
-    """Lemma (c), the memo.  ``from_qminus1(d)`` is a(q) with a(q+1) = d, so
-    its ``shift_plus_one`` is d itself, with no shift run; any QPoly shifts
-    at most once, and a repeated call returns the same object."""
+def _counting_shifts(monkeypatch):
+    """Record every ``_taylor_shift`` call, still running it."""
     calls = []
     real = qpoly._taylor_shift
 
-    def counting(cs, a):
-        calls.append(a)
-        return real(cs, a)
+    def counting(cs):
+        calls.append(len(cs))
+        return real(cs)
 
     monkeypatch.setattr(qpoly, "_taylor_shift", counting)
-    for digits in ([0, 1, 1], [3], [1, 0, 0, 2], [], [5, 7, 0, 1]):
-        a = QPoly.from_qminus1(digits)
-        assert calls == [-1] * bool(digits) or calls == [-1]
-        calls.clear()
-        shifted = a.shift_plus_one()
-        assert shifted.coeffs == tuple(digits) and calls == []
-        assert a.shift_plus_one() is shifted
-        assert a.rebase_qminus1() == tuple(digits) and calls == []
-    p = QPoly((2, -3, 1))
-    shifted = p.shift_plus_one()
-    assert calls == [1] and shifted == QPoly((0, -1, 1))
-    assert p.shift_plus_one() is shifted and calls == [1]
+    return calls
 
 
-def test_certificate_shifts_once_per_coefficient(monkeypatch):
-    # the expand certificate unpacks each coefficient with one shift by -1,
-    # and the report reads the remembered c(q+1): no shift by +1
-    calls = []
-    real = qpoly._taylor_shift
+@st.composite
+def digit_vectors(draw):
+    """(n, digits): 0..C(n, 2) + 1 t-digits, each in [0, 2**digit_bits(n)),
+    n <= 14, often at the extremes 0, 1 and 2**B - 1."""
+    n = draw(st.integers(0, 14))
+    top = 2 ** digit_bits(n) - 1
+    digit = st.one_of(st.sampled_from([top, 0, 1]), st.integers(0, top))
+    return n, draw(st.lists(digit, max_size=comb(n, 2) + 1))
 
-    def counting(cs, a):
-        calls.append(a)
-        return real(cs, a)
 
-    monkeypatch.setattr(qpoly, "_taylor_shift", counting)
+def _packed(digits, n):
+    bits = digit_bits(n)
+    return sum(d << (i * bits) for i, d in enumerate(digits))
+
+
+@given(digit_vectors())
+@example((14, [2**92 - 1] * 92))
+@example((14, [2**92 - 1] * 91 + [1]))
+@example((1, [1]))
+@example((0, []))
+def test_unpack_is_the_taylor_shift_by_minus_one(case):
+    """Lemma (c), the codec.  ``unpack`` reads the digits d_i at q = 2**bits
+    and takes the q-coefficients s_j of sum d_i (q-1)^i back as balanced
+    digits, for bits = ``digits_bound``'s bit length + 1.  That is exact:
+    |s_j| <= sum_i d_i 2^i < max(d) 2^len(d) = digits_bound < 2**(bits-1),
+    so no balanced digit aliases (Lemma (a)).  The result equals the
+    reference Taylor shift by -1 and keeps the digits as its a(q+1): its
+    ``shift_plus_one`` runs no shift."""
+    n, digits = case
+    kept = QPoly(digits).coeffs
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_shifts(mp)
+        a = unpack(_packed(digits, n), n)
+        want = from_qminus1(digits)
+        assert a == want
+        assert a.shift_plus_one().coeffs == kept and a.shift_plus_one() is a.shift_plus_one()
+        assert a.rebase_qminus1() == kept and calls == []
+        bits = qpoly.digits_bound(kept).bit_length() + 1
+        assert all(abs(s) < 2 ** (bits - 1) for s in want.coeffs)
+        # any other QPoly shifts once, by +1, and remembers the result
+        shifted = want.shift_plus_one()
+        assert shifted.coeffs == kept and want.shift_plus_one() is shifted
+        assert calls == [len(kept)]
+
+
+def test_unpack_is_the_taylor_shift_on_every_coefficient_upto_6():
+    # every coefficient normalize packs for the 1160 words of semilength <= 6
+    words = list(iter_paths_upto(6))
+    assert len(words) == 1160
+    for w in words:
+        n = semilength(w)
+        for mu, c in normalize(w).items():
+            assert unpack(c, n) == from_qminus1(split_digits(c, n)), (render_word(w), mu)
+
+
+def test_certificate_runs_no_taylor_shift(monkeypatch):
+    # the expand certificate decodes each coefficient by Kronecker
+    # substitution, and the report reads the remembered c(q+1): no shift
+    calls = _counting_shifts(monkeypatch)
     word = parse_word("--0-0+++")
     report = rewrite.e_positivity_report(lincomb_to_e(normalize(word)))
-    assert calls == [-1] * len(report["e"])
+    assert calls == []
     for mu, c in report["e"].items():
         assert report["qminus1"][mu] == tuple(split_digits(normalize(word)[mu], 5))
         assert report["e_at_q_plus_1"][mu] is c.shift_plus_one()
+    for w in iter_paths_upto(4):
+        e_positivity_report(expand_word(w))
+    assert calls == []
     assert unpack(2**7 + 1, 4).shift_plus_one().coeffs == (1, 1)
 
 

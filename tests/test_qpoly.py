@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 from conftest import qpolys
-from reference_qpoly import divexact_qminus1, parse_qpoly, rebase_qminus1_by_division
+from reference_qpoly import divexact_qminus1, from_qminus1, parse_qpoly, rebase_qminus1_by_division
 from vsllt.qpoly import ONE, Q, Q_MINUS_1, QPoly, ZERO, accumulate, render_qpoly
 from vsllt.symfunc import GradedSym
 
@@ -51,7 +51,7 @@ def test_rebase_matches_repeated_division(p):
 
 @given(qpolys(max_deg=5))
 def test_rebase_round_trip(p):
-    assert QPoly.from_qminus1(p.rebase_qminus1()) == p
+    assert from_qminus1(p.rebase_qminus1()) == p
 
 
 @given(qpolys(), qpolys())
@@ -63,7 +63,7 @@ def test_shift_is_ring_homomorphism(a, b):
 @given(qpolys(max_deg=4, lo=0, hi=5))
 def test_positivity_transfer(c):
     # nonnegative in the (q-1) basis => nonnegative after q -> q+1
-    a = QPoly.from_qminus1(c.coeffs)
+    a = from_qminus1(c.coeffs)
     assert a.shift_plus_one().is_nonneg()
 
 

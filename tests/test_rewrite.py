@@ -6,7 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import reference_rewrite
-from reference_qpoly import rebase_qminus1_by_division
+from reference_qpoly import from_qminus1, rebase_qminus1_by_division
 from reference_rewrite import (
     _plus_weight,
     leftmost_high_dplus,
@@ -213,7 +213,7 @@ def test_unpack():
 def test_unpack_inverts_packing_on_digits_below_the_width(n, digits):
     bits = digit_bits(n)
     digits = [d % (1 << bits) for d in digits]
-    p = QPoly.from_qminus1(digits)
+    p = from_qminus1(digits)
     assert unpack(packed(p, n), n) == p
 
 
