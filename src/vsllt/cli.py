@@ -24,7 +24,7 @@ from .paths import (
 )
 from .dyckalgebra import coefficient_bound, eval_in_e, packed_value, width_for
 from .qpoly import ZERO, _at_q, digits_bound, render_qpoly
-from .rewrite import e_positivity_report, expand_word, packed_expansion, split_digits
+from .rewrite import e_positivity_report, expand_word, normalize, split_digits
 
 # Largest tableau enumeration ``oracle`` starts; at 0.6-1 us per filling this
 # is about a second (10^6 fillings of six one-cell strips in 10 variables take
@@ -32,10 +32,11 @@ from .rewrite import e_positivity_report, expand_word, packed_expansion, split_d
 MAX_ORACLE_FILLINGS = 10**6
 
 # Largest semilength ``verify`` sweeps: all 129281 words through 9 take
-# 146-160 s and 128 MB peak RSS in one process; through 8, 15-18 s and 35 MB,
-# or about 9 s with --jobs 2, where the parent and each worker peak near
-# 25 MB; through 7, about 2 s and 20 MB (Python 3.11.7 on a 2-vCPU x86_64
-# host).  Semilength 10 adds 518859 more words, each costlier than those at 9.
+# 132-158 s and 98 MB peak RSS in one process; through 8, 14-17 s and 30 MB,
+# or about 8 s with --jobs 2, where the parent peaks near 25 MB and each
+# worker near 19 MB; through 7, about 2 s and 20 MB (Python 3.11.7 on a
+# 2-vCPU x86_64 host).  Semilength 10 adds 518859 more words, each costlier
+# than those at 9.
 MAX_VERIFY_SEMILENGTH = 9
 
 # Largest semilength ``expand`` rewrites, and the most cells ``oracle`` takes:
@@ -198,6 +199,13 @@ def _xpoly_lines(poly) -> list[str]:
 def cmd_oracle(args) -> int:
     strips = llt.parse_strips(args.strips)
     cells = llt.cell_count(strips)
+    if cells > MAX_EXPAND_SEMILENGTH:
+        print(
+            f"oracle: {cells} cells exceed the limit of {MAX_EXPAND_SEMILENGTH}; "
+            f"use fewer cells",
+            file=sys.stderr,
+        )
+        return 2
     nvars = args.nvars if args.nvars is not None else max(cells, 1)
     if nvars >= 1:
         fillings = prod(comb(nvars, h) for _, h in strips)
@@ -218,13 +226,6 @@ def cmd_oracle(args) -> int:
                 file=sys.stderr,
             )
             return 2
-    if cells > MAX_EXPAND_SEMILENGTH:
-        print(
-            f"oracle: {cells} cells exceed the limit of {MAX_EXPAND_SEMILENGTH}; "
-            f"use fewer cells",
-            file=sys.stderr,
-        )
-        return 2
     tableau_side = llt.ssyt_generating_function(strips, nvars)
     operator_side = llt.llt_in_vars(strips, nvars)
     match = tableau_side == operator_side
@@ -270,7 +271,7 @@ def _verify_one(word):
     iff their values at 2**bits are.
     """
     n = semilength(word)
-    rewritten = packed_expansion(word)
+    rewritten = normalize(word)
     rebased_ok = all(c >= 0 for c in rewritten.values())
     if not rebased_ok:
         return render_word(word), False, False, False
@@ -301,8 +302,9 @@ def _first_difference(text: str) -> str:
 
 def _factor_note(text: str) -> str:
     """For a FAIL line: which primitive factors of a composite word fail
-    ``_verify_one`` on their own.  Both sides evaluate a composite word from
-    its factors, so this names where to look; it runs only on failures."""
+    ``_verify_one`` on their own.  A composite word's value on either side is
+    the product of its factors' values, so this names where to look; it runs
+    only on failures."""
     factors = primitive_factors(parse_word(text))
     if factors is None or len(factors) < 2:
         return ""

@@ -20,9 +20,8 @@ Every rule scalar is 1, q-1 or q, so every coefficient the engine holds lies
 in N[t] with t = q-1.  ``normalize`` packs each one into a single int, its
 value at t = 2**B for B = ``digit_bits(n)`` (the width lemma below), and
 ``lincomb_to_e`` unpacks each partition's coefficient once, by qpoly's
-Kronecker codec.  A composite
-word's coefficients are products of its factors' packed values
-(``packed_expansion``).
+Kronecker codec.  A return to the diagonal is a state whose tails are all
+empty, so a composite word multiplies its factors' values as it is read.
 """
 
 from __future__ import annotations
@@ -30,17 +29,9 @@ from __future__ import annotations
 from functools import cache
 from sys import intern
 
-from .paths import (
-    MINUS,
-    PLUS,
-    ZERO,
-    Word,
-    primitive_factors,
-    semilength,
-    validate_word,
-)
+from .paths import MINUS, PLUS, ZERO, Word, semilength, validate_word
 from .qpoly import ONE, Q, Q_MINUS_1, QPoly, _at_q, _canonical, digits_bound, unpack_balanced
-from .symfunc import Partition, multiply_expansions
+from .symfunc import Partition
 
 # A linear combination of words: {word: QPoly}, no zero coefficients.
 LinComb = dict[Word, QPoly]
@@ -232,7 +223,9 @@ def normalize(word: Word) -> dict[Partition, int]:
     The word is read left to right on a state {(mu, tail): coefficient}: a
     run of '-' and '0' appends to every open tail, and a '+' maps each entry
     through ``_close``, merging the block it closes into mu and multiplying
-    the coefficients.  A valid word leaves every tail empty.
+    the coefficients.  A return to the diagonal, the end of a valid word
+    among them, leaves every tail empty: no rule crosses it, and a composite
+    word's value is the product of its primitive factors' values.
 
     Each coefficient lies in N[t], t = q-1, packed as its value at t = 2**B,
     B = ``digit_bits`` of the semilength, so a product of two is one int
@@ -240,12 +233,7 @@ def normalize(word: Word) -> dict[Partition, int]:
     ``unpack`` gives a coefficient back in q.
     """
     validate_word(word)
-    return _normalize(word, digit_bits(semilength(word)))
-
-
-def _normalize(word: Word, bits: int) -> dict[Partition, int]:
-    """``normalize`` of a valid word, packed at t = 2**bits for any bits at
-    least its ``digit_bits``: every digit stays below 2**digit_bits."""
+    bits = digit_bits(semilength(word))
     state: dict[tuple[Partition, str], int] = {((), ""): 1}
     run = ""
     for letter in word:
@@ -274,38 +262,10 @@ def lincomb_to_e(packed: dict[Partition, int]) -> dict[Partition, QPoly]:
     return {mu: unpack(c, sum(mu)) for mu, c in packed.items()}
 
 
-@cache
-def _primitive_expansion(word: Word, bits: int) -> tuple[tuple[Partition, int], ...]:
-    """``normalize``'s value on a primitive factor of a composite word, packed
-    at the whole word's width, as (partition, packed coefficient) pairs.
-    Memoized per (word, width): a repeat call returns the same tuple."""
-    return tuple(_normalize(word, bits).items())
-
-
-def packed_expansion(word: Word) -> dict[Partition, int]:
-    """``normalize``'s {mu: packed coefficient} for a path word, taking a
-    valid composite word as the product of its primitive factors (the pieces
-    between two returns to the diagonal).
-
-    That is exact: no rule crosses a return to the diagonal, since the bubble
-    refuses to pass a '+' and every earlier factor ends in one.  The factors
-    are packed at the whole word's B, and a(w) is additive over them, so
-    each t-digit of a product is at most 2**a(w) < 2**B (the width lemma).
-    Only the factors are memoized: in a sweep no later word reuses a
-    primitive word except as a factor.  An invalid word goes to normalize,
-    which refuses it.
-    """
-    factors = primitive_factors(word)
-    if factors is None or len(factors) < 2:
-        return normalize(word)
-    bits = digit_bits(semilength(word))
-    return multiply_expansions((_primitive_expansion(f, bits) for f in factors), 1)
-
-
 def expand_word(word: Word) -> dict[Partition, QPoly]:
-    """e-expansion of d_P(1) for a path word: ``packed_expansion`` with each
+    """e-expansion of d_P(1) for a path word: ``normalize`` with each
     partition's coefficient unpacked in q once."""
-    return lincomb_to_e(packed_expansion(word))
+    return lincomb_to_e(normalize(word))
 
 
 def e_positivity_report(expansion: dict[Partition, QPoly]) -> dict:

@@ -31,7 +31,6 @@ def test_tracer_wraps_and_restores_every_target():
     # a benchmark pass is a fresh process, so its memos start cold: clear
     # them, or words and tails memoized by earlier tests reach no traced
     # function
-    rewrite._primitive_expansion.cache_clear()
     rewrite._close.cache_clear()
     dyckalgebra._primitive_value.cache_clear()
     tracer = tracing.Tracer()

@@ -245,23 +245,23 @@ def test_verify_fail_line_names_the_failing_factor(capsys, monkeypatch):
 
 
 def test_verify_fail_line_names_the_first_differing_coefficient(capsys, monkeypatch):
-    # a fault on the rewrite side: one more q^2 in the e[2] coefficient of the
-    # factor "--++", at the width of the composite words that have it, so
-    # e[2, 1] of "-+--++" and "--++-+" is off by q^2 and the factor passes
+    # a fault on the rewrite side: one more q^2 in the e[2, 1] coefficient of
+    # the composite words "-+--++" and "--++-+", whose factor "--++" passes
     # on its own.  The two sides are decoded only for the FAIL line, which
     # gives the first partition in expand's order where they differ.
-    target = parse_word("--++")
-    real = rewrite._primitive_expansion
+    targets = {parse_word("-+--++"), parse_word("--++-+")}
+    real = rewrite.normalize
 
-    def faulty(word, bits):
-        pairs = real(word, bits)
-        if word != target:
-            return pairs
-        # q^2 = t^2 + 2t + 1 in the digits of t = q-1
-        return tuple((mu, c + (1 << 2 * bits) + (2 << bits) + 1 if mu == (2,) else c)
-                     for mu, c in pairs)
+    def faulty(word):
+        packed = real(word)
+        if word in targets:
+            # q^2 = t^2 + 2t + 1 in the digits of t = q-1
+            bits = rewrite.digit_bits(3)
+            packed[(2, 1)] += (1 << 2 * bits) + (2 << bits) + 1
+        return packed
 
-    monkeypatch.setattr(rewrite, "_primitive_expansion", faulty)
+    monkeypatch.setattr(rewrite, "normalize", faulty)
+    monkeypatch.setattr(cli, "normalize", faulty)
     code, out, _ = run(capsys, "verify", "--max-semilength", "3")
     assert code == 1
     fails = [line for line in out.splitlines() if line.startswith("FAIL")]
@@ -355,13 +355,26 @@ def test_oracle_refuses_huge_enumerations(capsys, monkeypatch):
     monkeypatch.setattr(cli.llt, "ssyt_generating_function", no_enumeration)
     for argv, count in (
         (["--strips", ";".join(["0:1"] * 10)], 10**10),
-        (["--strips", "0:5;0:5;0:5;0:5", "--nvars", "20"], 15504**4),
+        (["--strips", "0:5;0:5;0:4", "--nvars", "20"], 15504**2 * 4845),
     ):
         code, out, err = run(capsys, "oracle", *argv)
         assert code == 2
         assert out == ""
         assert f"{count} tableau fillings" in err
         assert str(cli.MAX_ORACLE_FILLINGS) in err
+
+
+def test_oracle_checks_the_cell_cap_before_counting(capsys, monkeypatch):
+    # C(nvars + cells - 1, cells) at 3000000 cells runs for over a minute, so
+    # the cell cap refuses such a tuple before any binomial is taken
+    def no_count(*_args):
+        raise AssertionError("a tuple above the cell cap may not be counted")
+
+    monkeypatch.setattr(cli, "comb", no_count)
+    code, out, err = run(capsys, "oracle", "--strips", "0:3000000")
+    assert code == 2
+    assert out == ""
+    assert f"3000000 cells exceed the limit of {cli.MAX_EXPAND_SEMILENGTH}" in err
 
 
 def test_oracle_refuses_huge_outputs(capsys, monkeypatch):

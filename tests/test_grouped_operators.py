@@ -279,16 +279,8 @@ CACHED = {
     dyckalgebra.packed: _fresh_packed,
     dyckalgebra._raising_table: _fresh_raising_table,
     dyckalgebra._lowering_table: _fresh_lowering_table,
-    rewrite._primitive_expansion: lambda w, bits: {
-        mu: _packed_in_t(c, bits) for mu, c in rewrite.lincomb_to_e(rewrite.normalize(w)).items()
-    },
     dyckalgebra._primitive_value: lambda w: apply_word(w, VElement.one(semilength(w))).sym_part().terms,
 }
-
-
-def _packed_in_t(p, bits):
-    """p's (q-1)-digits at t = 2**bits, as rewrite packs a coefficient."""
-    return sum(d << (i * bits) for i, d in enumerate(p.rebase_qminus1()))
 
 
 def _cache_domain(size):
@@ -314,10 +306,6 @@ def _cache_domain(size):
         dyckalgebra._lowering_table: [
             (mu, a0, ring) for mu in parts for a0 in range(size - sum(mu)) for ring in rings
         ],
-        # composite words take their factors at the whole word's width
-        rewrite._primitive_expansion: [
-            (w, rewrite.digit_bits(s)) for (w,) in primitive for s in range(1, size + 1)
-        ],
         dyckalgebra._primitive_value: primitive,
     }
 
@@ -328,11 +316,7 @@ def _as_compared(fn, value):
         return set(value)
     if fn is _shift_table:
         return {(p, extra): c for p, extra, c in value}
-    if fn in (
-        rewrite._primitive_expansion,
-        dyckalgebra._primitive_value,
-        dyckalgebra._lowering_table,
-    ):
+    if fn in (dyckalgebra._primitive_value, dyckalgebra._lowering_table):
         return dict(value)
     if fn is symfunc._e_mu_in_p_scaled:
         return {lam: (z, a) for lam, z, a in value}
@@ -372,10 +356,10 @@ def test_bridge_caches_survive_verify():
 
 
 def test_mutating_a_returned_value_leaves_the_memos_unchanged():
-    # expand_word and eval_in_e build a composite word's result from memoized
-    # factor values; every call returns a new dict or GradedSym, so a caller
-    # that edits one changes no later result.  "-0+" is a single factor,
-    # evaluated whole, the others two.
+    # eval_in_e builds a composite word's result from memoized factor values
+    # and expand_word from memoized _close forms; every call returns a new
+    # dict or GradedSym, so a caller that edits one changes no later result.
+    # "-0+" is a single factor, the others two.
     for text in ("-0+", "-+-0+", "--++-+"):
         w = parse_word(text)
         want_e = rewrite.lincomb_to_e(rewrite.normalize(w))
@@ -391,21 +375,21 @@ def test_mutating_a_returned_value_leaves_the_memos_unchanged():
 
 def test_only_factors_of_composite_words_are_memoized():
     # a primitive word evaluated on its own is not kept: in a sweep no later
-    # word reuses it except as a factor of a longer word
-    memos = (rewrite._primitive_expansion, dyckalgebra._primitive_value)
-    for fn in memos:
-        fn.cache_clear()
+    # word reuses it except as a factor of a longer word.  Only the operator
+    # side memoizes factors; the rewrite side reads a composite word whole.
+    memo = dyckalgebra._primitive_value
+    memo.cache_clear()
     for text in ("-0+", "--0++", ""):
         w = parse_word(text)
         rewrite.expand_word(w)
         eval_in_e(w)
         _verify_one(w)
-    assert [fn.cache_info().currsize for fn in memos] == [0, 0]
+    assert memo.cache_info().currsize == 0
     w = parse_word("-+-0+-+")
     rewrite.expand_word(w)
+    assert memo.cache_info().currsize == 0
     eval_in_e(w)
-    assert [fn.cache_info().currsize for fn in memos] == [2, 2]
-    # verify packs the rewrite side's factors at the same width, and the
-    # operator side's decoded factor values are re-packed, not re-evaluated
+    assert memo.cache_info().currsize == 2
+    # the operator side's decoded factor values are re-packed, not re-evaluated
     assert _verify_one(w)[1:] == (True, True, True)
-    assert [fn.cache_info().currsize for fn in memos] == [2, 2]
+    assert memo.cache_info().currsize == 2

@@ -73,41 +73,29 @@ def test_packed_equality_at_the_extreme_digits():
     assert QPoly((2 ** (bits - 1),))(2**bits) == QPoly((-(2 ** (bits - 1)), 1))(2**bits)
 
 
-def _t_poly(value, n):
-    """A packed rewrite value's digits as a polynomial (in t)."""
-    return QPoly(split_digits(value, n))
-
-
 def test_factor_product_widths_on_every_composite_word_upto_7():
-    """Lemma (b), the widths of factor products.  Rewrite side: a(w) is
-    additive over the primitive factors, so every t-digit of every partial
-    product of the factors' values (packed at the word's B = digit_bits) is
-    at most 2**a(w) < 2**B; no digit carries, and the packed product is the
-    product of the digit polynomials.  Oracle side: every partial product
+    """Lemma (b), factor products.  Rewrite side: a return to the diagonal
+    leaves every tail of ``normalize``'s state empty, so no rule crosses it
+    and a composite word's e-expansion is the product of its primitive
+    factors' expansions.  Oracle side, the widths: every partial product
     f_1 ... f_j is the value of a prefix word, whose coefficient_bound is at
     most the whole word's (each letter's operator norm only grows with the
     degree added by the letters to its right), so every partial product
     lies within coefficient_bound(word)."""
     composite = 0
     for n in range(2, 8):
-        bits = digit_bits(n)
         for w in iter_paths(n):
             factors = primitive_factors(w)
             if len(factors) < 2:
                 continue
             composite += 1
             bound = coefficient_bound(w, n)
-            packed, in_t, in_q = {(): 1}, {(): ONE}, {(): ONE}
+            in_e, in_q = {(): ONE}, {(): ONE}
             for f in factors:
-                pairs = rewrite._primitive_expansion(f, bits)
-                packed = _product(packed, pairs)
-                in_t = _product(in_t, [(mu, _t_poly(c, n)) for mu, c in pairs])
+                in_e = _product(in_e, lincomb_to_e(normalize(f)).items())
                 in_q = _product(in_q, dyckalgebra._primitive_value(f))
-                for mu, c in packed.items():
-                    assert max(in_t[mu].coeffs) < 2**bits, render_word(w)
-                    assert _t_poly(c, n) == in_t[mu], render_word(w)
                 assert max(abs(x) for c in in_q.values() for x in c.coeffs) <= bound, render_word(w)
-            assert lincomb_to_e(packed) == lincomb_to_e(normalize(w)), render_word(w)
+            assert lincomb_to_e(normalize(w)) == in_e, render_word(w)
     assert composite == 3118  # of the 5439 words of semilength <= 7
 
 
@@ -223,15 +211,18 @@ def test_verify_one_matches_the_decoded_route_under_faults(monkeypatch):
     # the width allows, reach the same verdicts on both routes
     words = list(iter_paths_upto(5))
     target = parse_word("--0++")
-    real_rewrite = rewrite._primitive_expansion
+    real_rewrite = rewrite.normalize
 
-    def rewrite_fault(word, bits):
-        pairs = real_rewrite(word, bits)
-        if word != target:
-            return pairs
-        return tuple((mu, c + (1 << 3 * bits)) for mu, c in pairs)
+    def rewrite_fault(word):
+        packed = real_rewrite(word)
+        factors = primitive_factors(word)
+        if len(factors) < 2 or target not in factors:
+            return packed
+        bits = digit_bits(semilength(word))
+        return {mu: c + (1 << 3 * bits) for mu, c in packed.items()}
 
-    monkeypatch.setattr(rewrite, "_primitive_expansion", rewrite_fault)
+    monkeypatch.setattr(rewrite, "normalize", rewrite_fault)
+    monkeypatch.setattr(cli, "normalize", rewrite_fault)
     want = [reference_verify.verify_one(w) for w in words]
     assert [_verify_one(w) for w in words] == want
     assert sum(not agrees for _, agrees, _, _ in want) > 1
@@ -257,9 +248,9 @@ def test_verify_one_matches_the_decoded_route_under_faults(monkeypatch):
 
 
 def test_verify_runs_no_taylor_shift(monkeypatch):
-    # verify runs no Taylor shift; once the factor memos hold a composite
-    # word's factors (the operator side's decoded once, at the factor's own
-    # width), a passing word decodes nothing either
+    # verify runs no Taylor shift; once the operator side's factor memo
+    # holds a composite word's factors (each decoded once, at the factor's
+    # own width), a passing word decodes nothing either
     def no_shift(*_args):
         raise AssertionError("verify ran a Taylor shift")
 
@@ -280,12 +271,12 @@ def test_a_negative_packed_value_fails_every_check(capsys, monkeypatch):
     # a packed rewrite value below 0 has no digit split: all three checks
     # fail, and the FAIL line decodes nothing (unpack refuses the value)
     word = parse_word("--++")
-    real = rewrite.packed_expansion
+    real = rewrite.normalize
 
     def negative(w):
         return {mu: -c for mu, c in real(w).items()} if w == word else real(w)
 
-    monkeypatch.setattr(cli, "packed_expansion", negative)
+    monkeypatch.setattr(cli, "normalize", negative)
     assert _verify_one(word) == ("--++", False, False, False)
     assert cli.main(["verify", "--max-semilength", "2"]) == 1
     fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
@@ -302,7 +293,7 @@ def test_a_wide_rewrite_value_cannot_alias(monkeypatch):
     # the width read off the digits is wider, so the check still fails
     word = parse_word("-000--+++")
     assert packed_bits(word, 6) == 16
-    real = rewrite.packed_expansion
+    real = rewrite.normalize
     assert split_digits(real(word)[(4, 2)], 6) == [0, 1]
 
     def aliasing(w):
@@ -311,7 +302,7 @@ def test_a_wide_rewrite_value_cannot_alias(monkeypatch):
             out[(4, 2)] = 2**16 - 1
         return out
 
-    monkeypatch.setattr(cli, "packed_expansion", aliasing)
+    monkeypatch.setattr(cli, "normalize", aliasing)
     assert _verify_one(word) == ("-000--+++", False, True, True)
 
 
@@ -330,7 +321,7 @@ def test_a_partition_on_one_side_only_fails(monkeypatch):
     monkeypatch.setattr(cli, "packed_value", extra)
     assert _verify_one(word)[1:] == (False, True, True)
     monkeypatch.undo()
-    real_rewrite = rewrite.packed_expansion
+    real_rewrite = rewrite.normalize
 
     def dropped(w):
         out = real_rewrite(w)
@@ -338,5 +329,5 @@ def test_a_partition_on_one_side_only_fails(monkeypatch):
             del out[max(out)]
         return out
 
-    monkeypatch.setattr(cli, "packed_expansion", dropped)
+    monkeypatch.setattr(cli, "normalize", dropped)
     assert _verify_one(word)[1:] == (False, True, True)

@@ -39,6 +39,7 @@ from vsllt.rewrite import (
     rewrite_push_T,
     unpack,
 )
+from vsllt.symfunc import multiply_expansions
 
 W = parse_word
 
@@ -252,33 +253,36 @@ def test_expand_word_collects_blocks():
 
 
 def test_expand_word_is_the_product_over_primitive_factors():
-    # Lemma behind expand_word's factored route: no rule crosses a return to
-    # the diagonal, so normalizing a composite word whole gives the product
-    # of its primitive factors' expansions.  Checked on every composite word
-    # of semilength <= 6 against normalize run on the whole word.
+    # Lemma: a return to the diagonal leaves every tail of normalize's state
+    # empty, so no rule crosses it, and a composite word's expansion is the
+    # product of its primitive factors' expansions.  Checked on every
+    # composite word of semilength <= 6, each factor rewritten on its own.
     composite = [w for w in iter_paths_upto(6) if len(primitive_factors(w)) > 1]
     assert len(composite) == 645
     for w in composite:
-        assert expand_word(w) == lincomb_to_e(normalize(w)), render_word(w)
+        factors = (expand_word(f).items() for f in primitive_factors(w))
+        assert expand_word(w) == multiply_expansions(factors), render_word(w)
 
 
 def test_composite_words_of_semilength_8_match_their_factors_whole():
     # Both factor lemmas past the semilength where every composite word is
     # checked: on every 100th composite word of semilength 8, in iter_paths
-    # order, the transducer run on the whole word (not through the factors)
-    # equals expand_word's product over the primitive factors, and so does
-    # the packed operator path run on the whole word against eval_in_e's.
+    # order, the transducer run on the whole word equals the product of its
+    # primitive factors' rewritten expansions, and the packed operator path
+    # run on the whole word equals eval_in_e's product over the factors.
     composite = [w for w in iter_paths(8) if len(primitive_factors(w)) > 1]
     assert len(composite) == 12235
     sample = composite[50::100]
     assert len(sample) == 122
     for w in sample:
-        assert lincomb_to_e(normalize(w)) == expand_word(w), render_word(w)
+        factors = (expand_word(f).items() for f in primitive_factors(w))
+        assert expand_word(w) == multiply_expansions(factors), render_word(w)
         assert eval_packed(w, 8) == eval_in_e(w), render_word(w)
 
 
 def test_expand_word_refuses_invalid_words_as_normalize_does():
-    # an invalid word takes the whole-word route: same message, same position
+    # expand_word refuses an invalid word as normalize does: same message,
+    # same position
     assert len(INVALID_WORDS_UPTO_LENGTH_6) == 1093 - 27
     for w in INVALID_WORDS_UPTO_LENGTH_6:
         got = outcome(expand_word, w)
@@ -384,9 +388,8 @@ def test_normalize_matches_reference_engine():
 
 
 def test_transducer_matches_the_whole_word_engine_up_to_semilength_7():
-    # every word <= 7, each rewritten whole on both sides (not through
-    # expand_word's primitive factors): the transducer against the bucket
-    # engine it replaced
+    # every word <= 7, each rewritten whole on both sides: the transducer
+    # against the bucket engine it replaced
     words = list(iter_paths_upto(7))
     assert len(words) == 5439
     for w in words:
