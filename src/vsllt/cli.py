@@ -26,9 +26,9 @@ from .dyckalgebra import coefficient_bound, eval_in_e, packed_value, width_for
 from .qpoly import ZERO, _at_q, digits_bound, render_qpoly
 from .rewrite import e_positivity_report, expand_word, normalize, split_digits
 
-# Largest tableau enumeration ``oracle`` starts; at 0.6-1 us per filling this
-# is about a second (10^6 fillings of six one-cell strips in 10 variables take
-# 0.96 s, Python 3.11.7 on a 2-vCPU x86_64 host).
+# Largest tableau enumeration ``oracle`` starts; at 0.45-0.7 us per filling
+# this is under a second (10^6 fillings of six one-cell strips in 10 variables
+# take 0.67-0.69 s, Python 3.11.7 on a 2-vCPU x86_64 host).
 MAX_ORACLE_FILLINGS = 10**6
 
 # Largest semilength ``verify`` sweeps: all 129281 words through 9 take
@@ -84,13 +84,20 @@ def _sorted_partitions(expansion):
     return sorted(expansion, reverse=True)
 
 
-def _expansion_lines(expansion) -> list[str]:
+def _expansion_lines(expansion, basis: str = "e") -> list[str]:
     if not expansion:
         return ["  0"]
     return [
-        f"  e{list(mu)}: {render_qpoly(expansion[mu])}"
+        f"  {basis}{list(mu)}: {render_qpoly(expansion[mu])}"
         for mu in _sorted_partitions(expansion)
     ]
+
+
+def _expansion_json(expansion) -> dict:
+    return {
+        _partition_key(mu): render_qpoly(expansion[mu])
+        for mu in _sorted_partitions(expansion)
+    }
 
 
 def cmd_expand(args) -> int:
@@ -116,14 +123,15 @@ def cmd_expand(args) -> int:
         word = llt.to_schroeder_word(strips)
     report = e_positivity_report(expand_word(word))
     if args.json:
-        e, shifted, rebased = report["e"], report["e_at_q_plus_1"], report["qminus1"]
-        order = _sorted_partitions(e)
+        rebased = report["qminus1"]
         doc = {
             "word": render_word(word),
             "n": n,
-            "e": {_partition_key(mu): render_qpoly(e[mu]) for mu in order},
-            "e_at_q_plus_1": {_partition_key(mu): render_qpoly(shifted[mu]) for mu in order},
-            "qminus1": {_partition_key(mu): list(rebased[mu]) for mu in order},
+            "e": _expansion_json(report["e"]),
+            "e_at_q_plus_1": _expansion_json(report["e_at_q_plus_1"]),
+            "qminus1": {
+                _partition_key(mu): list(rebased[mu]) for mu in _sorted_partitions(rebased)
+            },
             "e_positive": report["e_positive"],
         }
         if strips is not None:
@@ -177,25 +185,6 @@ def cmd_path(args) -> int:
     return 0
 
 
-def _xpoly_json(poly) -> dict:
-    return {
-        json.dumps(list(e)): render_qpoly(c)
-        for e, c in sorted(poly.items(), reverse=True)
-    }
-
-
-def _xpoly_lines(poly) -> list[str]:
-    if not poly:
-        return ["  0"]
-    lines = []
-    for e, c in sorted(poly.items(), reverse=True):
-        mono = "*".join(
-            f"x{i + 1}" if p == 1 else f"x{i + 1}^{p}" for i, p in enumerate(e) if p
-        )
-        lines.append(f"  {mono or '1'}: {render_qpoly(c)}")
-    return lines
-
-
 def cmd_oracle(args) -> int:
     strips = llt.parse_strips(args.strips)
     cells = llt.cell_count(strips)
@@ -216,8 +205,9 @@ def cmd_oracle(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        # the tableau side has at most one exponent vector per filling, either
-        # side at most one per monomial of degree cells, each of nvars entries
+        # the tableau tally keys every filling by its content, one digit per
+        # variable, so it holds up to min(fillings, monomials of degree cells)
+        # contents of nvars digits each; bound those digits
         entries = min(fillings, comb(nvars + cells - 1, cells)) * nvars
         if entries > MAX_ORACLE_FILLINGS:
             print(
@@ -235,8 +225,8 @@ def cmd_oracle(args) -> int:
                 {
                     "strips": llt.render_strips(strips),
                     "nvars": nvars,
-                    "tableau_side": _xpoly_json(tableau_side),
-                    "operator_side": _xpoly_json(operator_side),
+                    "tableau_side": _expansion_json(tableau_side),
+                    "operator_side": _expansion_json(operator_side),
                     "match": match,
                 }
             )
@@ -245,9 +235,9 @@ def cmd_oracle(args) -> int:
     print(f"strips: {llt.render_strips(strips)}")
     print(f"variables: {nvars}")
     print("tableau sum:")
-    print("\n".join(_xpoly_lines(tableau_side)))
+    print("\n".join(_expansion_lines(tableau_side, "m")))
     print("operator expansion:")
-    print("\n".join(_xpoly_lines(operator_side)))
+    print("\n".join(_expansion_lines(operator_side, "m")))
     print(f"match: {'yes' if match else 'NO'}")
     return 0 if match else 1
 

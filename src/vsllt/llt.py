@@ -9,20 +9,25 @@ diagonal with ties broken by strip index, and a pair of cells attacks iff
 it shares a diagonal with increasing strip index or sits on adjacent
 diagonals with decreasing strip index.  This is the one reading under
 which the dots, crosses and path of the standard picture all agree.
+
+Both sides of the tableau oracle are symmetric polynomials in nvars
+variables, so each is given by its coefficients in the monomial basis:
+{lam: QPoly} over the partitions lam of the cell count with at most nvars
+parts (zero coefficients left out).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import combinations, repeat
+from itertools import combinations
 from math import comb
-from operator import add, and_, rshift
+from operator import add
 
 from .paths import MINUS, PLUS, ZERO, Word
-from .qpoly import ONE, _canonical
+from .qpoly import ONE, QPoly, _canonical
 from .rewrite import expand_word
-from .symfunc import XPoly, e_expansion_in_vars
+from .symfunc import Partition, _partitions_within, e_expansion_in_m
 # unused here, but bench/tracing.py wraps llt.e_mu_in_p and llt.expand_in_vars by name
 from .symfunc import e_mu_in_p, expand_in_vars  # noqa: F401
 
@@ -178,8 +183,9 @@ def _inversion_table(pairs, fill_a, fill_b, one: int) -> list[list[int]]:
     return table
 
 
-def ssyt_generating_function(strips: StripTuple, nvars: int) -> XPoly:
-    """Brute-force tableau sum: q^inversions * x^content over all fillings.
+def ssyt_generating_function(strips: StripTuple, nvars: int) -> dict[Partition, QPoly]:
+    """Brute-force tableau sum, as its m_lam coefficients {lam: QPoly}: the
+    coefficient of x^lam, q^inversions summed over the fillings of content lam.
 
     Vertical strips only need strict increase up each column; inversions
     are the attack pairs (p, r) whose values satisfy T(p) < T(r), and every
@@ -190,13 +196,17 @@ def ssyt_generating_function(strips: StripTuple, nvars: int) -> XPoly:
     first, the one with the most fillings last.  Choosing a strip's filling
     adds its table rows to the key vectors of the strips still open, and
     the last strip tallies its whole vector at once.  Every filling is still
-    counted; each distinct key is decoded into (content, inversions) once,
-    and each content becomes one QPoly of ints.
+    counted; then only the keys whose content is a partition (weakly
+    decreasing digits, x_1 first) are kept, looked up by their content among
+    the codes of the partitions of the cell count, and each partition becomes
+    one QPoly of ints.  An LLT polynomial is symmetric (Lascoux, Leclerc and
+    Thibon), so these coefficients fix it; the tests check that symmetry on
+    the per-filling reference.
     """
     if nvars < 1:
         raise ValueError("need at least one variable")
     if not strips:
-        return {(0,) * nvars: ONE}  # the one empty filling
+        return {(): ONE}  # the one empty filling
     # walk order: fewest fillings first, so the longest vector is the one tallied
     order = sorted(range(len(strips)), key=lambda s: comb(nvars, strips[s][1]))
     fillings = [_strip_fillings(strips[s][1], nvars) for s in order]
@@ -237,31 +247,31 @@ def ssyt_generating_function(strips: StripTuple, nvars: int) -> XPoly:
             for tb, table in tables[t]:
                 below[tb] = list(map(add, vecs[tb], table[i]))
             stack.append((t + 1, acc + key, below))
-    # sorted keys come inversion count first, so each content's counts arrive in order
+    # the content of a partition lam, as a key's low digits; no digit exceeds
+    # the number of strips, so neither does any part
+    codes = {
+        sum(part << width * v for v, part in enumerate(lam)): lam
+        for lam in _partitions_within(cell_count(strips), nvars, len(strips))
+    }
     content_mask = (1 << shift) - 1
-    by_content: dict[int, list[int]] = {}
-    for key in sorted(tally):
+    by_lam: dict[Partition, list[int]] = {}
+    # sorted keys come inversion count first, so each partition's counts arrive in order
+    for key in sorted(k for k in tally if (k & content_mask) in codes):
         inv = key >> shift
-        counts = by_content.get(key & content_mask)
+        lam = codes[key & content_mask]
+        counts = by_lam.get(lam)
         if counts is None:
-            by_content[key & content_mask] = counts = [0] * inv
+            by_lam[lam] = counts = [0] * inv
         else:
             counts += [0] * (inv - len(counts))
         counts.append(tally[key])
-    # decode the contents one variable at a time, across all of them at once
-    codes = list(by_content)
-    digit_mask = (1 << width) - 1
-    columns = [
-        map(and_, map(rshift, codes, repeat(width * v)), repeat(digit_mask))
-        for v in range(nvars)
-    ]
-    return dict(zip(zip(*columns), map(_canonical, by_content.values())))
+    return {lam: _canonical(counts) for lam, counts in by_lam.items()}
 
 
-def llt_in_vars(strips: StripTuple, nvars: int) -> XPoly:
-    """The operator-side polynomial, expanded in nvars variables.
+def llt_in_vars(strips: StripTuple, nvars: int) -> dict[Partition, QPoly]:
+    """The operator side's m_lam coefficients in nvars variables.
 
     The rewritten e-expansion goes through the integer e -> monomial
     transition, so every coefficient is a QPoly of ints.
     """
-    return e_expansion_in_vars(expand_word(to_schroeder_word(strips)), nvars)
+    return e_expansion_in_m(expand_word(to_schroeder_word(strips)), nvars)

@@ -12,8 +12,9 @@ dyckalgebra's packed rings: it needs only +, *, unary - and truth value.
 e_expansion_in_p sums in ints: z_lam [p_lam] e_mu is an integer, so each
 coefficient is an int sum divided by z_lam once, and a Fraction appears
 only in a value that really is non-integral.  The tableau oracle takes its
-e-expansion to n variables through e_expansion_in_vars instead, the integer
-e -> monomial bridge at the end of the module, which needs no Fraction.
+e-expansion to the monomial basis through e_expansion_in_m instead, the
+integer e -> monomial bridge at the end of the module: one coefficient per
+m_lam with at most n parts, no exponent vectors and no Fraction.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, groupby
+from itertools import groupby
 from math import comb
 
 from .qpoly import ONE, QPoly, accumulate, render_qpoly
@@ -290,10 +291,8 @@ def expand_in_vars(f: GradedSym, nvars: int) -> XPoly:
 
 # ---------------------------------------------------------------------------
 # Integer e -> monomial bridge (the tableau oracle's operator side).  The
-# coefficient of x^alpha in e_mu(x_1..x_nvars) counts the 0/1 matrices with
-# row sums mu and column sums alpha (Macdonald, Symmetric Functions and Hall
-# Polynomials, I.6); it depends only on the sorted alpha, so every
-# rearrangement of one partition shares it.
+# coefficient of m_lam in e_mu counts the 0/1 matrices with row sums mu and
+# column sums lam (Macdonald, Symmetric Functions and Hall Polynomials, I.6).
 
 
 def _row_placements(groups: list[tuple[int, int]], r: int):
@@ -331,27 +330,6 @@ def _e_to_m(mu: Partition, lam: Partition) -> int:
     )
 
 
-@cache
-def _orbit(lam: Partition, nvars: int) -> tuple[tuple[int, ...], ...]:
-    """The exponent vectors of the monomial m_lam in nvars variables.
-
-    Each distinct part of lam in turn takes its places among the positions
-    still 0, so every vector comes out exactly once.
-    """
-    placed = [(0,) * nvars]
-    for v, run in groupby(lam):
-        k = len(list(run))
-        grown = []
-        for vec in placed:
-            for spots in combinations([i for i, x in enumerate(vec) if not x], k):
-                out = list(vec)
-                for i in spots:
-                    out[i] = v
-                grown.append(tuple(out))
-        placed = grown
-    return tuple(placed)
-
-
 def _partitions_within(size: int, parts: int, largest: int | None = None):
     """Partitions of size with at most `parts` parts, each at most `largest`."""
     if size == 0:
@@ -364,20 +342,22 @@ def _partitions_within(size: int, parts: int, largest: int | None = None):
             yield (first,) + rest
 
 
-def e_expansion_in_vars(expansion: dict[Partition, QPoly], nvars: int) -> XPoly:
-    """sum_mu c_mu e_mu(x_1..x_nvars) for an e-expansion {mu: c_mu}, fully expanded.
+def e_expansion_in_m(expansion: dict[Partition, QPoly], nvars: int) -> dict[Partition, QPoly]:
+    """sum_mu c_mu e_mu(x_1..x_nvars) for an e-expansion {mu: c_mu}, as its
+    m_lam coefficients {lam: QPoly}.
 
-    Every m_lam with at most nvars parts gets sum_mu c_mu * _e_to_m(mu, lam),
-    summed coefficient by coefficient in the scalars' own ints, and each
-    monomial of m_lam shares that one QPoly.  Equals
-    expand_in_vars(e_expansion_in_p(expansion, n), nvars) for n >= the degree.
+    Every lam with at most nvars parts gets sum_mu c_mu * _e_to_m(mu, lam),
+    summed coefficient by coefficient in the scalars' own ints; zero sums are
+    dropped.  A symmetric polynomial in nvars variables is fixed by these
+    coefficients: each is the coefficient of x^lam in
+    expand_in_vars(e_expansion_in_p(expansion, n), nvars), n >= the degree.
     """
     if nvars < 1:
         raise ValueError("need at least one variable")
     by_size: dict[int, list[tuple[Partition, QPoly]]] = {}
     for mu, c in expansion.items():
         by_size.setdefault(sum(mu), []).append((mu, c))
-    out: XPoly = {}
+    out: dict[Partition, QPoly] = {}
     for size, terms in by_size.items():
         width = max(len(c.coeffs) for _, c in terms)
         for lam in _partitions_within(size, nvars):
@@ -389,5 +369,5 @@ def e_expansion_in_vars(expansion: dict[Partition, QPoly], nvars: int) -> XPoly:
                         acc[i] += count * a
             coeff = QPoly(acc)
             if coeff:
-                out.update(dict.fromkeys(_orbit(lam, nvars), coeff))
+                out[lam] = coeff
     return out

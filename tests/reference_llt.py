@@ -1,9 +1,11 @@
 """Reference versions of both oracle sides, kept only for the tests.
 
-The tableau sum is the straightforward form: every filling adds its own
+Both are full polynomials in nvars variables, {exponent vector: QPoly}.  The
+tableau sum is the straightforward form: every filling adds its own
 monomial q^inversions at its content.  The operator side goes through the
-power-sum basis, with rational coefficients.  The library's integer tally and
-integer e -> monomial bridge must agree with them exactly.
+power-sum basis, with rational coefficients.  The library's m_lam
+coefficients (its integer tally and integer e -> monomial bridge) must equal
+their m-projections (reference_symfunc.m_projection) exactly.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ def ssyt_generating_function(strips: StripTuple, nvars: int) -> XPoly:
 
 
 def oracle_compare(strips: StripTuple, nvars: int | None = None) -> bool:
-    """The library's tableau sum versus its rewritten-and-expanded operator
-    value, coefficientwise, in nvars variables (default: the cell count)."""
+    """The library's tableau sum versus its rewritten operator value, m_lam
+    coefficient by coefficient, in nvars variables (default: the cell count)."""
     if nvars is None:
         nvars = max(cell_count(strips), 1)
     return llt.ssyt_generating_function(strips, nvars) == llt.llt_in_vars(strips, nvars)

@@ -146,6 +146,29 @@ def test_oracle_command(capsys):
     assert "match: yes" in out
 
 
+def test_oracle_prints_m_coefficients(capsys):
+    # both sides as m_lam coefficients, in expand's partition order
+    code, out, _ = run(capsys, "oracle", "--strips", "0:1;0:1")
+    assert code == 0
+    side = "  m[2]: 1\n  m[1, 1]: q + 1\n"
+    assert out == (
+        f"strips: 0:1;0:1\nvariables: 2\ntableau sum:\n{side}"
+        f"operator expansion:\n{side}match: yes\n"
+    )
+    code, out, _ = run(capsys, "oracle", "--strips", "0:1;-1:2", "--json")
+    assert code == 0
+    side = {"[2, 1]": "q", "[1, 1, 1]": "q^2 + 2q"}
+    assert json.loads(out) == {
+        "strips": "0:1;-1:2", "nvars": 3, "tableau_side": side, "operator_side": side,
+        "match": True,
+    }
+    assert list(json.loads(out)["tableau_side"]) == ["[2, 1]", "[1, 1, 1]"]
+    # no filling in one variable: both sides are 0
+    code, out, _ = run(capsys, "oracle", "--strips", "0:2", "--nvars", "1")
+    assert code == 0
+    assert "tableau sum:\n  0\noperator expansion:\n  0\n" in out
+
+
 def test_oracle_empty_tuple(capsys):
     code, out, _ = run(capsys, "oracle", "--strips", "")
     assert code == 0
@@ -393,11 +416,12 @@ def test_oracle_refuses_huge_outputs(capsys, monkeypatch):
 
 
 def test_oracle_takes_many_variables(capsys):
-    # one exponent vector per variable, each as long as the variable count
-    for strips in ("0:1", ""):
+    # one tally key per variable, each as long as the variable count
+    for strips, side in (("0:1", "m[1]: 1"), ("", "m[]: 1")):
         code, out, _ = run(capsys, "oracle", "--strips", strips, "--nvars", "1000")
         assert code == 0
         assert "match: yes" in out
+        assert out.count(side) == 2
 
 
 def test_oracle_under_the_limit_still_matches(capsys):

@@ -4,7 +4,7 @@ compared through a coefficient-wise e->p conversion; every memoized function
 agrees with a fresh recompute, and no caller can change a memoized value."""
 
 from fractions import Fraction
-from itertools import combinations, groupby, permutations, product
+from itertools import combinations, groupby, product
 from math import factorial, prod
 
 import hypothesis.strategies as st
@@ -13,6 +13,7 @@ from hypothesis import given, settings
 import reference_dyck
 import reference_llt
 from conftest import qpolys, velement_in_p, velements
+from reference_symfunc import m_projection
 from vsllt import dyckalgebra, llt, rewrite, symfunc
 from vsllt.cli import _verify_one
 from vsllt.dyckalgebra import (
@@ -273,7 +274,6 @@ CACHED = {
     symfunc.e_mu_in_p: lambda mu, n: prod((_fresh_e_in_p(k, n) for k in mu), start=GradedSym.one(n)),
     symfunc._p_mu_in_vars: _fresh_p_mu_in_vars,
     symfunc._e_to_m: _count_01_matrices,
-    symfunc._orbit: lambda lam, nvars: set(permutations(lam + (0,) * (nvars - len(lam)))),
     _shift_table: _unmerged_expansion,
     symfunc._e_mu_in_p_scaled: _fresh_scaled,
     dyckalgebra.packed: _fresh_packed,
@@ -298,7 +298,6 @@ def _cache_domain(size):
         symfunc.e_mu_in_p: [(mu, n) for n in range(1, size + 1) for mu in parts if sum(mu) <= n],
         symfunc._p_mu_in_vars: [(mu, v) for v in range(1, size + 1) for mu in parts],
         symfunc._e_to_m: [(mu, lam) for mu in parts for lam in parts],
-        symfunc._orbit: [(lam, v) for v in range(1, size + 1) for lam in parts if len(lam) <= v],
         _shift_table: [(mu, sign) for mu in parts for sign in (+1, -1)],
         symfunc._e_mu_in_p_scaled: [(mu,) for mu in parts],
         dyckalgebra.packed: [(bits,) for bits in widths],
@@ -311,9 +310,6 @@ def _cache_domain(size):
 
 
 def _as_compared(fn, value):
-    if fn is symfunc._orbit:
-        assert len(value) == len(set(value))
-        return set(value)
     if fn is _shift_table:
         return {(p, extra): c for p, extra, c in value}
     if fn in (dyckalgebra._primitive_value, dyckalgebra._lowering_table):
@@ -339,7 +335,7 @@ def test_bridge_caches_survive_verify():
             assert all(_verify_one(word)[1:])
             eval_word(word)
     for strips in strips_cases:
-        assert llt.llt_in_vars(strips, 3) == reference_llt.llt_in_vars(strips, 3)
+        assert llt.llt_in_vars(strips, 3) == m_projection(reference_llt.llt_in_vars(strips, 3))
     assert all(fn.cache_info().currsize for fn in CACHED), [
         fn.__name__ for fn in CACHED if not fn.cache_info().currsize
     ]

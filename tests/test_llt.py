@@ -1,5 +1,6 @@
+from collections import Counter
 from itertools import combinations, permutations
-from math import comb, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from conftest import all_strip_tuples
 from reference_llt import llt_in_vars as reference_llt_in_vars
 from reference_llt import oracle_compare
 from reference_llt import ssyt_generating_function as reference_ssyt
+from reference_symfunc import m_projection
 from vsllt.paths import parse_word, render_word, validate_word
 from vsllt.qpoly import ONE, QPoly
 from vsllt.rewrite import expand_word
@@ -128,8 +130,9 @@ def test_to_schroeder_word():
 def test_ssyt_small_cases():
     assert ssyt_generating_function(parse_strips("0:2"), 2) == {(1, 1): ONE}
     two = ssyt_generating_function(parse_strips("0:1;0:1"), 2)
-    assert two == {(2, 0): ONE, (0, 2): ONE, (1, 1): QPoly((1, 1))}
-    assert ssyt_generating_function((), 1) == {(0,): ONE}
+    assert two == {(2,): ONE, (1, 1): QPoly((1, 1))}
+    assert ssyt_generating_function((), 1) == {(): ONE}
+    assert ssyt_generating_function(parse_strips("0:2"), 1) == {}
 
 
 def test_oracle_compare_examples():
@@ -166,13 +169,24 @@ def test_area_word_always_valid(strips):
     assert sum(1 for t in word if t == "0") == len(crosses)
 
 
+def _is_symmetric(poly):
+    return all(poly.get(perm) == c for e, c in poly.items() for perm in permutations(e))
+
+
 @given(strip_tuples(max_cells=5), st.integers(2, 3))
 @settings(max_examples=30, deadline=None)
 def test_ssyt_output_is_symmetric(strips, nvars):
-    poly = ssyt_generating_function(strips, nvars)
-    for e, c in poly.items():
-        for perm in permutations(e):
-            assert poly.get(perm) == c
+    # the library keeps only the m_lam coefficients, so the symmetry that
+    # makes them enough is checked on the per-filling sum in every variable
+    assert _is_symmetric(reference_ssyt(strips, nvars))
+
+
+def test_per_filling_tableau_sum_is_symmetric_on_small_tuples():
+    # every criterion-6 tuple of at most 4 cells, in as many variables as cells
+    tuples = [t for t in set(all_strip_tuples(5, 3, range(-2, 3))) if cell_count(t) <= 4]
+    assert len(tuples) == 671
+    for t in tuples:
+        assert _is_symmetric(reference_ssyt(t, max(cell_count(t), 1))), render_strips(t)
 
 
 @given(strip_tuples(max_cells=3))
@@ -194,7 +208,7 @@ def test_tableau_tally_matches_per_filling_reference():
     for t in tuples:
         nvars = max(cell_count(t), 1)
         got = ssyt_generating_function(t, nvars)
-        assert got == reference_ssyt(t, nvars), render_strips(t)
+        assert got == m_projection(reference_ssyt(t, nvars)), render_strips(t)
         assert all(type(x) is int for c in got.values() for x in c.coeffs)
     # the first two strips of 0:3;1:2;-1:2 attack each other both ways (same
     # diagonal, and one diagonal up); at 1 or 2 variables its tall strips,
@@ -213,7 +227,8 @@ def test_tableau_tally_matches_per_filling_reference():
         parse_strips("0:2;-1:3;1:1"),
     ):
         for nvars in (1, 2, 6):
-            assert ssyt_generating_function(t, nvars) == reference_ssyt(t, nvars), (t, nvars)
+            want = m_projection(reference_ssyt(t, nvars))
+            assert ssyt_generating_function(t, nvars) == want, (t, nvars)
 
 
 def _inversion_total(strips, nvars):
@@ -233,18 +248,28 @@ def _inversion_total(strips, nvars):
     return total
 
 
+def _monomials_in(lam, nvars):
+    """The number of distinct rearrangements of lam, padded with zeros to
+    nvars entries: the monomials of m_lam in nvars variables."""
+    multiplicities = Counter(lam + (0,) * (nvars - len(lam))).values()
+    return factorial(nvars) // prod(map(factorial, multiplicities))
+
+
 @pytest.mark.parametrize(
     "text, nvars",
     [("0:2;0:2;0:1;-1:1", 10), ("0:3;1:2;-1:2", 9), (";".join(["0:1"] * 6), 7), ("0:3;1:2;-1:2", 2)],
 )
 def test_tableau_sum_counts_every_filling(text, nvars):
-    # at q = 1 the coefficients add up to the number of fillings, one
-    # C(nvars, h) per strip, and the derivative at q = 1 to the inversions
-    # summed pair by pair; tuples too big for the per-filling reference
+    # each m_lam coefficient stands for that many monomials, so at q = 1 the
+    # weighted coefficients add up to the number of fillings, one C(nvars, h)
+    # per strip, and their derivatives at q = 1 to the inversions summed pair
+    # by pair; tuples too big for the per-filling reference
     strips = parse_strips(text)
-    poly = ssyt_generating_function(strips, nvars)
-    assert sum(c(1) for c in poly.values()) == prod(comb(nvars, h) for _, h in strips)
-    assert sum(i * x for c in poly.values() for i, x in enumerate(c.coeffs)) == \
+    m = ssyt_generating_function(strips, nvars)
+    weight = {lam: _monomials_in(lam, nvars) for lam in m}
+    assert sum(weight[lam] * c(1) for lam, c in m.items()) == \
+        prod(comb(nvars, h) for _, h in strips)
+    assert sum(weight[lam] * i * x for lam, c in m.items() for i, x in enumerate(c.coeffs)) == \
         _inversion_total(strips, nvars)
 
 
@@ -268,6 +293,32 @@ def test_operator_side_matches_p_basis_reference():
         if key not in references:
             references[key] = reference_llt_in_vars(t, nvars)
         got = llt_in_vars(t, nvars)
-        assert got == references[key], (render_strips(t), nvars)
+        assert got == m_projection(references[key]), (render_strips(t), nvars)
         assert all(type(x) is int for c in got.values() for x in c.coeffs)
     assert len(references) == 71
+
+
+def test_llt_at_q_1_is_the_product_of_e_heights():
+    # Lemma: at q = 1 every filling scores 1, so an LLT polynomial of
+    # vertical strips is the product of e_h over the strips' heights h; the
+    # rewritten e-expansion at q = 1 must be e_mu alone, mu the sorted
+    # heights.  Every criterion-6 tuple, then tuples up to the 14-cell
+    # expand cap, where no tableau sum can follow; the 14 one-cell strips on
+    # one diagonal give -^14 +^14, the costliest word of semilength 14.
+    tuples = sorted(set(all_strip_tuples(5, 3, range(-2, 3))))
+    assert len(tuples) == 1526
+    tuples += [
+        BIG,
+        parse_strips("0:14"),
+        parse_strips("0:7;0:7"),
+        parse_strips("0:3;-1:4;2:2;1:5"),
+        parse_strips("0:2;-2:2;-1:1;1:1;-3:2;-1:2;0:4"),
+        parse_strips(";".join(f"{d}:1" for d in range(-6, 7))),
+        parse_strips("0:1;1:1;0:2;-1:3;2:1;0:2;1:1;-2:2"),
+        ((0, 1),) * 14,
+    ]
+    for t in tuples:
+        assert cell_count(t) <= 14
+        at_1 = {mu: c(1) for mu, c in expand_word(to_schroeder_word(t)).items()}
+        heights = tuple(sorted((h for _, h in t), reverse=True))
+        assert {mu: v for mu, v in at_1.items() if v} == {heights: 1}, render_strips(t)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import reference_symfunc
+from reference_symfunc import m_projection
 from conftest import graded_syms, partitions
 from vsllt.dyckalgebra import eval_in_e
 from vsllt.paths import iter_paths_upto, render_word
@@ -18,8 +19,8 @@ from vsllt.symfunc import (
     _e_mu_in_p_scaled,
     _e_to_m,
     _partitions_within,
+    e_expansion_in_m,
     e_expansion_in_p,
-    e_expansion_in_vars,
     e_in_p,
     e_mu_in_p,
     expand_in_vars,
@@ -174,7 +175,7 @@ def test_e_to_m_counts_zero_one_matrices():
     # the number of 0/1 matrices with row sums mu and column sums sort(alpha),
     # for every mu with |mu| <= 6 and N <= 6.  e_mu(x_1..x_N) comes from the
     # p-basis route and from the product of subset sums; the bridge built on
-    # the count must reproduce both.
+    # the count must reproduce their m_lam coefficients.
     checked = 0
     for size in range(7):
         for mu in _partitions_of(size):
@@ -188,21 +189,28 @@ def test_e_to_m_counts_zero_one_matrices():
                     lam = tuple(sorted((a for a in alpha if a), reverse=True))
                     want = direct.get(alpha, QPoly())
                     assert QPoly.const(_e_to_m(mu, lam)) == want, (mu, alpha)
-                assert e_expansion_in_vars({mu: ONE}, nvars) == direct, (mu, nvars)
+                assert e_expansion_in_m({mu: ONE}, nvars) == m_projection(direct), (mu, nvars)
                 checked += 1
     assert checked == 30 * 6
     assert _e_to_m((2, 1), (1, 1, 1)) == 3 and _e_to_m((2,), (2,)) == 0
 
 
-def test_e_expansion_in_vars_mixed_degrees():
+def test_e_expansion_in_m_mixed_degrees():
     expansion = {(2, 1): QPoly((1, 2)), (1,): QPoly((0, -1)), (): QPoly.const(3)}
     for nvars in (1, 2, 4):
-        got = e_expansion_in_vars(expansion, nvars)
-        assert got == expand_in_vars(e_expansion_in_p(expansion, 3), nvars)
+        got = e_expansion_in_m(expansion, nvars)
+        assert got == m_projection(expand_in_vars(e_expansion_in_p(expansion, 3), nvars))
         assert all(type(x) is int for c in got.values() for x in c.coeffs)
-    assert e_expansion_in_vars({}, 2) == {}
+    # e[2, 1] = m[2, 1] + 3 m[1, 1, 1]: two variables drop the second term,
+    # one variable both, as e_2(x_1) = 0
+    assert e_expansion_in_m(expansion, 2) == {
+        (2, 1): QPoly((1, 2)), (1,): QPoly((0, -1)), (): QPoly.const(3)
+    }
+    assert e_expansion_in_m(expansion, 1) == {(1,): QPoly((0, -1)), (): QPoly.const(3)}
+    assert e_expansion_in_m(expansion, 3)[(1, 1, 1)] == QPoly((3, 6))
+    assert e_expansion_in_m({}, 2) == {}
     with pytest.raises(ValueError):
-        e_expansion_in_vars(expansion, 0)
+        e_expansion_in_m(expansion, 0)
 
 
 def test_p_numerators_are_integers_up_to_degree_8():
