@@ -26,9 +26,12 @@ from .dyckalgebra import coefficient_bound, eval_in_e, packed_value, width_for
 from .qpoly import ZERO, _at_q, digits_bound, render_qpoly
 from .rewrite import e_positivity_report, expand_word, normalize, split_digits
 
-# Largest tableau enumeration ``oracle`` starts; at 0.45-0.7 us per filling
-# this is under a second (10^6 fillings of six one-cell strips in 10 variables
-# take 0.67-0.69 s, Python 3.11.7 on a 2-vCPU x86_64 host).
+# Most tableau fillings ``oracle`` admits, counted as prod C(nvars, h) over the
+# strips.  The walk visits only the partial fillings that can still end on a
+# partition content, in at most as many values as cells: the slowest admitted
+# input found, twelve one-cell strips on one diagonal in 3 variables (531441
+# fillings), takes 0.2-0.3 s, and 10^6 fillings of six one-cell strips in 10
+# variables about 4 ms (Python 3.11.7 on a 2-vCPU x86_64 host).
 MAX_ORACLE_FILLINGS = 10**6
 
 # Largest semilength ``verify`` sweeps: all 129281 words through 9 take
@@ -205,9 +208,9 @@ def cmd_oracle(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        # the tableau tally keys every filling by its content, one digit per
-        # variable, so it holds up to min(fillings, monomials of degree cells)
-        # contents of nvars digits each; bound those digits
+        # the tableau walk keys each strip's fillings by their contents, one
+        # digit per value it uses (at most nvars), in vectors of at most
+        # min(fillings, monomials of degree cells) entries; bound those digits
         entries = min(fillings, comb(nvars + cells - 1, cells)) * nvars
         if entries > MAX_ORACLE_FILLINGS:
             print(

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import combinations
+from functools import cache
+from itertools import accumulate, combinations
 from math import comb
 from operator import add
 
@@ -163,55 +164,138 @@ def _strip_fillings(height: int, nvars: int):
     return list(combinations(range(1, nvars + 1), height))
 
 
-def _inversion_table(pairs, fill_a, fill_b, one: int) -> list[list[int]]:
-    """Inversions between every filling of strip a and every filling of strip b.
+def _pair_hits(pair, fill_a, fill_b, one: int) -> list[list[int]]:
+    """Where one attack pair between strips a and b inverts.
 
-    pairs lists the attack pairs between the two strips as (index into a
-    filling of a, index into a filling of b, whether a holds the lower
-    reading position p).  Row i, column j holds ``one`` times the number of
-    those pairs that invert when a is filled by fill_a[i] and b by fill_b[j].
+    pair is (index into a filling of a, index into a filling of b, whether
+    a holds the lower reading position p).  Entry i is a row over fill_b:
+    ``one`` where the pair inverts with a filled by fill_a[i], else 0.  The
+    fillings of a that agree at the pair's cell share one row.
     """
-    table = [[0] * len(fill_b)] * len(fill_a)  # rows are replaced, never mutated
-    for ia, ib, a_first in pairs:
-        column = [fb[ib] for fb in fill_b]
-        # one row of 0/one per value the cell of a can hold
-        hits = {
-            x: [one if (x < y if a_first else y < x) else 0 for y in column]
-            for x in {fa[ia] for fa in fill_a}
-        }
-        table = [list(map(add, row, hits[fa[ia]])) for row, fa in zip(table, fill_a)]
-    return table
+    ia, ib, a_first = pair
+    column = [fb[ib] for fb in fill_b]
+    hits = {
+        x: [one if (x < y if a_first else y < x) else 0 for y in column]
+        for x in {fa[ia] for fa in fill_a}
+    }
+    return [hits[fa[ia]] for fa in fill_a]
+
+
+def _filling_index(picked: tuple[int, ...], nvars: int) -> int:
+    """The index of the filling holding the values picked + 1 (ascending)
+    in _strip_fillings(len(picked), nvars), which lists them in lex order."""
+    h = len(picked)
+    return comb(nvars, h) - 1 - sum(comb(nvars - 1 - v, h - i) for i, v in enumerate(picked))
+
+
+@cache
+def _completable(heights: tuple[int, ...], nvars: int) -> tuple[list[set[int]], dict, dict]:
+    """The partial contents of the strip walk that can still end on a partition.
+
+    The strips have these heights in walk order and take the values
+    1..nvars; a content is coded as the walk's keys code it, one digit of
+    len(heights).bit_length() bits per value, x_1 lowest.  Returns
+    (steps, leaf, lams):
+    - steps[t], for each step t before the last, holds the contents that
+      walk steps 0..t reach and that the remaining strips complete to a
+      partition with at most nvars parts;
+    - leaf maps each content c that steps[-1] holds (the empty content if
+      there is one strip) to the pairs (index into the last strip's
+      fillings, code of lam - c) that complete it to a partition lam.  No
+      digit of lam - c borrows, as lam - c is the last strip's content;
+    - lams maps the code of each partition completed so to the partition.
+
+    Built from the partition side, so the walk's filling lists are never
+    scanned: each lam is peeled one strip at a time, last strip first, by
+    every 0/1 vector of the strip's height under its support.  A content
+    peeled down to step t is kept only if the strips before it can fill it:
+    by the Gale-Ryser theorem, iff its k largest digits add up to at most
+    sum(min(h, k)) over those strips' heights h, for every k.
+    """
+    width = len(heights).bit_length()
+
+    def code(c: tuple[int, ...]) -> int:
+        return sum(x << width * v for v, x in enumerate(c))
+
+    # caps[t][k]: the most cells that k values can take in the strips before step t
+    caps = [
+        [sum(min(h, k) for h in heights[:t]) for k in range(nvars + 1)]
+        for t in range(len(heights) + 1)
+    ]
+
+    def fillable(c: tuple[int, ...], t: int) -> bool:
+        runs = accumulate(sorted(c, reverse=True))
+        return all(run <= caps[t][k] for k, run in enumerate(runs, 1))
+
+    last = len(heights) - 1
+    # contents[t]: the kept contents after walk step t
+    contents: list[set[tuple[int, ...]]] = [set() for _ in heights]
+    contents[last] = {
+        lam for lam in _partitions_within(sum(heights), nvars) if fillable(lam, len(heights))
+    }
+    leaf: dict[int, list] = {}
+    for t in range(last, -1, -1):
+        for c in contents[t]:
+            for picked in combinations([v for v, x in enumerate(c) if x], heights[t]):
+                d = list(c)
+                for v in picked:
+                    d[v] -= 1
+                while d and not d[-1]:
+                    d.pop()
+                d = tuple(d)
+                if not fillable(d, t):
+                    continue
+                if t:
+                    contents[t - 1].add(d)
+                if t == last:
+                    j = _filling_index(picked, nvars)
+                    leaf.setdefault(code(d), []).append((j, code(c) - code(d)))
+    steps = [set(map(code, cs)) for cs in contents[:last]]
+    lams = {code(lam): lam for lam in contents[last]}
+    return steps, {c: tuple(pairs) for c, pairs in leaf.items()}, lams
 
 
 def ssyt_generating_function(strips: StripTuple, nvars: int) -> dict[Partition, QPoly]:
-    """Brute-force tableau sum, as its m_lam coefficients {lam: QPoly}: the
+    """The tableau sum, as its m_lam coefficients {lam: QPoly}: the
     coefficient of x^lam, q^inversions summed over the fillings of content lam.
 
     Vertical strips only need strict increase up each column; inversions
     are the attack pairs (p, r) whose values satisfy T(p) < T(r), and every
-    attack pair joins two different strips.  So a filling is scored by one
-    int key: each strip's filling adds its content, one digit per variable,
-    and each pair of strips adds, from a table built once, its inversion
-    count in the digits above the contents.  The strips are walked depth
-    first, the one with the most fillings last.  Choosing a strip's filling
-    adds its table rows to the key vectors of the strips still open, and
-    the last strip tallies its whole vector at once.  Every filling is still
-    counted; then only the keys whose content is a partition (weakly
-    decreasing digits, x_1 first) are kept, looked up by their content among
-    the codes of the partitions of the cell count, and each partition becomes
-    one QPoly of ints.  An LLT polynomial is symmetric (Lascoux, Leclerc and
-    Thibon), so these coefficients fix it; the tests check that symmetry on
-    the per-filling reference.
+    attack pair joins two different strips.  An LLT polynomial is symmetric
+    (Lascoux, Leclerc and Thibon), so its m_lam coefficients fix it, and
+    only the fillings whose content is a partition are walked; the tests
+    check that symmetry on the per-filling reference.  Such a filling uses
+    only the values 1..len(lam), so every strip is filled from the first
+    min(nvars, cells) values.
+
+    A partial filling is scored by one int key: each strip's filling adds
+    its content, one digit per value, and each pair of strips adds its
+    inversion count, from tables built once, in the digits above the
+    contents.  The strips are walked depth first, the one with the most
+    fillings last.  Choosing a strip's filling adds its table rows to the
+    key vectors of the strips still open, and a partial filling is followed
+    only while the strips left can complete its content to a partition
+    (_completable, memoized per shape).  The last strip is not enumerated:
+    its filling is lam minus the content so far, looked up, and its
+    inversions are read off the rows chosen above it.  So every filling of
+    partition content is counted once, and no other filling is walked to
+    the end.
     """
     if nvars < 1:
         raise ValueError("need at least one variable")
     if not strips:
         return {(): ONE}  # the one empty filling
-    # walk order: fewest fillings first, so the longest vector is the one tallied
+    nvars = min(nvars, cell_count(strips))  # the values a partition content can use
+    # walk order: fewest fillings first, so the longest vector is the one looked up
     order = sorted(range(len(strips)), key=lambda s: comb(nvars, strips[s][1]))
-    fillings = [_strip_fillings(strips[s][1], nvars) for s in order]
+    heights = tuple(strips[s][1] for s in order)
+    fillings = [_strip_fillings(h, nvars) for h in heights]
     if not all(fillings):
         return {}
+    steps, leaf, lams = _completable(heights, nvars)
+    last = len(order) - 1
+    if not last:
+        return {lam: ONE for lam in lams.values()}  # one strip: no inversions
     width = len(strips).bit_length()  # a value occurs at most once per strip
     shift = width * nvars
     step = {s: t for t, s in enumerate(order)}
@@ -225,46 +309,50 @@ def ssyt_generating_function(strips: StripTuple, nvars: int) -> dict[Partition, 
             between.setdefault((tp, tr), []).append((ip, ir, True))
         else:
             between.setdefault((tr, tp), []).append((ir, ip, False))
+    # inversions between the strips of every two steps, in the digits above
+    # the contents: a table for two steps before the last, and for a step
+    # and the last, per filling of the step one row per attack pair, since
+    # the walk reads only the entries of the fillings it completes with
     tables: list[list] = [[] for _ in order]
+    into_last = [[()] * len(fs) for fs in fillings[:last]]
     for (ta, tb), pairs in between.items():
-        table = _inversion_table(pairs, fillings[ta], fillings[tb], 1 << shift)
-        tables[ta].append((tb, table))
-    # the key vector of each step starts as its fillings' contents
-    unit = [0] + [1 << width * v for v in range(nvars)]  # unit[v]: the content of v alone
-    vectors = [[sum(map(unit.__getitem__, f)) for f in fs] for fs in fillings]
-
-    # depth first; an entry is (walk step, key so far, key vectors from that step on)
-    tally: Counter[int] = Counter()
-    last = len(order) - 1
-    stack = [(0, 0, vectors)]
-    while stack:
-        t, acc, vecs = stack.pop()
-        if t == last:
-            tally.update(map(acc.__add__, vecs[t]))
-            continue
-        for i, key in enumerate(vecs[t]):
-            below = vecs[:]
-            for tb, table in tables[t]:
-                below[tb] = list(map(add, vecs[tb], table[i]))
-            stack.append((t + 1, acc + key, below))
-    # the content of a partition lam, as a key's low digits; no digit exceeds
-    # the number of strips, so neither does any part
-    codes = {
-        sum(part << width * v for v, part in enumerate(lam)): lam
-        for lam in _partitions_within(cell_count(strips), nvars, len(strips))
-    }
-    content_mask = (1 << shift) - 1
-    by_lam: dict[Partition, list[int]] = {}
-    # sorted keys come inversion count first, so each partition's counts arrive in order
-    for key in sorted(k for k in tally if (k & content_mask) in codes):
-        inv = key >> shift
-        lam = codes[key & content_mask]
-        counts = by_lam.get(lam)
-        if counts is None:
-            by_lam[lam] = counts = [0] * inv
+        hits = [_pair_hits(pair, fillings[ta], fillings[tb], 1 << shift) for pair in pairs]
+        if tb < last:
+            tables[ta].append((tb, [list(map(sum, zip(*rows))) for rows in zip(*hits)]))
         else:
-            counts += [0] * (inv - len(counts))
-        counts.append(tally[key])
+            into_last[ta] = list(zip(*hits))
+    # the key vector of each step before the last starts as its fillings' contents
+    unit = [0] + [1 << width * v for v in range(nvars)]  # unit[v]: the content of v alone
+    vectors = [[sum(map(unit.__getitem__, f)) for f in fs] for fs in fillings[:last]]
+
+    # depth first; an entry is (walk step, key so far, key vectors from that
+    # step on, the rows toward the last strip chosen so far)
+    content_mask = (1 << shift) - 1
+    found: list[int] = []  # the key of every filling walked to the end
+    stack = [(0, 0, vectors, ())]
+    while stack:
+        t, acc, vecs, rows = stack.pop()
+        keep = steps[t]
+        for i, key in enumerate(vecs[t]):
+            key += acc
+            if key & content_mask not in keep:
+                continue
+            more = rows + into_last[t][i]
+            if t + 1 < last:
+                below = vecs[:]
+                for tb, table in tables[t]:
+                    below[tb] = list(map(add, vecs[tb], table[i]))
+                stack.append((t + 1, key, below, more))
+                continue
+            found += [
+                key + rest + sum([row[j] for row in more]) for j, rest in leaf[key & content_mask]
+            ]
+    by_lam: dict[Partition, list[int]] = {}
+    for key, count in Counter(found).items():
+        inv, lam = key >> shift, lams[key & content_mask]
+        counts = by_lam.setdefault(lam, [])
+        counts += [0] * (inv + 1 - len(counts))
+        counts[inv] = count
     return {lam: _canonical(counts) for lam, counts in by_lam.items()}
 
 

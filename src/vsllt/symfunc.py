@@ -330,16 +330,19 @@ def _e_to_m(mu: Partition, lam: Partition) -> int:
     )
 
 
-def _partitions_within(size: int, parts: int, largest: int | None = None):
-    """Partitions of size with at most `parts` parts, each at most `largest`."""
+@cache
+def _partitions_within(size: int, parts: int, largest: int | None = None) -> tuple[Partition, ...]:
+    """Partitions of size with at most `parts` parts, each at most `largest`,
+    largest first part first."""
     if size == 0:
-        yield ()
-        return
+        return ((),)
     if parts == 0:
-        return
-    for first in range(min(size, largest or size), 0, -1):
-        for rest in _partitions_within(size - first, parts - 1, first):
-            yield (first,) + rest
+        return ()
+    return tuple(
+        (first,) + rest
+        for first in range(min(size, largest or size), 0, -1)
+        for rest in _partitions_within(size - first, parts - 1, first)
+    )
 
 
 def e_expansion_in_m(expansion: dict[Partition, QPoly], nvars: int) -> dict[Partition, QPoly]:

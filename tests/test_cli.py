@@ -416,7 +416,8 @@ def test_oracle_refuses_huge_outputs(capsys, monkeypatch):
 
 
 def test_oracle_takes_many_variables(capsys):
-    # one tally key per variable, each as long as the variable count
+    # a thousand variables are admitted here; the tableau walk fills from as
+    # many values as cells
     for strips, side in (("0:1", "m[1]: 1"), ("", "m[]: 1")):
         code, out, _ = run(capsys, "oracle", "--strips", strips, "--nvars", "1000")
         assert code == 0

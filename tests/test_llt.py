@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb, factorial, prod
 
 import pytest
@@ -7,6 +7,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from vsllt.llt import (
+    _completable,
+    _strip_fillings,
     area_and_crosses,
     attack_pairs,
     cell_count,
@@ -322,3 +324,91 @@ def test_llt_at_q_1_is_the_product_of_e_heights():
         at_1 = {mu: c(1) for mu, c in expand_word(to_schroeder_word(t)).items()}
         heights = tuple(sorted((h for _, h in t), reverse=True))
         assert {mu: v for mu, v in at_1.items() if v} == {heights: 1}, render_strips(t)
+
+
+def _compositions(max_cells, max_parts):
+    """Every tuple of at most max_parts positive heights adding up to at
+    most max_cells cells."""
+    return [
+        hs
+        for k in range(1, max_parts + 1)
+        for hs in product(range(1, max_cells + 1), repeat=k)
+        if sum(hs) <= max_cells
+    ]
+
+
+def _brute_completable(heights, nvars):
+    """_completable's (steps, leaf, lams) from every filling of strips of
+    these heights in values 1..nvars: the partial contents, after each step
+    but the last, of the fillings whose content is a partition, and for each
+    of those fillings its last strip's filling and its partition."""
+    width = len(heights).bit_length()
+    last = len(heights) - 1
+    steps = [set() for _ in range(last)]
+    leaf, lams = {}, {}
+    for choice in product(*(enumerate(_strip_fillings(h, nvars)) for h in heights)):
+        content = [0] * nvars
+        partial = []
+        for _, f in choice:
+            for v in f:
+                content[v - 1] += 1
+            partial.append(sum(x << width * v for v, x in enumerate(content)))
+        if any(a < b for a, b in zip(content, content[1:])):
+            continue
+        for t in range(last):
+            steps[t].add(partial[t])
+        before = partial[last - 1] if last else 0
+        leaf.setdefault(before, set()).add((choice[last][0], partial[last] - before))
+        lams[partial[last]] = tuple(x for x in content if x)
+    return steps, leaf, lams
+
+
+def test_completable_tables_match_the_per_filling_brute_force():
+    # Lemma: the table of each walk step holds exactly the contents of the
+    # partial fillings that some completion turns into a partition content,
+    # and the lookup gives each completing last-strip filling once, with
+    # lam minus that content.  Every height tuple of at most 6 cells and 4
+    # strips, in any order, at 1 and 2 variables and at as many as cells
+    shapes = _compositions(6, 4)
+    assert len(shapes) == 56
+    for heights in shapes:
+        for nvars in sorted({1, 2, sum(heights)}):
+            steps, leaf, lams = _completable(heights, nvars)
+            want_steps, want_leaf, want_lams = _brute_completable(heights, nvars)
+            assert steps == want_steps, (heights, nvars)
+            assert {c: set(pairs) for c, pairs in leaf.items()} == want_leaf, (heights, nvars)
+            assert sum(map(len, leaf.values())) == sum(map(len, want_leaf.values()))
+            assert lams == want_lams, (heights, nvars)
+
+
+def test_tableau_sum_does_not_depend_on_variables_beyond_the_cells():
+    # Lemma: a filling of content lam uses only the values 1..len(lam), and
+    # len(lam) <= cells, so in more variables than cells every m_lam
+    # coefficient is the one at nvars = cells; the per-filling reference,
+    # which fills from every variable, checks the tuples of at most 3 cells
+    tuples = sorted(set(all_strip_tuples(5, 3, range(-2, 3))))
+    for t in tuples:
+        cells = max(cell_count(t), 1)
+        at_cells = ssyt_generating_function(t, cells)
+        for nvars in (cells + 1, 2 * cells + 3):
+            assert ssyt_generating_function(t, nvars) == at_cells, (render_strips(t), nvars)
+        if cells <= 3:
+            assert at_cells == m_projection(reference_ssyt(t, cells + 2)), render_strips(t)
+
+
+def test_tableau_tally_matches_the_reference_on_four_strips():
+    # the criterion-6 tuples have at most 3 strips, so they never reach the
+    # walk's inner levels; a banded sample of the 6250 tuples of 4 strips and
+    # 6 cells, every 250th in order of heights then diagonals, reaches them
+    pool = sorted(
+        (tuple(h for _, h in t), t)
+        for t in set(all_strip_tuples(6, 4, range(-2, 3)))
+        if len(t) == 4 and cell_count(t) == 6
+    )
+    assert len(pool) == 6250
+    sample = [t for _, t in pool[::250]]
+    assert len({tuple(h for _, h in t) for t in sample}) == 10
+    for t in sample:
+        for nvars in (3, 6):
+            want = m_projection(reference_ssyt(t, nvars))
+            assert ssyt_generating_function(t, nvars) == want, (render_strips(t), nvars)

@@ -73,6 +73,23 @@ def test_packed_equality_at_the_extreme_digits():
     assert QPoly((2 ** (bits - 1),))(2**bits) == QPoly((-(2 ** (bits - 1)), 1))(2**bits)
 
 
+def test_every_word_is_one_e_mu_at_q_1_on_both_sides():
+    """Lemma: at q = 1 every valid word's value is a single e_mu with
+    coefficient 1.  Rewrite side: at t = q - 1 = 0 each rule keeps exactly
+    one output, with coefficient 1, so ``expand_word`` evaluated at q = 1 is
+    one {mu: 1}.  Oracle side: q -> 2**0 = 1 is a ring map, so
+    ``_apply_packed`` at bits 0 runs the operators at q = 1, where T_i is a
+    plain transposition; once its zero sums are dropped it must be the
+    same {mu: 1}.  Every word of semilength <= 7."""
+    words = list(iter_paths_upto(7))
+    assert len(words) == 5439
+    for w in words:
+        at_1 = {mu: v for mu, c in expand_word(w).items() if (v := c(1))}
+        assert len(at_1) == 1 and list(at_1.values()) == [1], render_word(w)
+        oracle = dyckalgebra._apply_packed(w, semilength(w), 0)
+        assert {mu: v for mu, v in oracle.items() if v} == at_1, render_word(w)
+
+
 def test_factor_product_widths_on_every_composite_word_upto_7():
     """Lemma (b), factor products.  Rewrite side: a return to the diagonal
     leaves every tail of ``normalize``'s state empty, so no rule crosses it
