@@ -208,10 +208,12 @@ def cmd_oracle(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        # the tableau walk keys each strip's fillings by their contents, one
-        # digit per value it uses (at most nvars), in vectors of at most
-        # min(fillings, monomials of degree cells) entries; bound those digits
-        entries = min(fillings, comb(nvars + cells - 1, cells)) * nvars
+        # the tableau walk fills from the first min(nvars, cells) values and
+        # keys each strip's fillings by their contents, one digit per value,
+        # in vectors of at most min(fillings, monomials of degree cells in
+        # those values) entries; bound those digits
+        values = min(nvars, max(cells, 1))
+        entries = min(fillings, comb(values + cells - 1, cells)) * values
         if entries > MAX_ORACLE_FILLINGS:
             print(
                 f"oracle: up to {entries} exponent entries per side in {nvars} variables "

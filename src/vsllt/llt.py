@@ -14,6 +14,13 @@ Both sides of the tableau oracle are symmetric polynomials in nvars
 variables, so each is given by its coefficients in the monomial basis:
 {lam: QPoly} over the partitions lam of the cell count with at most nvars
 parts (zero coefficients left out).
+
+Each side is memoized on the exact data it depends on, and neither key
+goes through the other side's data.  The tableau sum is keyed by the strip
+heights and the attack pairs between (strip, level) cells, the operator
+side by the tuple's Schröder word; both clamp nvars to the cell count,
+since no partition of the cells has more parts.  The memos hold tuples of
+(lam, QPoly) pairs, and every call returns a fresh dict.
 """
 
 from __future__ import annotations
@@ -255,6 +262,21 @@ def _completable(heights: tuple[int, ...], nvars: int) -> tuple[list[set[int]], 
     return steps, {c: tuple(pairs) for c, pairs in leaf.items()}, lams
 
 
+def _tableau_key(strips: StripTuple) -> tuple:
+    """What the tableau sum of a nonempty strip tuple depends on, besides
+    nvars: (heights in tuple order, the sorted attack pairs).
+
+    A pair is written ((strip, level) of p, (strip, level) of r), p the
+    earlier cell in reading order and level a cell's index up its strip.
+    The fillings are fixed by the heights, and a filling's inversions by the
+    values at the attack pairs' cells, so tuples with equal keys have equal
+    tableau sums; the diagonals enter only through which pairs attack.
+    """
+    level = [(s, d - strips[s][0]) for s, d in reading_order(strips)]
+    pairs = sorted((level[p - 1], level[r - 1]) for p, r in attack_pairs(strips))
+    return tuple(h for _, h in strips), tuple(pairs)
+
+
 def ssyt_generating_function(strips: StripTuple, nvars: int) -> dict[Partition, QPoly]:
     """The tableau sum, as its m_lam coefficients {lam: QPoly}: the
     coefficient of x^lam, q^inversions summed over the fillings of content lam.
@@ -267,6 +289,27 @@ def ssyt_generating_function(strips: StripTuple, nvars: int) -> dict[Partition, 
     check that symmetry on the per-filling reference.  Such a filling uses
     only the values 1..len(lam), so every strip is filled from the first
     min(nvars, cells) values.
+
+    The sum is memoized per (_tableau_key, min(nvars, cells)): the heights
+    and the attack pairs between (strip, level) cells are all the walk
+    reads, so tuples that differ only in where their strips sit share one
+    walk (_tableau_sum).
+    """
+    if nvars < 1:
+        raise ValueError("need at least one variable")
+    if not strips:
+        return {(): ONE}  # the one empty filling
+    heights, pairs = _tableau_key(strips)
+    return dict(_tableau_sum(heights, pairs, min(nvars, sum(heights))))
+
+
+@cache
+def _tableau_sum(
+    heights: tuple[int, ...], pairs: tuple, nvars: int
+) -> tuple[tuple[Partition, QPoly], ...]:
+    """The m_lam coefficients of the tableau sum of strips of these heights
+    (tuple order) with these attack pairs (as _tableau_key writes them), in
+    nvars <= cells values, as (lam, QPoly) pairs.
 
     A partial filling is scored by one int key: each strip's filling adds
     its content, one digit per value, and each pair of strips adds its
@@ -281,30 +324,25 @@ def ssyt_generating_function(strips: StripTuple, nvars: int) -> dict[Partition, 
     partition content is counted once, and no other filling is walked to
     the end.
     """
-    if nvars < 1:
-        raise ValueError("need at least one variable")
-    if not strips:
-        return {(): ONE}  # the one empty filling
-    nvars = min(nvars, cell_count(strips))  # the values a partition content can use
     # walk order: fewest fillings first, so the longest vector is the one looked up
-    order = sorted(range(len(strips)), key=lambda s: comb(nvars, strips[s][1]))
-    heights = tuple(strips[s][1] for s in order)
-    fillings = [_strip_fillings(h, nvars) for h in heights]
+    order = sorted(range(len(heights)), key=lambda s: comb(nvars, heights[s]))
+    walk_heights = tuple(heights[s] for s in order)
+    fillings = [_strip_fillings(h, nvars) for h in walk_heights]
     if not all(fillings):
-        return {}
-    steps, leaf, lams = _completable(heights, nvars)
+        return ()
+    steps, leaf, lams = _completable(walk_heights, nvars)
     last = len(order) - 1
     if not last:
-        return {lam: ONE for lam in lams.values()}  # one strip: no inversions
-    width = len(strips).bit_length()  # a value occurs at most once per strip
+        return tuple((lam, ONE) for lam in lams.values())  # one strip: no inversions
+    width = len(heights).bit_length()  # a value occurs at most once per strip
     shift = width * nvars
     step = {s: t for t, s in enumerate(order)}
-    # reading position -> (walk step of its strip, index into that strip's filling)
-    where = [(step[s], d - strips[s][0]) for s, d in reading_order(strips)]
-    # attack pairs grouped by (earlier, later) walk step
+    # attack pairs grouped by (earlier, later) walk step, each as (index into
+    # the earlier step's filling, index into the later one's, whether the
+    # earlier step holds p)
     between: dict[tuple[int, int], list] = {}
-    for p, r in attack_pairs(strips):
-        (tp, ip), (tr, ir) = where[p - 1], where[r - 1]
+    for (sp, ip), (sr, ir) in pairs:
+        tp, tr = step[sp], step[sr]
         if tp < tr:
             between.setdefault((tp, tr), []).append((ip, ir, True))
         else:
@@ -353,13 +391,22 @@ def ssyt_generating_function(strips: StripTuple, nvars: int) -> dict[Partition, 
         counts = by_lam.setdefault(lam, [])
         counts += [0] * (inv + 1 - len(counts))
         counts[inv] = count
-    return {lam: _canonical(counts) for lam, counts in by_lam.items()}
+    return tuple((lam, _canonical(counts)) for lam, counts in by_lam.items())
 
 
 def llt_in_vars(strips: StripTuple, nvars: int) -> dict[Partition, QPoly]:
     """The operator side's m_lam coefficients in nvars variables.
 
-    The rewritten e-expansion goes through the integer e -> monomial
-    transition, so every coefficient is a QPoly of ints.
+    By Carlsson and Mellit the LLT polynomial of a strip tuple is d_P(1)
+    for its Schröder path P, so this side is a function of the word alone,
+    and is memoized per (word, min(nvars, cells)) (_operator_side).
     """
-    return e_expansion_in_m(expand_word(to_schroeder_word(strips)), nvars)
+    values = min(nvars, max(cell_count(strips), 1))
+    return dict(_operator_side(to_schroeder_word(strips), values))
+
+
+@cache
+def _operator_side(word: Word, nvars: int) -> tuple[tuple[Partition, QPoly], ...]:
+    """The word's rewritten e-expansion through the integer e -> monomial
+    transition, as (lam, QPoly) pairs; every coefficient is a QPoly of ints."""
+    return tuple(e_expansion_in_m(expand_word(word), nvars).items())

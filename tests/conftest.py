@@ -3,8 +3,10 @@
 from itertools import product
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import settings
 
+from vsllt import llt
 from vsllt.dyckalgebra import VElement
 from vsllt.paths import TOKENS, WordError, primitive_factors
 from vsllt.qpoly import QPoly
@@ -61,9 +63,23 @@ def velement_in_p(f):
     return VElement(f.k, f.n, {e: e_expansion_in_p(g.terms, f.n) for e, g in f.terms.items()})
 
 
+@pytest.fixture
+def cold_oracle():
+    """Empty memos of both tableau-oracle sides before the test and after it,
+    so a test that patches a function either side runs (normalize,
+    expand_word, to_schroeder_word, the walk) neither reads an entry built
+    without the patch nor leaves one built with it."""
+    llt._tableau_sum.cache_clear()
+    llt._operator_side.cache_clear()
+    yield
+    llt._tableau_sum.cache_clear()
+    llt._operator_side.cache_clear()
+
+
 def all_strip_tuples(max_cells, max_strips, d_range):
-    """Every strip tuple within the limits (with repeats); acceptance
-    criterion 6 sweeps all_strip_tuples(5, 3, range(-2, 3))."""
+    """Every strip tuple within the limits (with repeats).  The tests call
+    the 1526 of all_strip_tuples(5, 3, range(-2, 3)) the criterion-6 tuples;
+    acceptance criterion 6 sweeps the 12281 of all_strip_tuples(6, 4, range(-2, 3))."""
     yield ()
     def rec(prefix, cells):
         for d in d_range:

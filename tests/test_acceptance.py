@@ -111,10 +111,11 @@ def test_criterion_5_positivity_sweep():
     assert bad_shift == []
 
 
-@criterion(6, "tableau oracle agrees on every tuple with <= 5 cells, <= 3 strips")
+@criterion(6, "tableau oracle agrees on every tuple with <= 6 cells, <= 4 strips")
 def test_criterion_6_ssyt_oracle_sweep():
     t0 = time.time()
-    tuples = sorted(set(all_strip_tuples(5, 3, range(-2, 3))))
+    tuples = sorted(set(all_strip_tuples(6, 4, range(-2, 3))))
+    assert len(tuples) == 12281
     failures = [t for t in tuples if not oracle_compare(t)]
     elapsed = time.time() - t0
     assert failures == []

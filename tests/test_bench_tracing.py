@@ -29,10 +29,12 @@ def test_tracer_wraps_and_restores_every_target():
         for ns in namespaces
     ]
     # a benchmark pass is a fresh process, so its memos start cold: clear
-    # them, or words and tails memoized by earlier tests reach no traced
-    # function
+    # them, or words, tails and oracle sides memoized by earlier tests reach
+    # no traced function
     rewrite._close.cache_clear()
     dyckalgebra._primitive_value.cache_clear()
+    llt._tableau_sum.cache_clear()
+    llt._operator_side.cache_clear()
     tracer = tracing.Tracer()
     tracer.install()
     try:

@@ -267,7 +267,7 @@ def test_verify_fail_line_names_the_failing_factor(capsys, monkeypatch):
     ]
 
 
-def test_verify_fail_line_names_the_first_differing_coefficient(capsys, monkeypatch):
+def test_verify_fail_line_names_the_first_differing_coefficient(capsys, monkeypatch, cold_oracle):
     # a fault on the rewrite side: one more q^2 in the e[2, 1] coefficient of
     # the composite words "-+--++" and "--++-+", whose factor "--++" passes
     # on its own.  The two sides are decoded only for the FAIL line, which
@@ -358,7 +358,7 @@ def test_verify_starts_one_pool(capsys, monkeypatch):
     assert made == [(2,)]
 
 
-def test_path_refuses_tuples_above_the_cap(capsys, monkeypatch):
+def test_path_refuses_tuples_above_the_cap(capsys, monkeypatch, cold_oracle):
     def no_work(*_args, **_kwargs):
         raise AssertionError("a refused path run may not build the path")
 
@@ -371,7 +371,7 @@ def test_path_refuses_tuples_above_the_cap(capsys, monkeypatch):
         assert f"{cells} cells exceed the limit of {10**6}" in err
 
 
-def test_oracle_refuses_huge_enumerations(capsys, monkeypatch):
+def test_oracle_refuses_huge_enumerations(capsys, monkeypatch, cold_oracle):
     def no_enumeration(*_args, **_kwargs):
         raise AssertionError("a refused oracle run may not enumerate fillings")
 
@@ -400,19 +400,27 @@ def test_oracle_checks_the_cell_cap_before_counting(capsys, monkeypatch):
     assert f"3000000 cells exceed the limit of {cli.MAX_EXPAND_SEMILENGTH}" in err
 
 
-def test_oracle_refuses_huge_outputs(capsys, monkeypatch):
-    # 40000 fillings are under the limit, but each side could return 20100
-    # exponent vectors of 200 entries
+def test_oracle_refuses_huge_outputs(capsys, monkeypatch, cold_oracle):
+    # 792**2 fillings are under the limit, but the walk's key vectors could
+    # hold that many contents of 12 digits (fewer than the C(25, 14)
+    # monomials of degree 14 in 12 values)
     def no_enumeration(*_args, **_kwargs):
         raise AssertionError("a refused oracle run may not enumerate")
 
     monkeypatch.setattr(cli.llt, "ssyt_generating_function", no_enumeration)
     monkeypatch.setattr(cli.llt, "llt_in_vars", no_enumeration)
-    code, out, err = run(capsys, "oracle", "--strips", "0:1;0:1", "--nvars", "200", "--json")
+    code, out, err = run(capsys, "oracle", "--strips", "0:7;0:7", "--nvars", "12", "--json")
     assert code == 2
     assert out == ""
-    assert f"{20100 * 200} exponent entries" in err
+    assert f"{792**2 * 12} exponent entries" in err
     assert str(cli.MAX_ORACLE_FILLINGS) in err
+    monkeypatch.undo()
+    # the entries are counted in the values the walk fills from, so two
+    # one-cell strips in 200 variables (2 values) run
+    code, out, _ = run(capsys, "oracle", "--strips", "0:1;0:1", "--nvars", "200")
+    assert code == 0
+    assert "match: yes" in out
+    assert out.count("m[1, 1]: q + 1") == 2
 
 
 def test_oracle_takes_many_variables(capsys):
@@ -451,7 +459,7 @@ def test_verify_refuses_semilengths_above_the_cap(capsys, monkeypatch):
     assert "more than 648140 words" in err
 
 
-def test_expand_refuses_semilengths_above_the_cap(capsys, monkeypatch):
+def test_expand_refuses_semilengths_above_the_cap(capsys, monkeypatch, cold_oracle):
     def no_rewriting(*_args, **_kwargs):
         raise AssertionError("a refused expand run may not rewrite")
 
@@ -474,7 +482,7 @@ def test_expand_refuses_semilengths_above_the_cap(capsys, monkeypatch):
     assert "e[1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]: 1" in out
 
 
-def test_expand_strips_checks_the_cap_before_building_the_word(capsys, monkeypatch):
+def test_expand_strips_checks_the_cap_before_building_the_word(capsys, monkeypatch, cold_oracle):
     def no_work(*_args, **_kwargs):
         raise AssertionError("a refused expand run may not build or rewrite the word")
 
@@ -491,7 +499,7 @@ def test_expand_strips_checks_the_cap_before_building_the_word(capsys, monkeypat
     assert "e-positive at q+1: yes" in out
 
 
-def test_oracle_refuses_more_cells_than_the_expand_cap(capsys, monkeypatch):
+def test_oracle_refuses_more_cells_than_the_expand_cap(capsys, monkeypatch, cold_oracle):
     def no_work(*_args, **_kwargs):
         raise AssertionError("a refused oracle run may not enumerate or rewrite")
 

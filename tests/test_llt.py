@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import cache
 from itertools import combinations, permutations, product
 from math import comb, factorial, prod
 
@@ -6,9 +7,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from vsllt import llt
 from vsllt.llt import (
     _completable,
+    _operator_side,
     _strip_fillings,
+    _tableau_key,
+    _tableau_sum,
     area_and_crosses,
     attack_pairs,
     cell_count,
@@ -27,10 +32,20 @@ from reference_symfunc import m_projection
 from vsllt.paths import parse_word, render_word, validate_word
 from vsllt.qpoly import ONE, QPoly
 from vsllt.rewrite import expand_word
+from vsllt.symfunc import e_expansion_in_m
 
 # the running ten-cell example: six strips, heights 2,2,1,1,2,2
 BIG = parse_strips("0:2;-2:2;-1:1;1:1;-3:2;-1:2")
 LETTERS = "abcdefghij"
+# the criterion-6 tuples of these tests: <= 5 cells, <= 3 strips (the
+# acceptance sweep itself goes to 6 cells and 4 strips)
+CRITERION_6 = sorted(set(all_strip_tuples(5, 3, range(-2, 3))))
+
+
+@cache
+def reference_m(strips, nvars):
+    """The per-filling reference's m_lam coefficients, once per test run."""
+    return m_projection(reference_ssyt(strips, nvars))
 
 
 def test_parse_and_render():
@@ -205,12 +220,11 @@ def test_llt_in_vars_matches_direct_small():
 def test_tableau_tally_matches_per_filling_reference():
     # every criterion-6 tuple, in as many variables as cells, plus a few
     # variable counts that leave some variables unused or force repeats
-    tuples = sorted(set(all_strip_tuples(5, 3, range(-2, 3))))
-    assert len(tuples) == 1526
-    for t in tuples:
+    assert len(CRITERION_6) == 1526
+    for t in CRITERION_6:
         nvars = max(cell_count(t), 1)
         got = ssyt_generating_function(t, nvars)
-        assert got == m_projection(reference_ssyt(t, nvars)), render_strips(t)
+        assert got == reference_m(t, nvars), render_strips(t)
         assert all(type(x) is int for c in got.values() for x in c.coeffs)
     # the first two strips of 0:3;1:2;-1:2 attack each other both ways (same
     # diagonal, and one diagonal up); at 1 or 2 variables its tall strips,
@@ -412,3 +426,68 @@ def test_tableau_tally_matches_the_reference_on_four_strips():
         for nvars in (3, 6):
             want = m_projection(reference_ssyt(t, nvars))
             assert ssyt_generating_function(t, nvars) == want, (render_strips(t), nvars)
+
+
+def test_tableau_key_is_all_the_tableau_sum_depends_on():
+    # Lemma: the tableau sum is a function of the heights, the attack pairs
+    # between (strip, level) cells and min(nvars, cells), so tuples that
+    # share a key share the per-filling reference sum.  Every criterion-6
+    # tuple at 1 and 2 variables and at as many as cells; a key of the
+    # heights and the number of attack pairs alone merges keys whose sums
+    # differ, and fails here
+    groups = {}
+    for t in CRITERION_6:
+        cells = max(cell_count(t), 1)
+        for nvars in sorted({1, 2, cells}):
+            groups.setdefault((_tableau_key(t), nvars), []).append(t)
+    for (_key, nvars), members in groups.items():
+        want = reference_m(members[0], nvars)
+        for t in members[1:]:
+            assert reference_m(t, nvars) == want, (render_strips(members[0]), render_strips(t), nvars)
+    assert len({key for key, _ in groups}) == 300
+
+
+def test_memoized_tableau_sum_is_the_walk():
+    # every criterion-6 tuple, read from a warm memo (each key is walked
+    # for its first tuple), against the walk run afresh on its own key
+    for t in CRITERION_6[1:]:
+        cells = cell_count(t)
+        for nvars in sorted({1, 2, cells}):
+            want = dict(_tableau_sum.__wrapped__(*_tableau_key(t), nvars))
+            assert ssyt_generating_function(t, nvars) == want, (render_strips(t), nvars)
+
+
+def test_tableau_key_is_built_without_the_path(monkeypatch, cold_oracle):
+    # the tableau side reads the attack pairs, never the operator side's path
+    def no_path(*_args):
+        raise AssertionError("the tableau side built the path")
+
+    monkeypatch.setattr(llt, "area_and_crosses", no_path)
+    monkeypatch.setattr(llt, "to_schroeder_word", no_path)
+    assert ssyt_generating_function(BIG, 3) == reference_m(BIG, 3)
+
+
+def test_operator_side_does_not_depend_on_variables_beyond_the_cells():
+    # the operator side's clamp: no partition of the cells has more parts
+    # than cells, so in more variables every m_lam coefficient is the one at
+    # nvars = cells, as the unclamped e -> monomial bridge also gives
+    for t in CRITERION_6:
+        cells = max(cell_count(t), 1)
+        at_cells = llt_in_vars(t, cells)
+        expansion = expand_word(to_schroeder_word(t))
+        for nvars in (cells + 1, 2 * cells + 3):
+            assert llt_in_vars(t, nvars) == at_cells, (render_strips(t), nvars)
+            assert e_expansion_in_m(expansion, nvars) == at_cells, (render_strips(t), nvars)
+
+
+def test_memoized_sides_return_fresh_dicts(cold_oracle):
+    # a caller that changes a returned dict changes no later call's result
+    strips = parse_strips("0:1;-1:2")
+    for side in (ssyt_generating_function, llt_in_vars):
+        first = side(strips, 3)
+        want = dict(first)
+        first[(3,)] = ONE
+        del first[(2, 1)]
+        assert side(strips, 3) == want == {(2, 1): QPoly((0, 1)), (1, 1, 1): QPoly((0, 2, 1))}
+        assert side(strips, 3) is not side(strips, 3)
+    assert _tableau_sum.cache_info().hits and _operator_side.cache_info().hits

@@ -222,7 +222,7 @@ def test_verify_one_matches_the_decoded_route():
         assert _verify_one(w) == reference_verify.verify_one(w), render_word(w)
 
 
-def test_verify_one_matches_the_decoded_route_under_faults(monkeypatch):
+def test_verify_one_matches_the_decoded_route_under_faults(monkeypatch, cold_oracle):
     # faults on either side, at digits the packed comparison must not miss:
     # a high rewrite digit, and an oracle value off by the top coefficient
     # the width allows, reach the same verdicts on both routes
