@@ -27,11 +27,15 @@ from .qpoly import ZERO, _at_q, digits_bound, render_qpoly
 from .rewrite import e_positivity_report, expand_word, normalize, split_digits
 
 # Most tableau fillings ``oracle`` admits, counted as prod C(nvars, h) over the
-# strips.  The walk visits only the partial fillings that can still end on a
-# partition content, in at most as many values as cells: the slowest admitted
-# input found, twelve one-cell strips on one diagonal in 3 variables (531441
-# fillings), takes 0.2-0.3 s, and 10^6 fillings of six one-cell strips in 10
-# variables about 4 ms (Python 3.11.7 on a 2-vCPU x86_64 host).
+# strips.  The tableau side places the values one at a time over masks of
+# filled cells, toward partition contents only, in at most as many values as
+# cells, so it never visits most of these fillings: in a scan of the 7352
+# admitted inputs of <= 14 cells (every height multiset, strips on one
+# diagonal or one diagonal apart, nvars 1..cells + 2) the slowest tableau side,
+# two two-cell and ten one-cell strips on one diagonal in 3 variables (531441
+# fillings), takes 80-90 ms of its 0.54-0.84 s ``oracle`` run, and twelve
+# one-cell strips in 3 variables about 75 ms of 0.31-0.34 s; the rest is
+# mostly the operator side (Python 3.11.7 on a 2-vCPU x86_64 host).
 MAX_ORACLE_FILLINGS = 10**6
 
 # Largest semilength ``verify`` sweeps: all 129281 words through 9 take
@@ -208,10 +212,13 @@ def cmd_oracle(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        # the tableau walk fills from the first min(nvars, cells) values and
-        # keys each strip's fillings by their contents, one digit per value,
-        # in vectors of at most min(fillings, monomials of degree cells in
-        # those values) entries; bound those digits
+        # a bound on the exponent entries that either side's polynomial spans
+        # in the min(nvars, cells) values a filling of partition content can
+        # use: min(fillings, monomials of degree cells in those values)
+        # monomials of one entry per value.  The tableau count itself keeps
+        # one int per (partition prefix, filled-cell mask), far fewer, so this
+        # refuses some inputs whose tableau side takes under a millisecond
+        # (0:7;0:7 in 12 variables)
         values = min(nvars, max(cells, 1))
         entries = min(fillings, comb(values + cells - 1, cells)) * values
         if entries > MAX_ORACLE_FILLINGS:

@@ -15,22 +15,25 @@ variables, so each is given by its coefficients in the monomial basis:
 {lam: QPoly} over the partitions lam of the cell count with at most nvars
 parts (zero coefficients left out).
 
+The tableau side counts its fillings value by value: the values 1, 2, ...
+are placed one at a time, each into the next free cell of lam_v strips, on
+states that are masks of filled cells holding packed q-polynomials, and
+only the partitions lam are walked (_tableau_sum).
+
 Each side is memoized on the exact data it depends on, and neither key
 goes through the other side's data.  The tableau sum is keyed by the strip
-heights and the attack pairs between (strip, level) cells, the operator
-side by the tuple's Schröder word; both clamp nvars to the cell count,
-since no partition of the cells has more parts.  The memos hold tuples of
+heights and one attack mask per (strip, level) cell, the operator side by
+the tuple's Schröder word; both clamp nvars to the cell count, since no
+partition of the cells has more parts.  The memos hold tuples of
 (lam, QPoly) pairs, and every call returns a fresh dict.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from functools import cache
 from itertools import accumulate, combinations
-from math import comb
-from operator import add
+from math import comb, prod
 
 from .paths import MINUS, PLUS, ZERO, Word
 from .qpoly import ONE, QPoly, _canonical
@@ -83,25 +86,6 @@ def reading_order(strips: StripTuple) -> list[Cell]:
     ]
     cells.sort(key=lambda c: (c[1], c[0]))
     return cells
-
-
-def attack_pairs(strips: StripTuple) -> set[tuple[int, int]]:
-    """Pairs (p, r) of 1-based reading-order positions that can invert.
-
-    (p, r) attacks iff the cells share a diagonal (then p's strip index is
-    the smaller) or r sits one diagonal above p on a strictly smaller strip
-    index.
-    """
-    cells = reading_order(strips)
-    pairs = set()
-    for ip, (sp, dp) in enumerate(cells):
-        for ir in range(ip + 1, len(cells)):
-            sr, dr = cells[ir]
-            if dr == dp and sp < sr:
-                pairs.add((ip + 1, ir + 1))
-            elif dr == dp + 1 and sp > sr:
-                pairs.add((ip + 1, ir + 1))
-    return pairs
 
 
 def area_and_crosses(strips: StripTuple) -> tuple[tuple[int, ...], dict[int, int]]:
@@ -166,115 +150,34 @@ def schroeder_word(area: tuple[int, ...], crosses: dict[int, int]) -> Word:
     return tuple(word)
 
 
-def _strip_fillings(height: int, nvars: int):
-    """Strictly increasing fillings of one column with values in 1..nvars."""
-    return list(combinations(range(1, nvars + 1), height))
-
-
-def _pair_hits(pair, fill_a, fill_b, one: int) -> list[list[int]]:
-    """Where one attack pair between strips a and b inverts.
-
-    pair is (index into a filling of a, index into a filling of b, whether
-    a holds the lower reading position p).  Entry i is a row over fill_b:
-    ``one`` where the pair inverts with a filled by fill_a[i], else 0.  The
-    fillings of a that agree at the pair's cell share one row.
-    """
-    ia, ib, a_first = pair
-    column = [fb[ib] for fb in fill_b]
-    hits = {
-        x: [one if (x < y if a_first else y < x) else 0 for y in column]
-        for x in {fa[ia] for fa in fill_a}
-    }
-    return [hits[fa[ia]] for fa in fill_a]
-
-
-def _filling_index(picked: tuple[int, ...], nvars: int) -> int:
-    """The index of the filling holding the values picked + 1 (ascending)
-    in _strip_fillings(len(picked), nvars), which lists them in lex order."""
-    h = len(picked)
-    return comb(nvars, h) - 1 - sum(comb(nvars - 1 - v, h - i) for i, v in enumerate(picked))
-
-
-@cache
-def _completable(heights: tuple[int, ...], nvars: int) -> tuple[list[set[int]], dict, dict]:
-    """The partial contents of the strip walk that can still end on a partition.
-
-    The strips have these heights in walk order and take the values
-    1..nvars; a content is coded as the walk's keys code it, one digit of
-    len(heights).bit_length() bits per value, x_1 lowest.  Returns
-    (steps, leaf, lams):
-    - steps[t], for each step t before the last, holds the contents that
-      walk steps 0..t reach and that the remaining strips complete to a
-      partition with at most nvars parts;
-    - leaf maps each content c that steps[-1] holds (the empty content if
-      there is one strip) to the pairs (index into the last strip's
-      fillings, code of lam - c) that complete it to a partition lam.  No
-      digit of lam - c borrows, as lam - c is the last strip's content;
-    - lams maps the code of each partition completed so to the partition.
-
-    Built from the partition side, so the walk's filling lists are never
-    scanned: each lam is peeled one strip at a time, last strip first, by
-    every 0/1 vector of the strip's height under its support.  A content
-    peeled down to step t is kept only if the strips before it can fill it:
-    by the Gale-Ryser theorem, iff its k largest digits add up to at most
-    sum(min(h, k)) over those strips' heights h, for every k.
-    """
-    width = len(heights).bit_length()
-
-    def code(c: tuple[int, ...]) -> int:
-        return sum(x << width * v for v, x in enumerate(c))
-
-    # caps[t][k]: the most cells that k values can take in the strips before step t
-    caps = [
-        [sum(min(h, k) for h in heights[:t]) for k in range(nvars + 1)]
-        for t in range(len(heights) + 1)
-    ]
-
-    def fillable(c: tuple[int, ...], t: int) -> bool:
-        runs = accumulate(sorted(c, reverse=True))
-        return all(run <= caps[t][k] for k, run in enumerate(runs, 1))
-
-    last = len(heights) - 1
-    # contents[t]: the kept contents after walk step t
-    contents: list[set[tuple[int, ...]]] = [set() for _ in heights]
-    contents[last] = {
-        lam for lam in _partitions_within(sum(heights), nvars) if fillable(lam, len(heights))
-    }
-    leaf: dict[int, list] = {}
-    for t in range(last, -1, -1):
-        for c in contents[t]:
-            for picked in combinations([v for v, x in enumerate(c) if x], heights[t]):
-                d = list(c)
-                for v in picked:
-                    d[v] -= 1
-                while d and not d[-1]:
-                    d.pop()
-                d = tuple(d)
-                if not fillable(d, t):
-                    continue
-                if t:
-                    contents[t - 1].add(d)
-                if t == last:
-                    j = _filling_index(picked, nvars)
-                    leaf.setdefault(code(d), []).append((j, code(c) - code(d)))
-    steps = [set(map(code, cs)) for cs in contents[:last]]
-    lams = {code(lam): lam for lam in contents[last]}
-    return steps, {c: tuple(pairs) for c, pairs in leaf.items()}, lams
-
-
 def _tableau_key(strips: StripTuple) -> tuple:
     """What the tableau sum of a nonempty strip tuple depends on, besides
-    nvars: (heights in tuple order, the sorted attack pairs).
+    nvars: (heights in tuple order, one attack mask per cell).
 
-    A pair is written ((strip, level) of p, (strip, level) of r), p the
-    earlier cell in reading order and level a cell's index up its strip.
-    The fillings are fixed by the heights, and a filling's inversions by the
-    values at the attack pairs' cells, so tuples with equal keys have equal
-    tableau sums; the diagonals enter only through which pairs attack.
+    Cells are numbered in (strip, level) order, level a cell's index up its
+    strip.  Bit x of cell r's mask is set iff (x, r) is an attack pair, x
+    the earlier cell in reading order: x is on r's diagonal in an earlier
+    strip, or on the diagonal below in a later one.  So one pass over the
+    strips in order, and one in reverse, each keeping the cells seen so far
+    per diagonal, give every mask.  The fillings are fixed by the heights,
+    and a filling's inversions by the values at the attack pairs' cells, so
+    tuples with equal keys have equal tableau sums; the diagonals enter only
+    through which pairs attack.
     """
-    level = [(s, d - strips[s][0]) for s, d in reading_order(strips)]
-    pairs = sorted((level[p - 1], level[r - 1]) for p, r in attack_pairs(strips))
-    return tuple(h for _, h in strips), tuple(pairs)
+    masks = []
+    on: dict[int, int] = {}  # per diagonal, its cells in the strips passed so far
+    for d0, h in strips:
+        for d in range(d0, d0 + h):
+            masks.append(on.get(d, 0))
+            on[d] = on.get(d, 0) + (1 << len(masks) - 1)
+    on = {}
+    x = len(masks)
+    for d0, h in reversed(strips):
+        for d in range(d0 + h - 1, d0 - 1, -1):
+            x -= 1
+            masks[x] += on.get(d - 1, 0)
+            on[d] = on.get(d, 0) + (1 << x)
+    return tuple(h for _, h in strips), tuple(masks)
 
 
 def ssyt_generating_function(strips: StripTuple, nvars: int) -> dict[Partition, QPoly]:
@@ -285,113 +188,136 @@ def ssyt_generating_function(strips: StripTuple, nvars: int) -> dict[Partition, 
     are the attack pairs (p, r) whose values satisfy T(p) < T(r), and every
     attack pair joins two different strips.  An LLT polynomial is symmetric
     (Lascoux, Leclerc and Thibon), so its m_lam coefficients fix it, and
-    only the fillings whose content is a partition are walked; the tests
+    only the fillings whose content is a partition are counted; the tests
     check that symmetry on the per-filling reference.  Such a filling uses
-    only the values 1..len(lam), so every strip is filled from the first
-    min(nvars, cells) values.
+    only the values 1..len(lam), and len(lam) <= cells.
 
     The sum is memoized per (_tableau_key, min(nvars, cells)): the heights
-    and the attack pairs between (strip, level) cells are all the walk
+    and the attack masks between (strip, level) cells are all the count
     reads, so tuples that differ only in where their strips sit share one
-    walk (_tableau_sum).
+    count (_tableau_sum).
     """
     if nvars < 1:
         raise ValueError("need at least one variable")
     if not strips:
         return {(): ONE}  # the one empty filling
-    heights, pairs = _tableau_key(strips)
-    return dict(_tableau_sum(heights, pairs, min(nvars, sum(heights))))
+    heights, attacks = _tableau_key(strips)
+    return dict(_tableau_sum(heights, attacks, min(nvars, len(attacks))))
+
+
+@cache
+def _state_bits(heights: tuple[int, ...], nvars: int) -> int:
+    """W, the bits of one q-digit of a state of _tableau_sum's count.
+
+    Width lemma.  A state (mu, mask) holds, at q = 2**W, the sum of
+    q^inversions over the ways to place the values 1..len(mu) with content
+    mu: the step sequences that fill exactly the cells of mask.  Each digit
+    is at most the number N of those sequences.  A sequence is a 0/1 matrix,
+    one row per strip (its filled cells get the values of its ones, in
+    increasing order up the strip) and one column per value, with column
+    sums mu.  So N <= prod C(strips, mu_i) <= prod C(strips, lam_i) over any
+    partition lam that mu begins, every part at most the number of strips;
+    and N <= prod C(len(mu), f_s) over the strips' filled counts f_s <= h_s,
+    which is at most prod C(nvars, min(h_s, nvars // 2)), binomials peaking
+    at the middle.  Both bound every state, finished or not, whereas the
+    number of fillings, prod C(nvars, h_s), bounds only the finished ones: a
+    partial sequence need not extend to any filling.  So every digit is at
+    most the smaller bound B < 2**W, and no digit carries into the next.
+    """
+    strips = len(heights)
+    by_values = prod(comb(nvars, min(h, nvars // 2)) for h in heights)
+    by_steps = max(
+        (prod(comb(strips, part) for part in lam)
+         for lam in _partitions_within(sum(heights), nvars, strips)),
+        default=1,
+    )
+    return min(by_values, by_steps).bit_length()
 
 
 @cache
 def _tableau_sum(
-    heights: tuple[int, ...], pairs: tuple, nvars: int
+    heights: tuple[int, ...], attacks: tuple[int, ...], nvars: int
 ) -> tuple[tuple[Partition, QPoly], ...]:
     """The m_lam coefficients of the tableau sum of strips of these heights
-    (tuple order) with these attack pairs (as _tableau_key writes them), in
+    (tuple order) with these attack masks (as _tableau_key writes them), in
     nvars <= cells values, as (lam, QPoly) pairs.
 
-    A partial filling is scored by one int key: each strip's filling adds
-    its content, one digit per value, and each pair of strips adds its
-    inversion count, from tables built once, in the digits above the
-    contents.  The strips are walked depth first, the one with the most
-    fillings last.  Choosing a strip's filling adds its table rows to the
-    key vectors of the strips still open, and a partial filling is followed
-    only while the strips left can complete its content to a partition
-    (_completable, memoized per shape).  The last strip is not enumerated:
-    its filling is lam minus the content so far, looked up, and its
-    inversions are read off the rows chosen above it.  So every filling of
-    partition content is counted once, and no other filling is walked to
-    the end.
-    """
-    # walk order: fewest fillings first, so the longest vector is the one looked up
-    order = sorted(range(len(heights)), key=lambda s: comb(nvars, heights[s]))
-    walk_heights = tuple(heights[s] for s in order)
-    fillings = [_strip_fillings(h, nvars) for h in walk_heights]
-    if not all(fillings):
-        return ()
-    steps, leaf, lams = _completable(walk_heights, nvars)
-    last = len(order) - 1
-    if not last:
-        return tuple((lam, ONE) for lam in lams.values())  # one strip: no inversions
-    width = len(heights).bit_length()  # a value occurs at most once per strip
-    shift = width * nvars
-    step = {s: t for t, s in enumerate(order)}
-    # attack pairs grouped by (earlier, later) walk step, each as (index into
-    # the earlier step's filling, index into the later one's, whether the
-    # earlier step holds p)
-    between: dict[tuple[int, int], list] = {}
-    for (sp, ip), (sr, ir) in pairs:
-        tp, tr = step[sp], step[sr]
-        if tp < tr:
-            between.setdefault((tp, tr), []).append((ip, ir, True))
-        else:
-            between.setdefault((tr, tp), []).append((ir, ip, False))
-    # inversions between the strips of every two steps, in the digits above
-    # the contents: a table for two steps before the last, and for a step
-    # and the last, per filling of the step one row per attack pair, since
-    # the walk reads only the entries of the fillings it completes with
-    tables: list[list] = [[] for _ in order]
-    into_last = [[()] * len(fs) for fs in fillings[:last]]
-    for (ta, tb), pairs in between.items():
-        hits = [_pair_hits(pair, fillings[ta], fillings[tb], 1 << shift) for pair in pairs]
-        if tb < last:
-            tables[ta].append((tb, [list(map(sum, zip(*rows))) for rows in zip(*hits)]))
-        else:
-            into_last[ta] = list(zip(*hits))
-    # the key vector of each step before the last starts as its fillings' contents
-    unit = [0] + [1 << width * v for v in range(nvars)]  # unit[v]: the content of v alone
-    vectors = [[sum(map(unit.__getitem__, f)) for f in fs] for fs in fillings[:last]]
+    The values 1, 2, ... are placed one at a time.  A state is the mask of
+    the filled cells; each strip fills bottom up, so its values increase.
+    Value v goes into the next free cell of lam_v distinct strips.  A pair
+    (p, r) inverts iff T(p) < T(r), so it is counted when the larger value
+    is placed: each new cell r adds the cells of its attack mask that the
+    state already fills, all of them holding smaller values.  That count
+    depends on the state alone, not on which other strips take v, so one
+    sum over the chosen cells gives both the next state and its shift.
+    Each state holds one int, its q-polynomial at q = 2**W (_state_bits),
+    so an inversion is a shift by W bits.
 
-    # depth first; an entry is (walk step, key so far, key vectors from that
-    # step on, the rows toward the last strip chosen so far)
-    content_mask = (1 << shift) - 1
-    found: list[int] = []  # the key of every filling walked to the end
-    stack = [(0, 0, vectors, ())]
-    while stack:
-        t, acc, vecs, rows = stack.pop()
-        keep = steps[t]
-        for i, key in enumerate(vecs[t]):
-            key += acc
-            if key & content_mask not in keep:
-                continue
-            more = rows + into_last[t][i]
-            if t + 1 < last:
-                below = vecs[:]
-                for tb, table in tables[t]:
-                    below[tb] = list(map(add, vecs[tb], table[i]))
-                stack.append((t + 1, key, below, more))
-                continue
-            found += [
-                key + rest + sum([row[j] for row in more]) for j, rest in leaf[key & content_mask]
-            ]
-    by_lam: dict[Partition, list[int]] = {}
-    for key, count in Counter(found).items():
-        inv, lam = key >> shift, lams[key & content_mask]
-        counts = by_lam.setdefault(lam, [])
-        counts += [0] * (inv + 1 - len(counts))
-        counts[inv] = count
-    return tuple((lam, _canonical(counts)) for lam, counts in by_lam.items())
+    The partitions lam of the cells with at most nvars parts, each at most
+    the number of strips, are walked in lex order, largest first, and the
+    states of each prefix are kept while the next lam shares it.  Every
+    filling of content lam is one path of steps, ending on the full mask,
+    so no filling of another content is followed.  The last step of each lam
+    is forced: its value fills every free cell, so a state takes it only if
+    no strip has two cells free, and its shift is read off those cells.  The
+    cells each state can take next are kept per mask, at most prod(h + 1)
+    lists per call.
+    """
+    if max(heights) > nvars:
+        return ()  # a strip needs as many distinct values as cells
+    strips, cells = len(heights), len(attacks)
+    bits = _state_bits(heights, nvars)
+    offsets = list(accumulate(heights, initial=0))
+    # per strip, the bit of its lowest cell and the bits of all its cells
+    strip_bits = [(1 << o, (1 << o + h) - (1 << o)) for o, h in zip(offsets, heights)]
+    # the cell under each strip's top, filled iff the strip has one cell free at most
+    below_tops = sum(1 << o + h - 2 for o, h in zip(offsets, heights) if h > 1)
+    attackers = {1 << x: mask for x, mask in enumerate(attacks)}
+    full = (1 << cells) - 1
+    # moves[mask]: each strip's next free cell, its bit plus, above the cells,
+    # the shift for its inversions with the cells that mask fills
+    moves: dict[int, list[int]] = {}
+    digit = (1 << bits) - 1
+    found = []
+    stack = [{0: 1}]  # stack[v]: the states after the first v parts of the current lam
+    prev: Partition = ()
+    for lam in _partitions_within(sum(heights), nvars, strips):
+        v = 0  # the parts lam shares with the lam before it
+        while v < len(prev) and prev[v] == lam[v]:
+            v += 1
+        del stack[v + 1:]
+        for part in lam[v:-1]:
+            out: dict[int, int] = {}
+            for mask, value in stack[-1].items():
+                free = moves.get(mask)
+                if free is None:
+                    free = moves[mask] = [
+                        x + ((attackers[x] & mask).bit_count() * bits << cells)
+                        for low, span in strip_bits
+                        if (x := (mask & span) + low) & span
+                    ]
+                for step in map(sum, combinations(free, part)):
+                    after = mask + (step & full)
+                    out[after] = out.get(after, 0) + (value << (step >> cells))
+            stack.append(out)
+        prev = lam
+        value = 0  # the last step, forced
+        for mask, before in stack[-1].items():
+            if mask & below_tops == below_tops:
+                shift, rest = 0, full - mask
+                while rest:
+                    x = rest & -rest
+                    rest -= x
+                    shift += (attackers[x] & mask).bit_count()
+                value += before << shift * bits
+        if not value:
+            continue
+        counts = []
+        while value:
+            counts.append(value & digit)
+            value >>= bits
+        found.append((lam, _canonical(counts)))
+    return tuple(found)
 
 
 def llt_in_vars(strips: StripTuple, nvars: int) -> dict[Partition, QPoly]:

@@ -67,7 +67,7 @@ def velement_in_p(f):
 def cold_oracle():
     """Empty memos of both tableau-oracle sides before the test and after it,
     so a test that patches a function either side runs (normalize,
-    expand_word, to_schroeder_word, the walk) neither reads an entry built
+    expand_word, to_schroeder_word, the count) neither reads an entry built
     without the patch nor leaves one built with it."""
     llt._tableau_sum.cache_clear()
     llt._operator_side.cache_clear()

@@ -401,8 +401,8 @@ def test_oracle_checks_the_cell_cap_before_counting(capsys, monkeypatch):
 
 
 def test_oracle_refuses_huge_outputs(capsys, monkeypatch, cold_oracle):
-    # 792**2 fillings are under the limit, but the walk's key vectors could
-    # hold that many contents of 12 digits (fewer than the C(25, 14)
+    # 792**2 fillings are under the limit, but either side's polynomial could
+    # span that many monomials of 12 entries (fewer than the C(25, 14)
     # monomials of degree 14 in 12 values)
     def no_enumeration(*_args, **_kwargs):
         raise AssertionError("a refused oracle run may not enumerate")
@@ -415,8 +415,8 @@ def test_oracle_refuses_huge_outputs(capsys, monkeypatch, cold_oracle):
     assert f"{792**2 * 12} exponent entries" in err
     assert str(cli.MAX_ORACLE_FILLINGS) in err
     monkeypatch.undo()
-    # the entries are counted in the values the walk fills from, so two
-    # one-cell strips in 200 variables (2 values) run
+    # the entries are counted in the values a filling of partition content
+    # can use, so two one-cell strips in 200 variables (2 values) run
     code, out, _ = run(capsys, "oracle", "--strips", "0:1;0:1", "--nvars", "200")
     assert code == 0
     assert "match: yes" in out
@@ -424,8 +424,8 @@ def test_oracle_refuses_huge_outputs(capsys, monkeypatch, cold_oracle):
 
 
 def test_oracle_takes_many_variables(capsys):
-    # a thousand variables are admitted here; the tableau walk fills from as
-    # many values as cells
+    # a thousand variables are admitted here; the tableau count places at
+    # most as many values as cells
     for strips, side in (("0:1", "m[1]: 1"), ("", "m[]: 1")):
         code, out, _ = run(capsys, "oracle", "--strips", strips, "--nvars", "1000")
         assert code == 0

@@ -1,6 +1,6 @@
 from collections import Counter
 from functools import cache
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations
 from math import comb, factorial, prod
 
 import pytest
@@ -9,13 +9,11 @@ import hypothesis.strategies as st
 
 from vsllt import llt
 from vsllt.llt import (
-    _completable,
     _operator_side,
-    _strip_fillings,
+    _state_bits,
     _tableau_key,
     _tableau_sum,
     area_and_crosses,
-    attack_pairs,
     cell_count,
     llt_in_vars,
     parse_strips,
@@ -25,6 +23,7 @@ from vsllt.llt import (
     to_schroeder_word,
 )
 from conftest import all_strip_tuples
+from reference_llt import attack_pairs
 from reference_llt import llt_in_vars as reference_llt_in_vars
 from reference_llt import oracle_compare
 from reference_llt import ssyt_generating_function as reference_ssyt
@@ -340,59 +339,96 @@ def test_llt_at_q_1_is_the_product_of_e_heights():
         assert {mu: v for mu, v in at_1.items() if v} == {heights: 1}, render_strips(t)
 
 
-def _compositions(max_cells, max_parts):
-    """Every tuple of at most max_parts positive heights adding up to at
-    most max_cells cells."""
-    return [
-        hs
-        for k in range(1, max_parts + 1)
-        for hs in product(range(1, max_cells + 1), repeat=k)
-        if sum(hs) <= max_cells
+def test_count_matches_the_per_filling_reference_at_every_nvars():
+    # Lemma: placing the values one at a time, each step adding the attack
+    # pairs whose later cell it fills and whose earlier cell holds a smaller
+    # value, counts every filling of partition content once with its
+    # inversions.  Every criterion-6 tuple at every nvars from 1 to its
+    # cells; counting at the smaller value, or counting the pairs of equal
+    # values too, fails here
+    for t in CRITERION_6:
+        for nvars in range(1, max(cell_count(t), 1) + 1):
+            assert ssyt_generating_function(t, nvars) == reference_m(t, nvars), (render_strips(t), nvars)
+
+
+def _unpacked_count(heights, attacks, nvars):
+    """_tableau_sum's count with one {inversions: count} dict per state
+    instead of a packed int, on the same prefixes and steps.  Returns the
+    m_lam coefficients as {lam: {inversions: count}} and the largest count
+    that any state, finished or not, holds."""
+    offsets = list(accumulate(heights, initial=0))
+    largest = 0
+    found = {}
+
+    def walk(lam, states, left):
+        nonlocal largest
+        largest = max([largest] + [c for poly in states.values() for c in poly.values()])
+        if not left:
+            found[lam] = states[heights]
+            return
+        for part in range(min(lam[-1] if lam else len(heights), left), 0, -1):
+            if left - part > (nvars - len(lam) - 1) * part:
+                break
+            out = {}
+            for levels, poly in states.items():
+                filled = sum((1 << offsets[s] + f) - (1 << offsets[s]) for s, f in enumerate(levels))
+                free = [s for s, f in enumerate(levels) if f < heights[s]]
+                for new in combinations(free, part):
+                    inv = sum((attacks[offsets[s] + levels[s]] & filled).bit_count() for s in new)
+                    after = list(levels)
+                    for s in new:
+                        after[s] += 1
+                    into = out.setdefault(tuple(after), Counter())
+                    for i, c in poly.items():
+                        into[i + inv] += c
+            if out:
+                walk(lam + (part,), out, left - part)
+
+    walk((), {(0,) * len(heights): Counter({0: 1})}, len(attacks))
+    return found, largest
+
+
+def test_every_state_digit_fits_the_width():
+    # Lemma: every state of the count, finished or not, holds at most
+    # min(prod C(strips, lam_i), prod C(nvars, min(h, nvars // 2))) fillings
+    # in any one q-digit, below 2**_state_bits, so the packed ints never
+    # carry.  The count run unpacked gives the library's coefficients, on
+    # every attack structure of at most 6 cells and 4 strips at 2 and 3
+    # variables, and on the criterion-6 ones at every nvars up to the cells;
+    # some states need every bit of the width, so one bit fewer fails here
+    keys = {_tableau_key(t) for t in set(all_strip_tuples(6, 4, range(-2, 3))) if t}
+    assert len(keys) == 3095
+    cases = [(key, nvars) for key in keys for nvars in (2, 3) if nvars <= len(key[1])]
+    cases += [
+        (key, nvars)
+        for key in {_tableau_key(t) for t in CRITERION_6[1:]}
+        for nvars in range(1, len(key[1]) + 1)
     ]
+    tight = set()
+    for (heights, attacks), nvars in cases:
+        found, largest = _unpacked_count(heights, attacks, nvars)
+        bits = _state_bits(heights, nvars)
+        assert largest < 1 << bits, (heights, attacks, nvars)
+        want = {lam: QPoly([poly[i] for i in range(max(poly) + 1)]) for lam, poly in found.items()}
+        assert dict(_tableau_sum(heights, attacks, nvars)) == want, (heights, attacks, nvars)
+        if largest >> bits - 1:
+            tight.add((heights, nvars))
+    assert {((1, 5), 3), ((2, 2, 2), 2), ((3, 3), 3)} <= tight
 
 
-def _brute_completable(heights, nvars):
-    """_completable's (steps, leaf, lams) from every filling of strips of
-    these heights in values 1..nvars: the partial contents, after each step
-    but the last, of the fillings whose content is a partition, and for each
-    of those fillings its last strip's filling and its partition."""
-    width = len(heights).bit_length()
-    last = len(heights) - 1
-    steps = [set() for _ in range(last)]
-    leaf, lams = {}, {}
-    for choice in product(*(enumerate(_strip_fillings(h, nvars)) for h in heights)):
-        content = [0] * nvars
-        partial = []
-        for _, f in choice:
-            for v in f:
-                content[v - 1] += 1
-            partial.append(sum(x << width * v for v, x in enumerate(content)))
-        if any(a < b for a, b in zip(content, content[1:])):
-            continue
-        for t in range(last):
-            steps[t].add(partial[t])
-        before = partial[last - 1] if last else 0
-        leaf.setdefault(before, set()).add((choice[last][0], partial[last] - before))
-        lams[partial[last]] = tuple(x for x in content if x)
-    return steps, leaf, lams
-
-
-def test_completable_tables_match_the_per_filling_brute_force():
-    # Lemma: the table of each walk step holds exactly the contents of the
-    # partial fillings that some completion turns into a partition content,
-    # and the lookup gives each completing last-strip filling once, with
-    # lam minus that content.  Every height tuple of at most 6 cells and 4
-    # strips, in any order, at 1 and 2 variables and at as many as cells
-    shapes = _compositions(6, 4)
-    assert len(shapes) == 56
-    for heights in shapes:
-        for nvars in sorted({1, 2, sum(heights)}):
-            steps, leaf, lams = _completable(heights, nvars)
-            want_steps, want_leaf, want_lams = _brute_completable(heights, nvars)
-            assert steps == want_steps, (heights, nvars)
-            assert {c: set(pairs) for c, pairs in leaf.items()} == want_leaf, (heights, nvars)
-            assert sum(map(len, leaf.values())) == sum(map(len, want_leaf.values()))
-            assert lams == want_lams, (heights, nvars)
+def test_attack_masks_are_the_attack_pairs():
+    # the key's masks, built in two passes over the strips, against the
+    # attack pairs listed pair by pair: bit x of cell r's mask is set iff
+    # (x, r) attacks, cells numbered in (strip, level) order
+    for t in CRITERION_6[1:] + [BIG]:
+        heights, masks = _tableau_key(t)
+        assert heights == tuple(h for _, h in t)
+        offsets = list(accumulate(heights, initial=0))
+        number = [offsets[s] + d - t[s][0] for s, d in reading_order(t)]
+        want = [0] * cell_count(t)
+        for p, r in attack_pairs(t):
+            want[number[r - 1]] |= 1 << number[p - 1]
+        assert masks == tuple(want), render_strips(t)
 
 
 def test_tableau_sum_does_not_depend_on_variables_beyond_the_cells():
@@ -411,8 +447,8 @@ def test_tableau_sum_does_not_depend_on_variables_beyond_the_cells():
 
 
 def test_tableau_tally_matches_the_reference_on_four_strips():
-    # the criterion-6 tuples have at most 3 strips, so they never reach the
-    # walk's inner levels; a banded sample of the 6250 tuples of 4 strips and
+    # the criterion-6 tuples have at most 3 strips, so no step of their count
+    # chooses among 4; a banded sample of the 6250 tuples of 4 strips and
     # 6 cells, every 250th in order of heights then diagonals, reaches them
     pool = sorted(
         (tuple(h for _, h in t), t)
@@ -447,9 +483,9 @@ def test_tableau_key_is_all_the_tableau_sum_depends_on():
     assert len({key for key, _ in groups}) == 300
 
 
-def test_memoized_tableau_sum_is_the_walk():
-    # every criterion-6 tuple, read from a warm memo (each key is walked
-    # for its first tuple), against the walk run afresh on its own key
+def test_memoized_tableau_sum_is_the_count():
+    # every criterion-6 tuple, read from a warm memo (each key is counted
+    # for its first tuple), against the count run afresh on its own key
     for t in CRITERION_6[1:]:
         cells = cell_count(t)
         for nvars in sorted({1, 2, cells}):
