@@ -7,14 +7,16 @@ engine is checked.  Symmetric-function coefficients are kept in the e-basis,
 where the only two places the operators touch Lambda, the alphabet shift and
 the product with e_{a+1}, are integral.
 
-The operators are one code over a scalar ring (``Scalars``): they take 0,
-1, q-1 and the alphabet-shift scalars from the ring of the element they act
-on, and use only +, *, unary - and truth value on scalars.  ``QPOLY``, with
-QPoly scalars, is the reference ring.  ``packed_value`` runs in
-``packed(bits)``, whose scalars are Python ints, the value of a polynomial
-at q = 2**bits (Kronecker substitution), and ``eval_in_e`` decodes each of
-its output coefficients once (qpoly's ``unpack_balanced``);
-``coefficient_bound`` proves the width.
+An element is a plain {y-exponent vector: {partition: scalar}} dict
+(``VElement.terms``).  The operators are one code over a scalar ring
+(``Scalars``): they take 0, 1, q-1 and the alphabet-shift scalars from the
+ring of the element they act on, and use only +, *, unary - and truth value
+on scalars.  ``QPOLY``, with QPoly scalars, is the reference ring.
+``packed_value`` runs in ``packed(bits)``, whose scalars are Python ints,
+the value of a polynomial at q = 2**bits (Kronecker substitution), and
+``eval_in_e`` decodes each of its output coefficients once (qpoly's
+``unpack_balanced``); ``coefficient_bound`` proves the width.  Only
+``eval_word``, the p-basis value, returns a GradedSym.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from functools import cache
 from .paths import MINUS, PLUS, Word, WordError, primitive_factors, semilength
 from .qpoly import ONE, Q, Q_MINUS_1, ZERO, QPoly, accumulate, unpack_balanced
 from .symfunc import GradedSym, Partition, e_expansion_in_p, merge_partitions, multiply_expansions
-from .symfunc import _raw as _raw_sym
 # unused here, but bench/tracing.py wraps dyckalgebra.e_in_p by name
 from .symfunc import e_in_p  # noqa: F401
 
@@ -62,37 +63,25 @@ def packed(bits: int) -> Scalars:
 
 
 class VElement:
-    """Element of V_k at truncation degree n: {y-exponent vector: GradedSym},
-    with scalars in ``ring``.
+    """Element of V_k at truncation degree n: {y-exponent vector: {partition:
+    scalar}}, e-basis keys, scalars in ``ring``.
 
-    Exponent vectors have length exactly k; zero coefficients are dropped.
+    The constructor stores what it is given.  Every operator's output is
+    clean (``_wrap``): exponent vectors of length k, no zero scalar, no empty
+    y-coefficient, no partition of degree above n.
     """
 
     __slots__ = ("k", "n", "terms", "ring")
 
-    def __init__(self, k: int, n: int, terms=None, ring: Scalars = QPOLY):
+    def __init__(self, k: int, n: int, terms: dict, ring: Scalars = QPOLY):
         self.k = k
         self.n = n
+        self.terms = terms
         self.ring = ring
-        clean: dict[YExps, GradedSym] = {}
-        if terms:
-            for e, g in terms.items():
-                if len(e) != k:
-                    raise ValueError(f"exponent vector {e} has length != {k}")
-                if not g.is_zero():
-                    clean[e] = g
-        self.terms = clean
 
     @classmethod
     def one(cls, n: int, ring: Scalars = QPOLY) -> "VElement":
-        return cls(0, n, {(): GradedSym(n, {(): ring.one})}, ring)
-
-    @classmethod
-    def from_sym(cls, g: GradedSym) -> "VElement":
-        return cls(0, g.n, {(): g})
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return cls(0, n, {(): {(): ring.one}}, ring)
 
     def __eq__(self, other) -> bool:
         return (
@@ -100,41 +89,6 @@ class VElement:
             and (self.k, self.n) == (other.k, other.n)
             and self.terms == other.terms
         )
-
-    def __add__(self, other: "VElement") -> "VElement":
-        if (self.k, self.n) != (other.k, other.n):
-            raise ValueError("degree/truncation mismatch")
-        out = dict(self.terms)
-        for e, g in other.terms.items():
-            accumulate(out, e, g)
-        return _raw(self.k, self.n, out, self.ring)
-
-    def __sub__(self, other: "VElement") -> "VElement":
-        return self + other.scale(-self.ring.one)
-
-    def scale(self, c) -> "VElement":
-        if not c:
-            return _raw(self.k, self.n, {}, self.ring)
-        return _raw(self.k, self.n, {e: g.scale(c) for e, g in self.terms.items()}, self.ring)
-
-    def sym_part(self) -> GradedSym:
-        """The coefficient of y^0; for k = 0 this is the whole element."""
-        return self.terms.get((0,) * self.k, GradedSym.zero(self.n))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return f"VElement<k={self.k}, 0>"
-        bits = "; ".join(f"y{list(e)} * {g!r}" for e, g in sorted(self.terms.items()))
-        return f"VElement<k={self.k}, {bits}>"
-
-
-def _raw(k: int, n: int, terms: dict, ring: Scalars) -> VElement:
-    v = VElement.__new__(VElement)
-    v.k = k
-    v.n = n
-    v.terms = terms
-    v.ring = ring
-    return v
 
 
 def _wrap(k: int, n: int, out: dict, ring: Scalars) -> VElement:
@@ -144,8 +98,8 @@ def _wrap(k: int, n: int, out: dict, ring: Scalars) -> VElement:
     for e, sums in out.items():
         kept = {mu: c for mu, c in sums.items() if c}
         if kept:
-            terms[e] = _raw_sym(n, kept)
-    return _raw(k, n, terms, ring)
+            terms[e] = kept
+    return VElement(k, n, terms, ring)
 
 
 def _add_into(out: dict, key, terms: dict, zero) -> None:
@@ -197,7 +151,7 @@ def op_t(i: int, f: VElement) -> VElement:
     k, n, ring = f.k, f.n, f.ring
     if k < 2 or not 1 <= i <= k - 1:
         raise ValueError(f"T_{i} undefined on V_{k}")
-    out = _swap(i, {e: g.terms for e, g in f.terms.items()}, ring.zero, ring.q_minus_1)
+    out = _swap(i, f.terms, ring.zero, ring.q_minus_1)
     return _wrap(k, n, out, ring)
 
 
@@ -318,7 +272,7 @@ def op_dplus(f: VElement) -> VElement:
     zero = ring.zero
     out: dict[YExps, dict] = {}
     for e, g in f.terms.items():
-        for mu, c in g.terms.items():
+        for mu, c in g.items():
             for extra, pairs in _raising_table(mu, ring):
                 acc = out.setdefault(e + (extra,), {})
                 for kept, s in pairs:
@@ -344,7 +298,7 @@ def op_dminus(f: VElement) -> VElement:
     for e, g in f.terms.items():
         a0 = e[-1]
         acc = out.setdefault(e[:-1], {})
-        for mu, c in g.terms.items():
+        for mu, c in g.items():
             # the shift keeps |mu|, so every product lands in degree |mu| + a0 + 1
             if sum(mu) + a0 + 1 > n:
                 continue
@@ -358,7 +312,7 @@ def op_phi(f: VElement) -> VElement:
     k, n = f.k, f.n
     if k < 1:
         raise ValueError("diagonal operator needs k >= 1")
-    out = {e[:-1] + (e[-1] + 1,): {mu: -c for mu, c in g.terms.items()} for e, g in f.terms.items()}
+    out = {e[:-1] + (e[-1] + 1,): {mu: -c for mu, c in g.items()} for e, g in f.terms.items()}
     return _ladder(k, n, out, k - 1, f.ring)
 
 
@@ -386,25 +340,17 @@ def _apply_packed(word: Word, n: int, bits: int) -> dict[Partition, int]:
     res = apply_word(word, VElement.one(n, packed(bits)))
     if res.k != 0:
         raise WordError("word does not return to the diagonal", len(word))
-    return res.sym_part().terms
-
-
-def eval_packed(word: Word, n: int) -> GradedSym:
-    """The symmetric part of apply_word(word, VElement.one(n)), computed in
-    ``packed(packed_bits(word, n))`` and decoded once per coefficient.
-    Raises WordError as apply_word does, or if the word does not end on V_0."""
-    bits = packed_bits(word, n)
-    terms = _apply_packed(word, n, bits)
-    return GradedSym(n, {mu: unpack_balanced(c, bits) for mu, c in terms.items()})
+    return res.terms.get((), {})
 
 
 @cache
 def _primitive_value(word: Word) -> tuple[tuple[Partition, QPoly], ...]:
     """d_P(1) in the e-basis for a primitive factor of a composite word, as
-    (partition, coefficient) pairs, computed at truncation degree
-    semilength(word), which is exact.  Memoized per word: a repeat call
-    returns the same tuple, whose entries are immutable."""
-    return tuple(eval_packed(word, semilength(word)).terms.items())
+    (partition, coefficient) pairs: ``eval_in_e``, which applies a primitive
+    word letter by letter at truncation degree semilength(word), where it is
+    exact.  Memoized per word: a repeat call returns the same tuple, whose
+    entries are immutable."""
+    return tuple(eval_in_e(word).items())
 
 
 def packed_value(word: Word, bits: int) -> dict[Partition, int]:
@@ -430,19 +376,18 @@ def packed_value(word: Word, bits: int) -> dict[Partition, int]:
     return _apply_packed(word, n, bits)
 
 
-def eval_in_e(word: Word) -> GradedSym:
-    """d_P(1) in the e-basis for the path encoded by word, at truncation
-    degree semilength(word), where it is exact: the result is homogeneous of
-    that degree.  This is ``packed_value`` at ``packed_bits``, decoded once
-    per coefficient."""
+def eval_in_e(word: Word) -> dict[Partition, QPoly]:
+    """d_P(1) in the e-basis for the path encoded by word, as {partition:
+    QPoly}, at truncation degree semilength(word), where it is exact: the
+    result is homogeneous of that degree.  This is ``packed_value`` at
+    ``packed_bits``, decoded once per coefficient."""
     n = semilength(word)
     bits = packed_bits(word, n)
-    return GradedSym(n, {mu: unpack_balanced(c, bits) for mu, c in packed_value(word, bits).items()})
+    return {mu: unpack_balanced(c, bits) for mu, c in packed_value(word, bits).items()}
 
 
 def eval_word(word: Word, n: int | None = None) -> GradedSym:
     """d_P(1) converted to the p-basis, at truncation degree n (default: semilength)."""
-    g = eval_in_e(word)
-    if n is not None:
-        g = g.retruncate(n)
-    return e_expansion_in_p(g.terms, g.n)
+    expansion = eval_in_e(word)
+    n = semilength(word) if n is None else n
+    return e_expansion_in_p({mu: c for mu, c in expansion.items() if sum(mu) <= n}, n)

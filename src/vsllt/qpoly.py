@@ -212,7 +212,7 @@ def unpack_balanced(value: int, bits: int) -> QPoly:
 def accumulate(terms: dict, key, value) -> None:
     """Add value into terms[key], removing the key when the sum is zero.
 
-    This is the one sparse-sum primitive for QPoly and GradedSym values
+    This is the one sparse-sum primitive for QPoly and packed int values
     (anything with + whose truth value says nonzero); the rewriting engine's
     packed ints, never zero, are added directly, and the operators drop
     their zero sums once per result.  A zero value on an absent key inserts

@@ -1,13 +1,14 @@
 """Graded symmetric functions of bounded degree in a multiplicative basis.
 
 A GradedSym lives in the quotient of the symmetric function ring by all
-terms of degree > n (the truncation degree).  Its keys are partitions of
-whichever multiplicative basis the caller uses: the e-basis in dyckalgebra,
-the p-basis in the rational bridge below, which e_in_p / e_mu_in_p /
-e_expansion_in_p feed and expand_in_vars evaluates in finitely many
-variables (dyckalgebra.eval_word and the test references use it).  Its
-coefficients are QPoly, or, inside the operators, the packed ints of
-dyckalgebra's packed rings: it needs only +, *, unary - and truth value.
+terms of degree > n (the truncation degree), with QPoly coefficients.  Its
+keys are partitions of whichever multiplicative basis the caller uses; in
+the library that is the p-basis of the rational bridge below, which e_in_p /
+e_mu_in_p / e_expansion_in_p feed and expand_in_vars evaluates in finitely
+many variables (dyckalgebra.eval_word and the test references use it).  The
+operators keep their e-basis coefficients in plain {partition: scalar}
+dicts, QPoly or the packed ints of dyckalgebra's packed rings, never in a
+GradedSym.
 
 e_expansion_in_p sums in ints: z_lam [p_lam] e_mu is an integer, so each
 coefficient is an int sum divided by z_lam once, and a Fraction appears
@@ -87,19 +88,6 @@ class GradedSym:
     def one(cls, n: int) -> "GradedSym":
         return cls(n, {(): ONE})
 
-    @classmethod
-    def p(cls, k: int, n: int) -> "GradedSym":
-        """The power sum p_k."""
-        if k <= 0:
-            raise ValueError("p_k needs k >= 1")
-        return cls(n, {(k,): ONE})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GradedSym)
@@ -107,21 +95,12 @@ class GradedSym:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
     def __add__(self, other: "GradedSym") -> "GradedSym":
         self._check_same(other)
         out = dict(self.terms)
         for mu, c in other.terms.items():
             accumulate(out, mu, c)
         return _raw(self.n, out)
-
-    def __neg__(self) -> "GradedSym":
-        return _raw(self.n, {mu: -c for mu, c in self.terms.items()})
-
-    def __sub__(self, other: "GradedSym") -> "GradedSym":
-        return self + (-other)
 
     def scale(self, c: QPoly) -> "GradedSym":
         if not c:
@@ -136,10 +115,6 @@ class GradedSym:
     def _check_same(self, other: "GradedSym") -> None:
         if self.n != other.n:
             raise ValueError(f"truncation degree mismatch: {self.n} != {other.n}")
-
-    def retruncate(self, n: int) -> "GradedSym":
-        """The same function in the quotient at degree n (drops keys if n shrinks)."""
-        return GradedSym(n, self.terms)
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -6,8 +6,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import settings
 
+from reference_dyck import velement
 from vsllt import llt
-from vsllt.dyckalgebra import VElement
 from vsllt.paths import TOKENS, WordError, primitive_factors
 from vsllt.qpoly import QPoly
 from vsllt.symfunc import GradedSym, e_expansion_in_p
@@ -55,12 +55,12 @@ def velements(draw, k, n, max_terms=3, max_exp=2):
         e = tuple(draw(st.integers(0, max_exp)) for _ in range(k))
         g = draw(graded_syms(n))
         terms[e] = terms.get(e, GradedSym.zero(n)) + g
-    return VElement(k, n, {e: g for e, g in terms.items() if not g.is_zero()})
+    return velement(k, n, terms)
 
 
 def velement_in_p(f):
     """An e-basis VElement with each y-coefficient converted to the p-basis."""
-    return VElement(f.k, f.n, {e: e_expansion_in_p(g.terms, f.n) for e, g in f.terms.items()})
+    return velement(f.k, f.n, {e: e_expansion_in_p(g, f.n) for e, g in f.terms.items()})
 
 
 @pytest.fixture

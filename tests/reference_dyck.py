@@ -1,11 +1,19 @@
-"""Per-term reference versions of the alphabet shift and the raising and
-lowering operators, in the p-basis, kept only for the tests, with a second
-route to the diagonal-step operator and the product by a symmetric function.
+"""Test-only helpers for the Dyck path algebra, and per-term reference
+versions of the alphabet shift and the raising and lowering operators, in
+the p-basis, with a second route to the diagonal-step operator.
 
-These are the straightforward forms: every subset of a partition's parts is
-expanded separately, and the lowering operator multiplies by e_{a+1} once
-per shifted term.  The library's e-basis, table-driven versions must agree
-with them exactly after a coefficient-wise e -> p conversion.
+The library's VElement is a bare record over plain {y-exponents: {partition:
+scalar}} dicts.  The helpers here build such elements from GradedSym
+coefficients and do the arithmetic that the identities are stated in: sums,
+differences, scalar multiples, products by a symmetric function and
+truncation.  Each returns a clean element, as every operator does: no zero
+scalar and no empty y-coefficient.
+
+The reference operators are the straightforward forms: every subset of a
+partition's parts is expanded separately, and the lowering operator
+multiplies by e_{a+1} once per shifted term.  The library's e-basis,
+table-driven versions must agree with them exactly after a coefficient-wise
+e -> p conversion.
 """
 
 from __future__ import annotations
@@ -13,33 +21,73 @@ from __future__ import annotations
 from reference_qpoly import divexact_qminus1
 from vsllt import dyckalgebra
 from vsllt.dyckalgebra import VElement, YExps, op_t
-from vsllt.qpoly import ONE, QPoly
-from vsllt.qpoly import accumulate as _add_term
-from vsllt.symfunc import GradedSym, e_in_p
+from vsllt.qpoly import ONE, QPoly, accumulate, unpack_balanced
+from vsllt.symfunc import GradedSym, Partition, e_in_p
 
 
-def _raw(k: int, n: int, terms: dict) -> VElement:
-    return dyckalgebra._raw(k, n, terms, dyckalgebra.QPOLY)
+def _nonempty(k: int, n: int, terms: dict) -> VElement:
+    return VElement(k, n, {e: g for e, g in terms.items() if g})
+
+
+def velement(k: int, n: int, terms: dict[YExps, GradedSym]) -> VElement:
+    """A VElement from {y-exponents: GradedSym}: every exponent vector must
+    have length k, and zero coefficients are dropped."""
+    for e in terms:
+        if len(e) != k:
+            raise ValueError(f"exponent vector {e} has length != {k}")
+    return _nonempty(k, n, {e: dict(g.terms) for e, g in terms.items()})
+
+
+def from_sym(g: GradedSym) -> VElement:
+    """g as an element of V_0."""
+    return velement(0, g.n, {(): g})
+
+
+def sym_part(f: VElement) -> dict[Partition, QPoly]:
+    """The coefficient of y^0; for k = 0 this is the whole element."""
+    return f.terms.get((0,) * f.k, {})
+
+
+def add(f: VElement, g: VElement) -> VElement:
+    if (f.k, f.n) != (g.k, g.n):
+        raise ValueError("degree/truncation mismatch")
+    out = {e: dict(h) for e, h in f.terms.items()}
+    for e, h in g.terms.items():
+        acc = out.setdefault(e, {})
+        for mu, c in h.items():
+            accumulate(acc, mu, c)
+    return _nonempty(f.k, f.n, out)
+
+
+def scale(f: VElement, c) -> VElement:
+    if not c:
+        return VElement(f.k, f.n, {})
+    return VElement(f.k, f.n, {e: {mu: c * x for mu, x in h.items()} for e, h in f.terms.items()})
+
+
+def sub(f: VElement, g: VElement) -> VElement:
+    return add(f, scale(g, -ONE))
 
 
 def retruncate(f: VElement, n: int) -> VElement:
     """f in the quotient at truncation degree n (drops keys if n shrinks)."""
-    out: dict[YExps, GradedSym] = {}
-    for e, g in f.terms.items():
-        g2 = g.retruncate(n)
-        if not g2.is_zero():
-            out[e] = g2
-    return _raw(f.k, n, out)
+    return _nonempty(
+        f.k, n, {e: {mu: c for mu, c in h.items() if sum(mu) <= n} for e, h in f.terms.items()}
+    )
 
 
 def mul_sym(f: VElement, g: GradedSym) -> VElement:
     """Multiply f by a symmetric function (acts on every coefficient)."""
-    out: dict[YExps, GradedSym] = {}
-    for e, h in f.terms.items():
-        prod = h * g
-        if not prod.is_zero():
-            out[e] = prod
-    return _raw(f.k, f.n, out)
+    return _nonempty(f.k, f.n, {e: (GradedSym(f.n, h) * g).terms for e, h in f.terms.items()})
+
+
+def eval_packed(word, n: int) -> dict[Partition, QPoly]:
+    """The symmetric part of apply_word(word, VElement.one(n)), the whole word
+    applied letter by letter in ``packed(packed_bits(word, n))`` and decoded
+    once per coefficient."""
+    bits = dyckalgebra.packed_bits(word, n)
+    terms = dyckalgebra._apply_packed(word, n, bits)
+    return {mu: unpack_balanced(c, bits) for mu, c in terms.items()}
 
 
 def op_phi_commutator(f: VElement) -> VElement:
@@ -55,25 +103,27 @@ def op_phi_commutator(f: VElement) -> VElement:
         raise ValueError("diagonal operator needs k >= 1")
     headroom = max((sum(e) for e in f.terms), default=0) + 1
     lifted = retruncate(f, f.n + headroom)
-    comm = dyckalgebra.op_dminus(dyckalgebra.op_dplus(lifted)) - dyckalgebra.op_dplus(
-        dyckalgebra.op_dminus(lifted)
+    comm = sub(
+        dyckalgebra.op_dminus(dyckalgebra.op_dplus(lifted)),
+        dyckalgebra.op_dplus(dyckalgebra.op_dminus(lifted)),
     )
-    out: dict[YExps, GradedSym] = {}
-    for e, g in comm.terms.items():
-        g2 = GradedSym(
-            f.n, {mu: divexact_qminus1(c) for mu, c in g.retruncate(f.n).terms.items()}
-        )
-        if not g2.is_zero():
-            out[e] = g2
-    return _raw(f.k, f.n, out)
+    return _nonempty(
+        f.k,
+        f.n,
+        {
+            e: {mu: divexact_qminus1(c) for mu, c in g.items() if sum(mu) <= f.n}
+            for e, g in comm.terms.items()
+        },
+    )
 
 
-def _shifted_sym_terms(g: GradedSym, sign: int):
-    """Expand g with p_m replaced by p_m + sign*(q^m - 1)*t^m for a fresh t.
+def _shifted_sym_terms(g: dict[Partition, QPoly], sign: int):
+    """Expand {partition: coefficient} in the p-basis with p_m replaced by
+    p_m + sign*(q^m - 1)*t^m for a fresh t.
 
     Yields (partition, extra_t_exponent, coefficient) triples.
     """
-    for mu, c in g.terms.items():
+    for mu, c in g.items():
         # iterate over the parts, keeping or converting each one
         states = [((), 0, c)]
         for m in mu:
@@ -93,11 +143,11 @@ def op_dplus(f: VElement) -> VElement:
     """Raising operator V_k -> V_{k+1}: alphabet shift by (q-1) y_{k+1},
     then the swap ladder T_1 ... T_k."""
     k, n = f.k, f.n
-    out: dict[YExps, GradedSym] = {}
+    out: dict[YExps, dict] = {}
     for e, g in f.terms.items():
         for mu, extra, coeff in _shifted_sym_terms(g, +1):
-            _add_term(out, e + (extra,), GradedSym(n, {mu: coeff}))
-    res = _raw(k + 1, n, out)
+            accumulate(out.setdefault(e + (extra,), {}), mu, coeff)
+    res = _nonempty(k + 1, n, out)
     for i in range(k, 0, -1):
         res = op_t(i, res)
     return res
@@ -115,16 +165,16 @@ def op_dminus(f: VElement) -> VElement:
     k, n = f.k, f.n
     if k < 1:
         raise ValueError("lowering operator needs k >= 1")
-    out: dict[YExps, GradedSym] = {}
+    out: dict[YExps, dict] = {}
     for e, g in f.terms.items():
         base_a = e[-1]
-        rest = e[:-1]
+        acc = out.setdefault(e[:-1], {})
         for mu, extra, coeff in _shifted_sym_terms(g, -1):
             a = base_a + extra
             if a + 1 > n:
                 continue
             if a % 2 == 1:
                 coeff = -coeff
-            part = e_in_p(a + 1, n) * GradedSym(n, {mu: coeff})
-            _add_term(out, rest, part)
-    return _raw(k - 1, n, out)
+            for nu, c in (e_in_p(a + 1, n) * GradedSym(n, {mu: coeff})).terms.items():
+                accumulate(acc, nu, c)
+    return _nonempty(k - 1, n, out)

@@ -12,7 +12,7 @@ from vsllt.rewrite import e_positivity_report, expand_word
 def verify_one(word):
     """(compact word, agrees, rebased_ok, positive), as ``cli._verify_one``."""
     report = e_positivity_report(expand_word(word))
-    agrees = report["e"] == eval_in_e(word).terms
+    agrees = report["e"] == eval_in_e(word)
     rebased_ok = all(
         x >= 0 and x.denominator == 1 for vec in report["qminus1"].values() for x in vec
     )

@@ -388,8 +388,9 @@ def test_oracle_refuses_huge_enumerations(capsys, monkeypatch, cold_oracle):
 
 
 def test_oracle_checks_the_cell_cap_before_counting(capsys, monkeypatch):
-    # C(nvars + cells - 1, cells) at 3000000 cells runs for over a minute, so
-    # the cell cap refuses such a tuple before any binomial is taken
+    # with enough variables a binomial at 3000000 cells is huge (C(6000000,
+    # 3000000) has about 1.8 million digits), so the cell cap refuses such a
+    # tuple before the fillings count takes any binomial
     def no_count(*_args):
         raise AssertionError("a tuple above the cell cap may not be counted")
 
@@ -400,23 +401,17 @@ def test_oracle_checks_the_cell_cap_before_counting(capsys, monkeypatch):
     assert f"3000000 cells exceed the limit of {cli.MAX_EXPAND_SEMILENGTH}" in err
 
 
-def test_oracle_refuses_huge_outputs(capsys, monkeypatch, cold_oracle):
-    # 792**2 fillings are under the limit, but either side's polynomial could
-    # span that many monomials of 12 entries (fewer than the C(25, 14)
-    # monomials of degree 14 in 12 values)
-    def no_enumeration(*_args, **_kwargs):
-        raise AssertionError("a refused oracle run may not enumerate")
-
-    monkeypatch.setattr(cli.llt, "ssyt_generating_function", no_enumeration)
-    monkeypatch.setattr(cli.llt, "llt_in_vars", no_enumeration)
-    code, out, err = run(capsys, "oracle", "--strips", "0:7;0:7", "--nvars", "12", "--json")
-    assert code == 2
-    assert out == ""
-    assert f"{792**2 * 12} exponent entries" in err
-    assert str(cli.MAX_ORACLE_FILLINGS) in err
-    monkeypatch.undo()
-    # the entries are counted in the values a filling of partition content
-    # can use, so two one-cell strips in 200 variables (2 values) run
+def test_oracle_runs_inputs_that_span_many_exponent_entries(capsys, cold_oracle):
+    # 792**2 fillings are under the fillings cap; either side's polynomial
+    # could span that many monomials of 12 entries, but the tableau count
+    # keeps one int per (partition prefix, filled-cell mask), so the run is
+    # fast and both sides match
+    code, out, _ = run(capsys, "oracle", "--strips", "0:7;0:7", "--nvars", "12", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["match"] is True
+    assert doc["tableau_side"] == doc["operator_side"]
+    # two one-cell strips in 200 variables (2 values) run
     code, out, _ = run(capsys, "oracle", "--strips", "0:1;0:1", "--nvars", "200")
     assert code == 0
     assert "match: yes" in out

@@ -13,10 +13,12 @@ from hypothesis import given, settings
 import reference_dyck
 import reference_llt
 from conftest import qpolys, velement_in_p, velements
+from reference_dyck import add, sym_part, velement
 from reference_symfunc import m_projection
 from vsllt import dyckalgebra, llt, rewrite, symfunc
 from vsllt.cli import _verify_one
 from vsllt.dyckalgebra import (
+    QPOLY,
     VElement,
     _shift_table,
     apply_word,
@@ -25,8 +27,18 @@ from vsllt.dyckalgebra import (
     op_dminus,
     op_dplus,
     op_phi,
+    op_t,
 )
-from vsllt.paths import MINUS, PLUS, iter_paths, parse_word, primitive_factors, semilength
+from vsllt.paths import (
+    MINUS,
+    PLUS,
+    ZERO,
+    iter_paths,
+    iter_paths_upto,
+    parse_word,
+    primitive_factors,
+    semilength,
+)
 from vsllt.qpoly import ONE, QPoly, accumulate
 from vsllt.symfunc import GradedSym, _e_in_p_raw, e_mu_in_p
 
@@ -51,7 +63,7 @@ def repeated_part_velements(draw, k, n=N, max_exp=3):
         mu = draw(repeated_part_partitions(max_size=n))
         g = GradedSym(n, {mu: draw(qpolys(nonzero=True))})
         terms[e] = terms[e] + g if e in terms else g
-    return VElement(k, n, terms)
+    return velement(k, n, terms)
 
 
 @st.composite
@@ -68,11 +80,11 @@ def cancelling_velements(draw, k, n=N):
     rest = tuple(draw(st.integers(0, 3)) for _ in range(k - 1))
     c = draw(qpolys(nonzero=True))
     e_m_shift = QPoly.monomial(m) - QPoly.monomial(m - 1)
-    pair = VElement(k, n, {
+    pair = velement(k, n, {
         rest + (a,): GradedSym(n, {(m,): c}),
         rest + (a + m,): GradedSym(n, {(): c * (e_m_shift if m % 2 else -e_m_shift)}),
     })
-    return pair + draw(velements(k=k, n=n, max_exp=3))
+    return add(pair, draw(velements(k=k, n=n, max_exp=3)))
 
 
 def _random_inputs(k):
@@ -95,18 +107,59 @@ def test_dplus_matches_reference(f):
     assert velement_in_p(op_dplus(f)) == reference_dyck.op_dplus(velement_in_p(f))
 
 
+def _assert_clean(f, k, n):
+    """f is an element of V_k with no zero scalar, no empty y-coefficient,
+    no exponent vector of length other than k and no partition of degree
+    above n."""
+    assert f.k == k
+    for e, g in f.terms.items():
+        assert len(e) == k and g, e
+        for mu, c in g.items():
+            assert c and sum(mu) <= n, (e, mu)
+
+
+@given(st.integers(1, 3).flatmap(_random_inputs))
+@settings(max_examples=150)
+def test_every_operator_output_is_clean(f):
+    # Lemma: VElement stores what it is given, so _wrap alone keeps every
+    # operator's output clean; the cancelling inputs make zero sums
+    _assert_clean(op_dminus(f), f.k - 1, f.n)
+    _assert_clean(op_dplus(f), f.k + 1, f.n)
+    _assert_clean(op_phi(f), f.k, f.n)
+    for i in range(1, f.k):
+        _assert_clean(op_t(i, f), f.k, f.n)
+
+
+def test_every_letter_of_every_word_gives_a_clean_output():
+    # the same lemma on every intermediate element of every word of
+    # semilength <= 6, in the QPoly ring and in the packed ring of its width
+    steps = {PLUS: (op_dplus, 1), MINUS: (op_dminus, -1), ZERO: (op_phi, 0)}
+    checked = 0
+    for w in iter_paths_upto(6):
+        n = semilength(w)
+        for ring in (QPOLY, dyckalgebra.packed(dyckalgebra.packed_bits(w, n))):
+            f = VElement.one(n, ring)
+            for tok in reversed(w):
+                op, dk = steps[tok]
+                k = f.k + dk
+                f = op(f)
+                _assert_clean(f, k, n)
+                checked += 1
+    assert checked == 2 * sum(len(w) for w in iter_paths_upto(6))
+
+
 def test_dminus_group_cancels_to_zero():
     # the two shifted terms land on the same key e_2 with opposite signs and cancel
     n = 3
     c = QPoly((2, -1))
-    f = VElement(1, n, {
+    f = velement(1, n, {
         (0,): GradedSym(n, {(1,): c}),
         (1,): GradedSym(n, {(): c * (QPoly.monomial(1) - ONE)}),
     })
     out = op_dminus(f)
     assert velement_in_p(out) == reference_dyck.op_dminus(velement_in_p(f))
     # only the kept e_1 term survives, through a = 0, as e_1 * e_1
-    assert out == VElement(0, n, {(): GradedSym(n, {(1, 1): c})})
+    assert out == velement(0, n, {(): GradedSym(n, {(1, 1): c})})
 
 
 def test_dminus_matches_reference_along_every_word():
@@ -179,6 +232,10 @@ def _partitions(n, largest=None):
             yield (first,) + rest
 
 
+def _without_empty(sums):
+    return {key: terms for key, terms in sums.items() if terms}
+
+
 def test_shift_table_in_p_equals_per_term_p_shift():
     # Lemma: e_mu[X + sign*(q-1)t] from the e-basis table, converted to the
     # p-basis, is the per-term p-basis shift of e_mu, for |mu| <= 6 and both signs.
@@ -188,12 +245,13 @@ def test_shift_table_in_p_equals_per_term_p_shift():
             for sign in (+1, -1):
                 via_e = {}
                 for kept, extra, scalar in _shift_table(mu, sign):
-                    accumulate(via_e, extra, e_mu_in_p(kept, size).scale(scalar))
+                    for lam, c in e_mu_in_p(kept, size).terms.items():
+                        accumulate(via_e.setdefault(extra, {}), lam, c * scalar)
                 via_p = {}
-                e_mu = e_mu_in_p(mu, size)
+                e_mu = e_mu_in_p(mu, size).terms
                 for part, extra, coeff in reference_dyck._shifted_sym_terms(e_mu, sign):
-                    accumulate(via_p, extra, GradedSym(size, {part: coeff}))
-                assert via_e == via_p, (mu, sign)
+                    accumulate(via_p.setdefault(extra, {}), part, coeff)
+                assert _without_empty(via_e) == _without_empty(via_p), (mu, sign)
                 checked += 1
     assert checked == 2 * 30
 
@@ -279,7 +337,7 @@ CACHED = {
     dyckalgebra.packed: _fresh_packed,
     dyckalgebra._raising_table: _fresh_raising_table,
     dyckalgebra._lowering_table: _fresh_lowering_table,
-    dyckalgebra._primitive_value: lambda w: apply_word(w, VElement.one(semilength(w))).sym_part().terms,
+    dyckalgebra._primitive_value: lambda w: sym_part(apply_word(w, VElement.one(semilength(w)))),
 }
 
 
@@ -354,19 +412,19 @@ def test_bridge_caches_survive_verify():
 def test_mutating_a_returned_value_leaves_the_memos_unchanged():
     # eval_in_e builds a composite word's result from memoized factor values
     # and expand_word from memoized _close forms; every call returns a new
-    # dict or GradedSym, so a caller that edits one changes no later result.
+    # dict, so a caller that edits one changes no later result.
     # "-0+" is a single factor, the others two.
     for text in ("-0+", "-+-0+", "--++-+"):
         w = parse_word(text)
         want_e = rewrite.lincomb_to_e(rewrite.normalize(w))
-        want_g = apply_word(w, VElement.one(semilength(w))).sym_part()
+        want_g = sym_part(apply_word(w, VElement.one(semilength(w))))
         for _ in range(2):
             got_e, got_g = rewrite.expand_word(w), eval_in_e(w)
             assert got_e == want_e and got_g == want_g, text
             got_e.clear()
             got_e[(9,)] = ONE
-            got_g.terms.clear()
-            got_g.terms[(9,)] = ONE
+            got_g.clear()
+            got_g[(9,)] = ONE
 
 
 def test_only_factors_of_composite_words_are_memoized():

@@ -18,7 +18,8 @@ from reference_rewrite import (
 from conftest import INVALID_WORDS_UPTO_LENGTH_6, outcome
 from vsllt import rewrite
 from vsllt.cli import _verify_one
-from vsllt.dyckalgebra import eval_in_e, eval_packed
+from reference_dyck import eval_packed
+from vsllt.dyckalgebra import eval_in_e
 from vsllt.paths import (
     iter_paths,
     iter_paths_upto,
