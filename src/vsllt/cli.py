@@ -9,11 +9,12 @@ import sys
 import time
 from contextlib import nullcontext
 from functools import partial
-from math import comb, prod
 from multiprocessing import Pool
 
 from . import llt
 from .paths import (
+    MINUS,
+    PLUS,
     WordError,
     count_paths_reference,
     iter_paths,
@@ -25,21 +26,6 @@ from .paths import (
 from .dyckalgebra import coefficient_bound, eval_in_e, packed_value, width_for
 from .qpoly import ZERO, _at_q, digits_bound, render_qpoly
 from .rewrite import e_positivity_report, expand_word, normalize, split_digits
-
-# Most tableau fillings ``oracle`` admits, counted as prod C(nvars, h) over the
-# strips.  The tableau side places the values one at a time over masks of
-# filled cells, toward partition contents only, in at most as many values as
-# cells, so it never visits most of these fillings: in a scan of the 7352
-# admitted inputs of <= 14 cells (every height multiset, strips on one
-# diagonal or one diagonal apart, nvars 1..cells + 2) the slowest tableau side,
-# two two-cell and ten one-cell strips on one diagonal in 3 variables (531441
-# fillings), takes 80-90 ms of its 0.54-0.84 s ``oracle`` run, and twelve
-# one-cell strips in 3 variables about 75 ms of 0.31-0.34 s; the rest is
-# mostly the operator side.  The 238 inputs of that scan under this cap that
-# a cap on exponent entries used to refuse, 0:7;0:7 in 12 variables among
-# them, run both sides cold in at most 0.15 s and 16 MB peak RSS each
-# (Python 3.11.7 on a 2-vCPU x86_64 host).
-MAX_ORACLE_FILLINGS = 10**6
 
 # Largest semilength ``verify`` sweeps: all 129281 words through 9 take
 # 132-158 s and 98 MB peak RSS in one process; through 8, 14-17 s and 30 MB,
@@ -53,19 +39,26 @@ MAX_VERIFY_SEMILENGTH = 9
 # a strip tuple's word has semilength equal to its cell count, and the oracle's
 # operator side rewrites that word.  The costliest word of semilength n is
 # -^n +^n: about 1.4 s and 47 MB peak RSS at 14, and 3.4-4.2 s and 85 MB at
-# 15, where the rewrite memo doubles to 2**15 - 1 open tails (Python 3.11.7
-# on a 2-vCPU x86_64 host).
+# 15, where the rewrite memo doubles to 2**15 - 1 open tails.  This is
+# ``oracle``'s only cap: both sides clamp nvars to the cells, and the tableau
+# count keeps at most prod(h + 1) <= 2**cells filled-cell masks per partition
+# prefix.  Over every height multiset of <= 14 cells, strips on one diagonal
+# or staggered one diagonal apart, at nvars 1, 2, 3, cells and cells + 2
+# (5056 inputs, all matching), the slowest run cold in its own process is
+# 14 one-cell strips on one diagonal: 4.0-4.3 s and 51 MB peak RSS, of which
+# the tableau side is 2.7-3.5 s (Python 3.11.7 on a 2-vCPU x86_64 host).
 MAX_EXPAND_SEMILENGTH = 14
 
 # Most cells ``path`` takes: time and memory grow linearly in the cell count,
-# and one strip of 10^6 cells takes about 3.7 s and 406 MB peak RSS, 5.9 s and
-# 461 MB with --json (Python 3.11.7 on a 2-vCPU x86_64 host).
+# and one strip of 10^6 cells takes 1.9-2.8 s and 203 MB peak RSS, 3.3-3.4 s
+# and 359 MB with --json (Python 3.11.7 on a 2-vCPU x86_64 host).
 MAX_PATH_CELLS = 10**6
 
 
 def _json_indent2(value, pad: str = "") -> str:
     """The text of json.dumps(value, indent=2) for nested dicts (string keys)
-    and lists of strings, ints and bools.
+    and lists and tuples (arrays, as json writes them) of strings, ints and
+    bools.
 
     json's C encoder writes no newlines, and indent= switches to its
     pure-Python encoder, which dominated ``path --json`` on large tuples.
@@ -73,7 +66,7 @@ def _json_indent2(value, pad: str = "") -> str:
     """
     if type(value) is int:
         return str(value)
-    if not isinstance(value, (dict, list)) or not value:
+    if not isinstance(value, (dict, list, tuple)) or not value:
         return json.dumps(value)
     inner = pad + "  "
     if isinstance(value, dict):
@@ -162,6 +155,24 @@ def cmd_expand(args) -> int:
     return 0
 
 
+def _area_and_crosses(word) -> tuple[list[int], list[tuple[int, int]]]:
+    """A Schröder word's attacker count per row, and its crosses (p, r) in
+    ascending order: a north step in row r at column x has area r - 1 - x,
+    and a diagonal step there (x counted after it) is the cross (x, r)."""
+    area, crosses = [], []
+    x = 0
+    for step in word:
+        if step == PLUS:
+            x += 1
+        elif step == MINUS:
+            area.append(len(area) - x)
+        else:  # a diagonal step
+            x += 1
+            crosses.append((x, len(area) + 1))
+            area.append(len(area) - x)
+    return area, crosses
+
+
 def cmd_path(args) -> int:
     strips = llt.parse_strips(args.strips)
     cells = llt.cell_count(strips)
@@ -171,9 +182,8 @@ def cmd_path(args) -> int:
             file=sys.stderr,
         )
         return 2
-    area, crosses = llt.area_and_crosses(strips)
-    word = llt.schroeder_word(area, crosses)
-    cross_pairs = sorted((p, r) for r, p in crosses.items())
+    word = llt.to_schroeder_word(strips)
+    area, cross_pairs = _area_and_crosses(word)
     if args.json:
         print(
             _json_indent2(
@@ -181,8 +191,8 @@ def cmd_path(args) -> int:
                     "strips": llt.render_strips(strips),
                     "word": render_word(word, compact=False),
                     "compact": render_word(word),
-                    "area": list(area),
-                    "crosses": [list(c) for c in cross_pairs],
+                    "area": area,
+                    "crosses": cross_pairs,
                 }
             )
         )
@@ -190,7 +200,7 @@ def cmd_path(args) -> int:
     print(f"strips: {llt.render_strips(strips)}")
     print(f"word: {render_word(word, compact=False)}")
     print(f"compact: {render_word(word)}")
-    print(f"area: {area}")
+    print(f"area: {tuple(area)}")
     print(f"crosses: {len(cross_pairs)} {cross_pairs}")
     return 0
 
@@ -206,15 +216,6 @@ def cmd_oracle(args) -> int:
         )
         return 2
     nvars = args.nvars if args.nvars is not None else max(cells, 1)
-    if nvars >= 1:
-        fillings = prod(comb(nvars, h) for _, h in strips)
-        if fillings > MAX_ORACLE_FILLINGS:
-            print(
-                f"oracle: {fillings} tableau fillings in {nvars} variables exceed "
-                f"the limit of {MAX_ORACLE_FILLINGS}; use fewer cells or a smaller --nvars",
-                file=sys.stderr,
-            )
-            return 2
     tableau_side = llt.ssyt_generating_function(strips, nvars)
     operator_side = llt.llt_in_vars(strips, nvars)
     match = tableau_side == operator_side

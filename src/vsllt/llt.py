@@ -30,7 +30,6 @@ partition of the cells has more parts.  The memos hold tuples of
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from functools import cache
 from itertools import accumulate, combinations
 from math import comb, prod
@@ -45,9 +44,6 @@ from .symfunc import e_mu_in_p, expand_in_vars  # noqa: F401
 # (bottom_diagonal, height) per strip, in tuple order
 Strip = tuple[int, int]
 StripTuple = tuple[Strip, ...]
-
-# a cell is (strip_index, diagonal); strip_index is 0-based
-Cell = tuple[int, int]
 
 
 def parse_strips(text: str) -> StripTuple:
@@ -77,76 +73,49 @@ def cell_count(strips: StripTuple) -> int:
     return sum(h for _, h in strips)
 
 
-def reading_order(strips: StripTuple) -> list[Cell]:
-    """All cells sorted by (diagonal, strip index) ascending."""
-    cells = [
-        (s, d)
-        for s, (d0, h) in enumerate(strips)
-        for d in range(d0, d0 + h)
-    ]
-    cells.sort(key=lambda c: (c[1], c[0]))
-    return cells
-
-
-def area_and_crosses(strips: StripTuple) -> tuple[tuple[int, ...], dict[int, int]]:
-    """Attacker counts per cell and the vertical-adjacency marks.
-
-    Returns (area, crosses): area[r-1] counts the attack pairs ending at r,
-    and crosses maps r to p when cell r sits directly above cell p in the
-    same strip.  The attackers of a cell (s, d) are the cells on diagonal d
-    with a smaller strip index and those on diagonal d - 1 with a larger one,
-    counted by bisecting each diagonal's ascending strip indices.  In reading
-    order they are the run just before the cell, so by construction they are
-    contiguous and the area never rises by more than one from cell to cell.
-    """
-    cells = reading_order(strips)
-    on: dict[int, list[int]] = {}
-    for s, d in cells:
-        on.setdefault(d, []).append(s)  # ascending, as in reading order
-    area = []
-    for s, d in cells:
-        below = on.get(d - 1, ())
-        area.append(bisect_left(on[d], s) + len(below) - bisect_right(below, s))
-    crosses: dict[int, int] = {}
-    index = {cell: i + 1 for i, cell in enumerate(cells)}
-    for s, d in cells:
-        above = (s, d + 1)
-        if above in index:
-            crosses[index[above]] = index[(s, d)]
-    return tuple(area), crosses
-
-
 def to_schroeder_word(strips: StripTuple) -> Word:
-    """The path word of a strip tuple."""
-    return schroeder_word(*area_and_crosses(strips))
+    """The path word of a strip tuple, in one pass over its diagonals.
 
-
-def schroeder_word(area: tuple[int, ...], crosses: dict[int, int]) -> Word:
-    """The path word of the attacker counts and crosses of a strip tuple.
-
-    The attacker counts carve a Dyck path (the north step of row r sits at
-    x = r - 1 - area_r); each vertical adjacency marks a valley of that
-    path, and its east+north corner becomes a diagonal step.
+    Cells are read diagonal by diagonal, upward, with ties broken by strip
+    index; row r of the path is the r-th cell read.  The attackers of a cell
+    (s, d) are the cells on diagonal d with a smaller strip index and those
+    on diagonal d - 1 with a larger one: its index on its diagonal, plus the
+    later strips on the diagonal below, counted by walking that diagonal
+    alongside.  In reading order they are the run just before the cell, so
+    the attacker count a_r carves a Dyck path whose north step in row r sits
+    at x = r - 1 - a_r.  A cell that sits directly above a cell p of its
+    strip is a cross (p, r): it marks a valley of that path, and its
+    east+north corner becomes a diagonal step.
     """
-    n = len(area)
+    on: dict[int, list[int]] = {}  # per diagonal, its strips in ascending order
+    for s, (d0, h) in enumerate(strips):
+        for d in range(d0, d0 + h):
+            on.setdefault(d, []).append(s)
+    row = [0] * len(strips)  # per strip, the row of its latest cell read
     word = []
-    x = 0
-    for r in range(1, n + 1):
-        xr = r - 1 - area[r - 1]
-        p = crosses.get(r)
-        if p is None:
-            word.extend([PLUS] * (xr - x))
-            word.append(MINUS)
+    x = r = 0
+    for d in sorted(on):
+        below = on.get(d - 1, ())
+        j = 0  # the strips on the diagonal below that do not attack
+        for i, s in enumerate(on[d]):
+            r += 1
+            while j < len(below) and below[j] <= s:
+                j += 1
+            xr = r - 1 - i - (len(below) - j)
+            if d == strips[s][0]:
+                word.extend([PLUS] * (xr - x))
+                word.append(MINUS)
+            else:
+                p = row[s]
+                if xr != p:
+                    raise ValueError(f"cross ({p},{r}) does not sit at column {xr}")
+                if xr - x < 1:
+                    raise ValueError(f"cross ({p},{r}) is not at a valley")
+                word.extend([PLUS] * (xr - 1 - x))
+                word.append(ZERO)
+            row[s] = r
             x = xr
-        else:
-            if xr != p:
-                raise ValueError(f"cross ({p},{r}) does not sit at column {xr}")
-            if xr - x < 1:
-                raise ValueError(f"cross ({p},{r}) is not at a valley")
-            word.extend([PLUS] * (xr - 1 - x))
-            word.append(ZERO)
-            x = xr
-    word.extend([PLUS] * (n - x))
+    word.extend([PLUS] * (r - x))
     return tuple(word)
 
 

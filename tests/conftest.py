@@ -4,7 +4,7 @@ from itertools import product
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import settings
+from hypothesis import note, settings
 
 from reference_dyck import velement
 from vsllt import llt
@@ -55,7 +55,15 @@ def velements(draw, k, n, max_terms=3, max_exp=2):
         e = tuple(draw(st.integers(0, max_exp)) for _ in range(k))
         g = draw(graded_syms(n))
         terms[e] = terms.get(e, GradedSym.zero(n)) + g
-    return velement(k, n, terms)
+    return noted(velement(k, n, terms))
+
+
+def noted(f):
+    """f, with its fields noted for Hypothesis's report of a falsifying
+    example, in which a VElement, having no repr of its own, shows only its
+    address."""
+    note(f"drew VElement(k={f.k}, n={f.n}, terms={f.terms!r})")
+    return f
 
 
 def velement_in_p(f):

@@ -5,17 +5,22 @@ tableau sum is the straightforward form: every filling adds its own
 monomial q^inversions at its content, its inversions read off the attack
 pairs listed pair by pair (the library keeps them only as one mask per
 cell).  The operator side goes through the power-sum basis, with rational
-coefficients.  The library's m_lam coefficients (its integer count and
+coefficients.  The Schröder word is built in three stages: the cells sorted
+into reading order, their attacker counts and crosses by bisecting each
+diagonal, then a walk over both; the library builds it in one pass
+(llt.to_schroeder_word) and must give the same word.  The library's m_lam coefficients (its integer count and
 integer e -> monomial bridge) must equal their m-projections
 (reference_symfunc.m_projection) exactly.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from itertools import combinations, product
 
 from vsllt import llt
-from vsllt.llt import StripTuple, cell_count, reading_order, to_schroeder_word
+from vsllt.llt import StripTuple, cell_count, to_schroeder_word
+from vsllt.paths import MINUS, PLUS, ZERO, Word
 from vsllt.qpoly import QPoly, accumulate
 from vsllt.rewrite import expand_word
 from vsllt.symfunc import XPoly, e_expansion_in_p, expand_in_vars
@@ -24,6 +29,77 @@ from vsllt.symfunc import XPoly, e_expansion_in_p, expand_in_vars
 def _strip_fillings(height: int, nvars: int):
     """Strictly increasing fillings of one column with values in 1..nvars."""
     return list(combinations(range(1, nvars + 1), height))
+
+
+def reading_order(strips: StripTuple) -> list[tuple[int, int]]:
+    """All cells (strip index, diagonal) sorted by (diagonal, strip index)."""
+    cells = [
+        (s, d)
+        for s, (d0, h) in enumerate(strips)
+        for d in range(d0, d0 + h)
+    ]
+    cells.sort(key=lambda c: (c[1], c[0]))
+    return cells
+
+
+def area_and_crosses(strips: StripTuple) -> tuple[tuple[int, ...], dict[int, int]]:
+    """Attacker counts per cell and the vertical-adjacency marks.
+
+    Returns (area, crosses): area[r-1] counts the attack pairs ending at r,
+    and crosses maps r to p when cell r sits directly above cell p in the
+    same strip.  The attackers of a cell (s, d) are the cells on diagonal d
+    with a smaller strip index and those on diagonal d - 1 with a larger one,
+    counted by bisecting each diagonal's ascending strip indices.
+    """
+    cells = reading_order(strips)
+    on: dict[int, list[int]] = {}
+    for s, d in cells:
+        on.setdefault(d, []).append(s)  # ascending, as in reading order
+    area = []
+    for s, d in cells:
+        below = on.get(d - 1, ())
+        area.append(bisect_left(on[d], s) + len(below) - bisect_right(below, s))
+    crosses: dict[int, int] = {}
+    index = {cell: i + 1 for i, cell in enumerate(cells)}
+    for s, d in cells:
+        above = (s, d + 1)
+        if above in index:
+            crosses[index[above]] = index[(s, d)]
+    return tuple(area), crosses
+
+
+def schroeder_word(area: tuple[int, ...], crosses: dict[int, int]) -> Word:
+    """The path word of the attacker counts and crosses of a strip tuple.
+
+    The attacker counts carve a Dyck path (the north step of row r sits at
+    x = r - 1 - area_r); each vertical adjacency marks a valley of that
+    path, and its east+north corner becomes a diagonal step.
+    """
+    n = len(area)
+    word = []
+    x = 0
+    for r in range(1, n + 1):
+        xr = r - 1 - area[r - 1]
+        p = crosses.get(r)
+        if p is None:
+            word.extend([PLUS] * (xr - x))
+            word.append(MINUS)
+            x = xr
+        else:
+            if xr != p:
+                raise ValueError(f"cross ({p},{r}) does not sit at column {xr}")
+            if xr - x < 1:
+                raise ValueError(f"cross ({p},{r}) is not at a valley")
+            word.extend([PLUS] * (xr - 1 - x))
+            word.append(ZERO)
+            x = xr
+    word.extend([PLUS] * (n - x))
+    return tuple(word)
+
+
+def three_stage_word(strips: StripTuple) -> Word:
+    """The path word of a strip tuple, built stage by stage."""
+    return schroeder_word(*area_and_crosses(strips))
 
 
 def attack_pairs(strips: StripTuple) -> set[tuple[int, int]]:

@@ -100,9 +100,10 @@ def test_json_indent2_writes_what_json_dumps_indent_2_writes():
         "empty_dict": {},
         "nested": {"[3, 1]": [0, [1, [2]]], "k": {"x": 1}},
         "pairs": [[1, 2], [3, 4]],
+        "tuples": [(1, 2), (3, 4)],
     }
     assert cli._json_indent2(doc) == json.dumps(doc, indent=2)
-    for value in ([], {}, 7, "x", [1], {"a": []}):
+    for value in ([], {}, 7, "x", [1], {"a": []}, (), (5,)):
         assert cli._json_indent2(value) == json.dumps(value, indent=2)
 
 
@@ -362,7 +363,8 @@ def test_path_refuses_tuples_above_the_cap(capsys, monkeypatch, cold_oracle):
     def no_work(*_args, **_kwargs):
         raise AssertionError("a refused path run may not build the path")
 
-    monkeypatch.setattr(cli.llt, "area_and_crosses", no_work)
+    monkeypatch.setattr(cli.llt, "to_schroeder_word", no_work)
+    monkeypatch.setattr(cli, "_area_and_crosses", no_work)
     assert cli.MAX_PATH_CELLS == 10**6
     for strips, cells in (("0:1000001", 10**6 + 1), ("0:100000000;-1:1", 10**8 + 1)):
         code, out, err = run(capsys, "path", "--strips", strips, "--json")
@@ -371,30 +373,28 @@ def test_path_refuses_tuples_above_the_cap(capsys, monkeypatch, cold_oracle):
         assert f"{cells} cells exceed the limit of {10**6}" in err
 
 
-def test_oracle_refuses_huge_enumerations(capsys, monkeypatch, cold_oracle):
-    def no_enumeration(*_args, **_kwargs):
-        raise AssertionError("a refused oracle run may not enumerate fillings")
-
-    monkeypatch.setattr(cli.llt, "ssyt_generating_function", no_enumeration)
-    for argv, count in (
-        (["--strips", ";".join(["0:1"] * 10)], 10**10),
-        (["--strips", "0:5;0:5;0:4", "--nvars", "20"], 15504**2 * 4845),
+def test_oracle_runs_inputs_the_fillings_cap_refused(capsys):
+    # ten one-cell strips (10**10 fillings in 10 variables) and 0:5;0:5;0:4 in
+    # 20 variables (15504**2 * 4845 fillings) were refused by a cap on
+    # prod C(nvars, h); the count keeps at most prod(h + 1) masks per
+    # partition prefix, in at most as many values as cells, so both run
+    for argv in (
+        ["--strips", ";".join(["0:1"] * 10)],
+        ["--strips", "0:5;0:5;0:4", "--nvars", "20"],
     ):
-        code, out, err = run(capsys, "oracle", *argv)
-        assert code == 2
-        assert out == ""
-        assert f"{count} tableau fillings" in err
-        assert str(cli.MAX_ORACLE_FILLINGS) in err
+        code, out, _ = run(capsys, "oracle", *argv)
+        assert code == 0
+        assert "match: yes" in out
 
 
-def test_oracle_checks_the_cell_cap_before_counting(capsys, monkeypatch):
-    # with enough variables a binomial at 3000000 cells is huge (C(6000000,
-    # 3000000) has about 1.8 million digits), so the cell cap refuses such a
-    # tuple before the fillings count takes any binomial
-    def no_count(*_args):
-        raise AssertionError("a tuple above the cell cap may not be counted")
+def test_oracle_checks_the_cell_cap_before_counting(capsys, monkeypatch, cold_oracle):
+    # 14 cells is the oracle's only cap, and a tuple above it builds nothing:
+    # neither side runs on 3000000 cells
+    def no_side(*_args):
+        raise AssertionError("a tuple above the cell cap may not reach either oracle side")
 
-    monkeypatch.setattr(cli, "comb", no_count)
+    monkeypatch.setattr(cli.llt, "ssyt_generating_function", no_side)
+    monkeypatch.setattr(cli.llt, "llt_in_vars", no_side)
     code, out, err = run(capsys, "oracle", "--strips", "0:3000000")
     assert code == 2
     assert out == ""
@@ -402,8 +402,8 @@ def test_oracle_checks_the_cell_cap_before_counting(capsys, monkeypatch):
 
 
 def test_oracle_runs_inputs_that_span_many_exponent_entries(capsys, cold_oracle):
-    # 792**2 fillings are under the fillings cap; either side's polynomial
-    # could span that many monomials of 12 entries, but the tableau count
+    # either side's polynomial could span 792**2 monomials of 12 entries
+    # (the fillings), but the tableau count
     # keeps one int per (partition prefix, filled-cell mask), so the run is
     # fast and both sides match
     code, out, _ = run(capsys, "oracle", "--strips", "0:7;0:7", "--nvars", "12", "--json")

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 
 import reference_dyck
 import reference_llt
-from conftest import qpolys, velement_in_p, velements
+from conftest import noted, qpolys, velement_in_p, velements
 from reference_dyck import add, sym_part, velement
 from reference_symfunc import m_projection
 from vsllt import dyckalgebra, llt, rewrite, symfunc
@@ -63,7 +63,7 @@ def repeated_part_velements(draw, k, n=N, max_exp=3):
         mu = draw(repeated_part_partitions(max_size=n))
         g = GradedSym(n, {mu: draw(qpolys(nonzero=True))})
         terms[e] = terms[e] + g if e in terms else g
-    return velement(k, n, terms)
+    return noted(velement(k, n, terms))
 
 
 @st.composite
@@ -84,7 +84,7 @@ def cancelling_velements(draw, k, n=N):
         rest + (a,): GradedSym(n, {(m,): c}),
         rest + (a + m,): GradedSym(n, {(): c * (e_m_shift if m % 2 else -e_m_shift)}),
     })
-    return add(pair, draw(velements(k=k, n=n, max_exp=3)))
+    return noted(add(pair, draw(velements(k=k, n=n, max_exp=3))))
 
 
 def _random_inputs(k):

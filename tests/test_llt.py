@@ -13,21 +13,20 @@ from vsllt.llt import (
     _state_bits,
     _tableau_key,
     _tableau_sum,
-    area_and_crosses,
     cell_count,
     llt_in_vars,
     parse_strips,
-    reading_order,
     render_strips,
     ssyt_generating_function,
     to_schroeder_word,
 )
 from conftest import all_strip_tuples
-from reference_llt import attack_pairs
+from reference_llt import area_and_crosses, attack_pairs, reading_order, three_stage_word
 from reference_llt import llt_in_vars as reference_llt_in_vars
 from reference_llt import oracle_compare
 from reference_llt import ssyt_generating_function as reference_ssyt
 from reference_symfunc import m_projection
+from vsllt.cli import _area_and_crosses as read_back
 from vsllt.paths import parse_word, render_word, validate_word
 from vsllt.qpoly import ONE, QPoly
 from vsllt.rewrite import expand_word
@@ -86,15 +85,24 @@ def test_attack_pairs_small():
     assert attack_pairs(parse_strips("0:2")) == set()
 
 
+def _as_built(area, crosses):
+    """Area and crosses in the reference's form: a tuple, and {r: p}."""
+    return tuple(area), {r: p for p, r in crosses}
+
+
 def test_area_and_crosses_big_example():
+    # the reference's counts, and the same read back off the one-pass word
     area, crosses = area_and_crosses(BIG)
     assert area == (0, 1, 1, 1, 2, 2, 3, 1, 1, 2)
     assert sorted((p, r) for r, p in crosses.items()) == [(1, 3), (2, 4), (6, 8), (7, 9)]
+    assert _as_built(*read_back(to_schroeder_word(BIG))) == (area, crosses)
 
 
 def test_area_and_crosses_small():
-    assert area_and_crosses(parse_strips("0:2")) == ((0, 0), {2: 1})
-    assert area_and_crosses(parse_strips("0:1;0:1")) == ((0, 1), {})
+    for text, want in (("0:2", ((0, 0), {2: 1})), ("0:1;0:1", ((0, 1), {}))):
+        strips = parse_strips(text)
+        assert area_and_crosses(strips) == want
+        assert _as_built(*read_back(to_schroeder_word(strips))) == want
 
 
 def _brute_area_and_crosses(strips):
@@ -122,16 +130,37 @@ def test_area_and_crosses_matches_per_cell_count():
         assert area_and_crosses(t) == _brute_area_and_crosses(t), render_strips(t)
 
 
+def test_one_pass_word_is_the_three_stage_word():
+    # the library's one pass over the diagonals against the reference's
+    # reading order, bisection and walk: every tuple of <= 6 cells and <= 4
+    # strips with bottoms on diagonals -3..3, whose attacker counts and
+    # crosses read back off the word are also the per-cell count's, then
+    # 2000 two-cell strips staggered one diagonal apart, each crossing the
+    # next (a reading of the diagonal below that skipped or repeated a strip
+    # would miscount here)
+    tuples = sorted(set(all_strip_tuples(6, 4, range(-3, 4))))
+    assert len(tuples) == 43653
+    for t in tuples:
+        word = to_schroeder_word(t)
+        assert word == three_stage_word(t), render_strips(t)
+        assert _as_built(*read_back(word)) == _brute_area_and_crosses(t), render_strips(t)
+    staggered = tuple((d, 2) for d in range(2000))
+    assert to_schroeder_word(staggered) == three_stage_word(staggered)
+
+
 def test_area_and_crosses_on_large_tuples():
     # exact answers where listing the attack pairs would not scale: one tall
     # strip has no attackers, only crosses; 3000 one-cell strips on one
-    # diagonal have about 4.5 million attack pairs and no crosses
-    area, crosses = area_and_crosses(((0, 20000),))
-    assert area == (0,) * 20000
-    assert crosses == {r: r - 1 for r in range(2, 20001)}
-    area, crosses = area_and_crosses(((0, 1),) * 3000)
-    assert area == tuple(range(3000))
-    assert crosses == {}
+    # diagonal have about 4.5 million attack pairs and no crosses.  Both the
+    # reference's counts and those read back off the one-pass word
+    for strips, want in (
+        (((0, 20000),), ((0,) * 20000, {r: r - 1 for r in range(2, 20001)})),
+        (((0, 1),) * 3000, (tuple(range(3000)), {})),
+    ):
+        assert area_and_crosses(strips) == want
+        word = to_schroeder_word(strips)
+        assert word == three_stage_word(strips)
+        assert _as_built(*read_back(word)) == want
 
 
 def test_to_schroeder_word():
@@ -498,7 +527,6 @@ def test_tableau_key_is_built_without_the_path(monkeypatch, cold_oracle):
     def no_path(*_args):
         raise AssertionError("the tableau side built the path")
 
-    monkeypatch.setattr(llt, "area_and_crosses", no_path)
     monkeypatch.setattr(llt, "to_schroeder_word", no_path)
     assert ssyt_generating_function(BIG, 3) == reference_m(BIG, 3)
 

@@ -1,4 +1,4 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package or of its tests imports a name it never uses.
 
 No linter runs in this suite, so this walks the source with ast, as
 test_module_state does.  An import kept on purpose (bench/tracing.py wraps
@@ -9,7 +9,8 @@ them) carries ``# noqa: F401`` on its line.
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "vsllt"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "vsllt"
 
 
 def _used_names(tree) -> set[str]:
@@ -51,10 +52,10 @@ def _unused_imports(source: str) -> list[tuple[int, str]]:
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    modules = sorted(SRC.glob("*.py"))
-    assert modules
+    modules = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert SRC / "cli.py" in modules and TESTS / "test_acceptance.py" in modules
     found = [
-        f"{path.name}:{line} {name}"
+        f"{path.parent.name}/{path.name}:{line} {name}"
         for path in modules
         for line, name in _unused_imports(path.read_text())
     ]
