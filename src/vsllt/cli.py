@@ -28,11 +28,10 @@ from .qpoly import ZERO, _at_q, digits_bound, render_qpoly
 from .rewrite import e_positivity_report, expand_word, normalize, split_digits
 
 # Largest semilength ``verify`` sweeps: all 129281 words through 9 take
-# 132-158 s and 98 MB peak RSS in one process; through 8, 14-17 s and 30 MB,
-# or about 8 s with --jobs 2, where the parent peaks near 25 MB and each
-# worker near 19 MB; through 7, about 2 s and 20 MB (Python 3.11.7 on a
-# 2-vCPU x86_64 host).  Semilength 10 adds 518859 more words, each costlier
-# than those at 9.
+# 93-115 s and 80 MB peak RSS in one process; through 8, 9-12 s and 27 MB,
+# or about 6 s with --jobs 2, where no process peaks above 23 MB; through 7,
+# about 1.2 s and 18 MB (Python 3.11.7 on a 2-vCPU x86_64 host).
+# Semilength 10 adds 518859 more words, each costlier than those at 9.
 MAX_VERIFY_SEMILENGTH = 9
 
 # Largest semilength ``expand`` rewrites, and the most cells ``oracle`` takes:
@@ -50,8 +49,8 @@ MAX_VERIFY_SEMILENGTH = 9
 MAX_EXPAND_SEMILENGTH = 14
 
 # Most cells ``path`` takes: time and memory grow linearly in the cell count,
-# and one strip of 10^6 cells takes 1.9-2.8 s and 203 MB peak RSS, 3.3-3.4 s
-# and 359 MB with --json (Python 3.11.7 on a 2-vCPU x86_64 host).
+# and one strip of 10^6 cells takes 2.0-2.9 s and 194 MB peak RSS, 3.6-4.2 s
+# and 355 MB with --json (Python 3.11.7 on a 2-vCPU x86_64 host).
 MAX_PATH_CELLS = 10**6
 
 
@@ -128,7 +127,7 @@ def cmd_expand(args) -> int:
     if args.json:
         rebased = report["qminus1"]
         doc = {
-            "word": render_word(word),
+            "word": word,
             "n": n,
             "e": _expansion_json(report["e"]),
             "e_at_q_plus_1": _expansion_json(report["e_at_q_plus_1"]),
@@ -143,7 +142,7 @@ def cmd_expand(args) -> int:
         return 0
     if strips is not None:
         print(f"strips: {llt.render_strips(strips)}")
-    print(f"word: {render_word(word)}")
+    print(f"word: {word}")
     print(f"e-expansion (n = {n}):")
     print("\n".join(_expansion_lines(report["e"])))
     print("at q+1:")
@@ -190,7 +189,7 @@ def cmd_path(args) -> int:
                 {
                     "strips": llt.render_strips(strips),
                     "word": render_word(word, compact=False),
-                    "compact": render_word(word),
+                    "compact": word,
                     "area": area,
                     "crosses": cross_pairs,
                 }
@@ -199,7 +198,7 @@ def cmd_path(args) -> int:
         return 0
     print(f"strips: {llt.render_strips(strips)}")
     print(f"word: {render_word(word, compact=False)}")
-    print(f"compact: {render_word(word)}")
+    print(f"compact: {word}")
     print(f"area: {tuple(area)}")
     print(f"crosses: {len(cross_pairs)} {cross_pairs}")
     return 0
@@ -245,7 +244,7 @@ def cmd_oracle(args) -> int:
 def _verify_one(word):
     """All three checks for one path word.
 
-    Returns (compact word, agrees, rebased_ok, positive): the rewritten
+    Returns (word, agrees, rebased_ok, positive): the rewritten
     e-expansion equals direct operator evaluation in the e-basis, every
     coefficient rebases into N[q-1], and every coefficient at q+1 is
     nonnegative.  This is the one per-word check; tests call it too.
@@ -264,7 +263,7 @@ def _verify_one(word):
     rewritten = normalize(word)
     rebased_ok = all(c >= 0 for c in rewritten.values())
     if not rebased_ok:
-        return render_word(word), False, False, False
+        return word, False, False, False
     digits = {mu: split_digits(c, n) for mu, c in rewritten.items()}
     bits = width_for(max([coefficient_bound(word, n), *map(digits_bound, digits.values())]))
     evaluated = packed_value(word, bits)
@@ -273,14 +272,13 @@ def _verify_one(word):
     )
     # the digits are c(q+1)'s coefficients: a nonnegative value splits into
     # nonnegative digits, so positivity at q+1 is the same split
-    return render_word(word), agrees, rebased_ok, rebased_ok
+    return word, agrees, rebased_ok, rebased_ok
 
 
-def _first_difference(text: str) -> str:
+def _first_difference(word) -> str:
     """For a FAIL line: the first partition, in ``expand``'s order, whose
     e-coefficient differs between the two sides, both decoded in q.  It runs
     only on failures; empty if the decoded sides agree."""
-    word = parse_word(text)
     rewritten, evaluated = expand_word(word), eval_in_e(word)
     for mu in _sorted_partitions(rewritten.keys() | evaluated.keys()):
         a, b = rewritten.get(mu, ZERO), evaluated.get(mu, ZERO)
@@ -290,15 +288,15 @@ def _first_difference(text: str) -> str:
     return ""
 
 
-def _factor_note(text: str) -> str:
+def _factor_note(word) -> str:
     """For a FAIL line: which primitive factors of a composite word fail
     ``_verify_one`` on their own.  A composite word's value on either side is
     the product of its factors' values, so this names where to look; it runs
     only on failures."""
-    factors = primitive_factors(parse_word(text))
-    if factors is None or len(factors) < 2:
+    factors = primitive_factors(word)
+    if len(factors) < 2:
         return ""
-    failing = [render_word(f) for f in factors if not all(_verify_one(f)[1:])]
+    failing = [f for f in factors if not all(_verify_one(f)[1:])]
     if not failing:
         return "; every primitive factor passes on its own"
     noun = "factor" if len(failing) == 1 else "factors"

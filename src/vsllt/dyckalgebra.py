@@ -335,12 +335,8 @@ def apply_word(word: Word, f: VElement) -> VElement:
 
 def _apply_packed(word: Word, n: int, bits: int) -> dict[Partition, int]:
     """The symmetric part of apply_word(word, VElement.one(n)) in
-    ``packed(bits)``, undecoded.  Raises WordError as apply_word does, or if
-    the word does not end on V_0."""
-    res = apply_word(word, VElement.one(n, packed(bits)))
-    if res.k != 0:
-        raise WordError("word does not return to the diagonal", len(word))
-    return res.terms.get((), {})
+    ``packed(bits)``, undecoded, for a valid word."""
+    return apply_word(word, VElement.one(n, packed(bits))).terms.get((), {})
 
 
 @cache
@@ -364,12 +360,13 @@ def packed_value(word: Word, bits: int) -> dict[Partition, int]:
     plus y) or raises it by one, ending at the semilength, so no truncation
     drops a term.  Each factor's decoded value is memoized and packed again
     for every word: a factor recurs at many widths, and memoizing it at all
-    of them took 183 MB peak RSS at semilength 9 against 128 MB.  Any other
-    input, a primitive or invalid word included, is applied letter by letter.
+    of them took 183 MB peak RSS at semilength 9 against 128 MB.  A primitive
+    word is applied letter by letter, and an invalid one raises
+    ``primitive_factors``' WordError, as ``rewrite.normalize`` does.
     """
     n = semilength(word)
     factors = primitive_factors(word)
-    if factors is not None and len(factors) > 1:
+    if len(factors) > 1:
         at = 1 << bits
         values = ([(mu, c(at)) for mu, c in _primitive_value(f)] for f in factors)
         return multiply_expansions(values, 1)

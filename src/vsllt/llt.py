@@ -92,7 +92,7 @@ def to_schroeder_word(strips: StripTuple) -> Word:
         for d in range(d0, d0 + h):
             on.setdefault(d, []).append(s)
     row = [0] * len(strips)  # per strip, the row of its latest cell read
-    word = []
+    chunks = []  # per row, the east steps before it and its own step
     x = r = 0
     for d in sorted(on):
         below = on.get(d - 1, ())
@@ -103,20 +103,18 @@ def to_schroeder_word(strips: StripTuple) -> Word:
                 j += 1
             xr = r - 1 - i - (len(below) - j)
             if d == strips[s][0]:
-                word.extend([PLUS] * (xr - x))
-                word.append(MINUS)
+                chunks.append(PLUS * (xr - x) + MINUS)
             else:
                 p = row[s]
                 if xr != p:
                     raise ValueError(f"cross ({p},{r}) does not sit at column {xr}")
                 if xr - x < 1:
                     raise ValueError(f"cross ({p},{r}) is not at a valley")
-                word.extend([PLUS] * (xr - 1 - x))
-                word.append(ZERO)
+                chunks.append(PLUS * (xr - 1 - x) + ZERO)
             row[s] = r
             x = xr
-    word.extend([PLUS] * (r - x))
-    return tuple(word)
+    chunks.append(PLUS * (r - x))
+    return "".join(chunks)
 
 
 def _tableau_key(strips: StripTuple) -> tuple:

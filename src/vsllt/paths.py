@@ -1,8 +1,9 @@
 """Path words over {-, 0, +}: parsing, validation, enumeration.
 
-A word encodes a lattice path from (0,0) to (n,n): '-' is a north step,
-'0' a northeast diagonal step, '+' an east step.  Valid words stay weakly
-above the main diagonal and never take a diagonal step while on it.
+A word is a str over these three letters.  It encodes a lattice path from
+(0,0) to (n,n): '-' is a north step, '0' a northeast diagonal step, '+' an
+east step.  Valid words stay weakly above the main diagonal and never take
+a diagonal step while on it.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 MINUS, ZERO, PLUS = "-", "0", "+"
 TOKENS = (MINUS, ZERO, PLUS)
 
-Word = tuple[str, ...]
+Word = str
 
 
 class WordError(ValueError):
@@ -24,25 +25,28 @@ class WordError(ValueError):
 def parse_word(text: str) -> Word:
     """Parse a compact ("-0-0++") or comma-separated ("-,0,+") word."""
     text = text.strip()
-    if not text:
-        return ()
-    tokens = text.split(",") if "," in text else list(text)
-    word = []
+    tokens = [tok.strip() for tok in (text.split(",") if "," in text else text)]
     for i, tok in enumerate(tokens):
-        tok = tok.strip()
         if tok not in TOKENS:
             raise WordError(f"unknown token {tok!r}", i)
-        word.append(tok)
-    return tuple(word)
+    return "".join(tokens)
 
 
 def render_word(word: Word, compact: bool = True) -> str:
-    return "".join(word) if compact else ",".join(word)
+    return word if compact else ",".join(word)
 
 
-def validate_word(word: Word) -> None:
-    """Check the complete-path invariants; raise WordError on violation."""
-    height = 0
+def primitive_factors(word: Word) -> list[Word]:
+    """The primitive factors of a valid complete word; WordError if it is not one.
+
+    The factors are the pieces between the word's returns to the main
+    diagonal, so each touches the diagonal only at its two ends and their
+    concatenation is the word.  The empty word has no factors.  This is the
+    one validity check: a word must stay weakly above the main diagonal,
+    take no diagonal step on it, and end on it.
+    """
+    factors = []
+    height = start = 0
     for i, tok in enumerate(word):
         if tok == MINUS:
             height += 1
@@ -53,75 +57,37 @@ def validate_word(word: Word) -> None:
             if height < 1:
                 raise WordError("east step below the main diagonal", i)
             height -= 1
-        else:
-            raise WordError(f"unknown token {tok!r}", i)
-    if height != 0:
-        raise WordError("unbalanced word", len(word))
-
-
-def primitive_factors(word: Word) -> list[Word] | None:
-    """The primitive factors of a valid complete word, or None if it is not one.
-
-    The factors are the pieces between the word's returns to the main
-    diagonal, so each touches the diagonal only at its two ends and their
-    concatenation is the word.  The empty word has no factors.  Validity is
-    ``validate_word``'s, checked in the same walk.
-    """
-    factors = []
-    height = start = 0
-    for i, tok in enumerate(word):
-        if tok == MINUS:
-            height += 1
-        elif tok == ZERO:
-            if height < 1:
-                return None
-        elif tok == PLUS:
-            if height < 1:
-                return None
-            height -= 1
             if not height:
                 factors.append(word[start : i + 1])
                 start = i + 1
         else:
-            return None
-    return factors if height == 0 else None
+            raise WordError(f"unknown token {tok!r}", i)
+    if height:
+        raise WordError("unbalanced word", len(word))
+    return factors
 
 
 def semilength(word: Word) -> int:
     """n for a path ending at (n,n): the number of '+' plus the number of '0'."""
-    return sum(1 for tok in word if tok != MINUS)
+    return len(word) - word.count(MINUS)
 
 
 def iter_paths(n: int):
     """Yield every valid word of semilength exactly n, in generation order."""
-    if n == 0:
-        yield ()
-        return
 
-    def rec(prefix: list[str], east_left: int, height: int):
+    def rec(prefix: str, east_left: int, height: int):
         if east_left == 0:
             # height is 0 here by the invariant below
-            yield tuple(prefix)
+            yield prefix
             return
         if height < east_left:
-            prefix.append(MINUS)
-            yield from rec(prefix, east_left, height + 1)
-            prefix.pop()
+            yield from rec(prefix + MINUS, east_left, height + 1)
         if 1 <= height <= east_left - 1:
-            prefix.append(ZERO)
-            yield from rec(prefix, east_left - 1, height)
-            prefix.pop()
+            yield from rec(prefix + ZERO, east_left - 1, height)
         if height >= 1:
-            prefix.append(PLUS)
-            yield from rec(prefix, east_left - 1, height - 1)
-            prefix.pop()
+            yield from rec(prefix + PLUS, east_left - 1, height - 1)
 
-    yield from rec([], n, 0)
-
-
-def iter_paths_upto(max_n: int):
-    for n in range(1, max_n + 1):
-        yield from iter_paths(n)
+    yield from rec("", n, 0)
 
 
 def count_paths_reference(n: int) -> int:

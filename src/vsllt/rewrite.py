@@ -29,7 +29,7 @@ from __future__ import annotations
 from functools import cache
 from sys import intern
 
-from .paths import MINUS, PLUS, ZERO, Word, semilength, validate_word
+from .paths import MINUS, PLUS, ZERO, Word, primitive_factors, semilength
 from .qpoly import ONE, Q, Q_MINUS_1, QPoly, _at_q, _canonical, digits_bound, unpack_balanced
 from .symfunc import Partition
 
@@ -39,7 +39,7 @@ LinComb = dict[Word, QPoly]
 
 def _check_high_plus(word: Word, pos: int, before: str, deg: int) -> None:
     """Check that a rule applies at pos: pos in 1..len(word)-1,
-    word[pos-1:pos+1] == (before, '+'), and the '+''s degree deg >= 1."""
+    word[pos-1:pos+1] == before + '+', and the '+''s degree deg >= 1."""
     if not 1 <= pos < len(word):
         raise ValueError(f"position {pos} is outside 1..{len(word) - 1}")
     if word[pos] != PLUS or word[pos - 1] != before:
@@ -58,7 +58,7 @@ def rewrite_case0(word: Word, pos: int, deg: int) -> LinComb:
     """
     _check_high_plus(word, pos, MINUS, deg)
     head, tail = word[: pos - 1], word[pos + 1 :]
-    return {head + (PLUS, MINUS) + tail: ONE, head + (ZERO,) + tail: Q_MINUS_1}
+    return {head + PLUS + MINUS + tail: ONE, head + ZERO + tail: Q_MINUS_1}
 
 
 def _bubble_t(word: Word, t: int, k: int) -> int:
@@ -78,11 +78,11 @@ def _bubble_t(word: Word, t: int, k: int) -> int:
         if gap:
             passed = word[t - gap : t]
             if gap > t or PLUS in passed:
-                raise RuntimeError(f"swap stuck left of position {t} in {''.join(word)}")
+                raise RuntimeError(f"swap stuck left of position {t} in {word}")
             k -= passed.count(MINUS)
             t -= gap
         if t < 2 or PLUS in word[t - 2 : t]:
-            raise RuntimeError(f"no terminal rule left of position {t} in {''.join(word)}")
+            raise RuntimeError(f"no terminal rule left of position {t} in {word}")
         if word[t - 1] == ZERO == word[t - 2]:
             t -= 2
             gap = k - 2
@@ -103,13 +103,13 @@ def rewrite_push_T(word: Word, pos: int, deg: int) -> LinComb:
     deg is the '+''s degree, as for ``rewrite_case0``.
     """
     _check_high_plus(word, pos, ZERO, deg)
-    swapped = word[: pos - 1] + (PLUS, ZERO) + word[pos + 1 :]
+    swapped = word[: pos - 1] + PLUS + ZERO + word[pos + 1 :]
     # the swap sees the balance before the (0, +) pair: deg + 1
     t = _bubble_t(swapped, pos - 1, deg + 1)
     left2, left = swapped[t - 2], swapped[t - 1]
     if left2 == left:  # '-','-': the bubble never stops on '0','0'
         return {swapped: Q}
-    exchanged = swapped[: t - 2] + (left, left2) + swapped[t:]
+    exchanged = swapped[: t - 2] + left + left2 + swapped[t:]
     if left == MINUS:
         return {exchanged: ONE}
     return {swapped: Q_MINUS_1, exchanged: Q}
@@ -204,13 +204,13 @@ def _close(tail: str, bits: int) -> tuple:
         return (len(tail), "", 1)
     rule = rewrite_case0 if tail[-1] == MINUS else rewrite_push_T
     forms: dict[tuple[int, str], int] = {}
-    for out, scalar in rule((*tail, PLUS), len(tail), minus - 1).items():
+    for out, scalar in rule(tail + PLUS, len(tail), minus - 1).items():
         if out[-2] != PLUS:  # the collapse: the '+' is gone
-            key = (0, intern("".join(out)))
+            key = (0, intern(out))
             forms[key] = forms.get(key, 0) + _times(scalar, 1, bits)
             continue
         x = out[-1]
-        inner = iter(_close(intern("".join(out[:-2])), bits))
+        inner = iter(_close(intern(out[:-2]), bits))
         for part, rest, r in zip(inner, inner, inner):
             key = (part, intern(rest + x))
             forms[key] = forms.get(key, 0) + _times(scalar, r, bits)
@@ -232,21 +232,17 @@ def normalize(word: Word) -> dict[Partition, int]:
     product (the width lemma), and a sum of positive ints is never zero.
     ``unpack`` gives a coefficient back in q.
     """
-    validate_word(word)
+    primitive_factors(word)  # raises WordError on an invalid word
     bits = digit_bits(semilength(word))
     state: dict[tuple[Partition, str], int] = {((), ""): 1}
-    run = ""
-    for letter in word:
-        if letter != PLUS:
-            run += letter
-            continue
+    for run in word.split(PLUS)[:-1]:
         nxt: dict[tuple[Partition, str], int] = {}
         for (mu, tail), c in state.items():
             forms = iter(_close(tail + run, bits))
             for part, rest, r in zip(forms, forms, forms):
                 key = (_with_part(mu, part) if part else mu, rest)
                 nxt[key] = nxt.get(key, 0) + c * r
-        state, run = nxt, ""
+        state = nxt
     return {mu: c for (mu, _), c in state.items()}
 
 

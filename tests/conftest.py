@@ -8,7 +8,7 @@ from hypothesis import note, settings
 
 from reference_dyck import velement
 from vsllt import llt
-from vsllt.paths import TOKENS, WordError, primitive_factors
+from vsllt.paths import TOKENS, WordError, iter_paths, primitive_factors
 from vsllt.qpoly import QPoly
 from vsllt.symfunc import GradedSym, e_expansion_in_p
 
@@ -99,11 +99,10 @@ def all_strip_tuples(max_cells, max_strips, d_range):
     yield from rec((), 0)
 
 
-# every word over {-, 0, +} of length <= 6 that is not a valid complete word;
-# 27 of the 1093 words are valid, the empty one included
-INVALID_WORDS_UPTO_LENGTH_6 = [
-    w for length in range(7) for w in product(TOKENS, repeat=length) if primitive_factors(w) is None
-]
+def iter_paths_upto(max_n: int):
+    """Every valid word of semilength 1 to max_n, in ``iter_paths`` order."""
+    for n in range(1, max_n + 1):
+        yield from iter_paths(n)
 
 
 def outcome(fn, *args):
@@ -112,3 +111,12 @@ def outcome(fn, *args):
         return fn(*args)
     except WordError as exc:
         return ("WordError", str(exc), exc.position)
+
+
+# every word over {-, 0, +} of length <= 6, and those that are not a valid
+# complete word: primitive_factors refuses all but 27 of the 1093, the empty
+# one included
+WORDS_UPTO_LENGTH_6 = ["".join(w) for length in range(7) for w in product(TOKENS, repeat=length)]
+INVALID_WORDS_UPTO_LENGTH_6 = [
+    w for w in WORDS_UPTO_LENGTH_6 if outcome(primitive_factors, w)[:1] == ("WordError",)
+]

@@ -94,7 +94,7 @@ def schroeder_word(area: tuple[int, ...], crosses: dict[int, int]) -> Word:
             word.append(ZERO)
             x = xr
     word.extend([PLUS] * (n - x))
-    return tuple(word)
+    return "".join(word)
 
 
 def three_stage_word(strips: StripTuple) -> Word:

@@ -4,7 +4,8 @@ Both rewrite whole words, always at the leftmost '+' of degree >= 1, which
 ``leftmost_high_dplus`` finds by scanning the word from its start.
 
 ``normalize`` picks the lexicographically smallest active word at every step
-and bubbles the swap operator as a transient letter "T<i>" inside the word,
+and bubbles the swap operator T_i as a transient letter "T" inside the word,
+its index i carried alongside,
 so a word can be rewritten again each time a new contribution to its
 coefficient arrives.  Its rules build every output in a dict and let the
 coefficient arithmetic cancel.
@@ -22,7 +23,7 @@ take.
 from __future__ import annotations
 
 from vsllt import rewrite
-from vsllt.paths import MINUS, PLUS, ZERO, Word, semilength, validate_word
+from vsllt.paths import MINUS, PLUS, ZERO, Word, primitive_factors, semilength
 from vsllt.qpoly import ONE, Q, Q_MINUS_1, QPoly, accumulate
 from vsllt.rewrite import LinComb, digit_bits, unpack
 from vsllt.symfunc import Partition
@@ -30,6 +31,9 @@ from vsllt.symfunc import Partition
 # A linear combination of words with each coefficient packed into one
 # positive int, as ``rewrite.unpack`` reads it.
 PackedLinComb = dict[Word, int]
+
+# the swap operator's transient letter in ``_bubble_t``'s words
+SWAP = "T"
 
 
 def leftmost_high_dplus(word: Word) -> tuple[int, int] | None:
@@ -69,15 +73,15 @@ def rewrite_case0(word: Word, pos: int) -> LinComb:
     if letter_degree(word, pos) < 1:
         raise ValueError(f"'+' at position {pos} has degree 0")
     out: LinComb = {}
-    accumulate(out, word[: pos - 1] + (PLUS, MINUS) + word[pos + 1 :], ONE)
-    accumulate(out, word[: pos - 1] + (ZERO,) + word[pos + 1 :], Q_MINUS_1)
+    accumulate(out, word[: pos - 1] + PLUS + MINUS + word[pos + 1 :], ONE)
+    accumulate(out, word[: pos - 1] + ZERO + word[pos + 1 :], Q_MINUS_1)
     return out
 
 
 def _bubble_t(word: Word, t: int, idx: int) -> LinComb:
     """Move the single swap letter at position t leftward until it resolves.
 
-    The letter T<idx> acts on V_k where k is the '-'/'+' balance strictly
+    The letter, T_idx, acts on V_k where k is the '-'/'+' balance strictly
     to its left.  One local identity applies per step:
       idx <= k-2, left is '0':  pass a diagonal letter, index goes up;
       idx <= k-2, left is '-':  pass a lowering letter, index unchanged;
@@ -98,44 +102,44 @@ def _bubble_t(word: Word, t: int, idx: int) -> LinComb:
                 k -= 1
         if t == 0 or word[t - 1] == PLUS:
             raise RuntimeError(
-                f"swap letter T{idx} stuck at position {t} in {''.join(word)}"
+                f"swap letter T{idx} stuck at position {t} in {word}"
             )
         left = word[t - 1]
         if idx <= k - 2:
             if left == ZERO:
-                word = word[: t - 1] + (f"T{idx + 1}", ZERO) + word[t + 1 :]
+                word = word[: t - 1] + SWAP + ZERO + word[t + 1 :]
                 idx += 1
             else:
-                word = word[: t - 1] + (f"T{idx}", MINUS) + word[t + 1 :]
+                word = word[: t - 1] + SWAP + MINUS + word[t + 1 :]
             t -= 1
             continue
         if idx != k - 1:
             raise RuntimeError(f"swap index {idx} out of range for degree {k}")
         if t < 2 or word[t - 2] == PLUS:
             raise RuntimeError(
-                f"no terminal rule for T{idx} at position {t} in {''.join(word)}"
+                f"no terminal rule for T{idx} at position {t} in {word}"
             )
         left2 = word[t - 2]
         if left == ZERO and left2 == ZERO:
-            word = word[: t - 2] + ("T1", ZERO, ZERO) + word[t + 1 :]
+            word = word[: t - 2] + SWAP + ZERO + ZERO + word[t + 1 :]
             t -= 2
             idx = 1
             continue
         if left == ZERO and left2 == MINUS:
-            return {word[: t - 2] + (ZERO, MINUS) + word[t + 1 :]: coeff * Q}
+            return {word[: t - 2] + ZERO + MINUS + word[t + 1 :]: coeff * Q}
         if left == MINUS and left2 == MINUS:
-            return {word[: t - 2] + (MINUS, MINUS) + word[t + 1 :]: coeff}
+            return {word[: t - 2] + MINUS + MINUS + word[t + 1 :]: coeff}
         # left == MINUS, left2 == ZERO
         out: LinComb = {}
-        accumulate(out, word[: t - 2] + (MINUS, ZERO) + word[t + 1 :], coeff)
-        accumulate(out, word[: t - 2] + (ZERO, MINUS) + word[t + 1 :], -(coeff * Q_MINUS_1))
+        accumulate(out, word[: t - 2] + MINUS + ZERO + word[t + 1 :], coeff)
+        accumulate(out, word[: t - 2] + ZERO + MINUS + word[t + 1 :], -(coeff * Q_MINUS_1))
         return out
 
 
 def rewrite_push_T(word: Word, pos: int) -> LinComb:
     """Rewrite an adjacent (0, +) pair with the '+' at degree >= 1.
 
-    The pair splits into (q-1) * (+, 0) plus a term (T1, +, 0) whose swap
+    The pair splits into (q-1) * (+, 0) plus a term (T_1, +, 0) whose swap
     letter is bubbled leftward to completion; cancellations happen through
     the coefficient arithmetic.
     """
@@ -144,8 +148,8 @@ def rewrite_push_T(word: Word, pos: int) -> LinComb:
     if letter_degree(word, pos) < 1:
         raise ValueError(f"'+' at position {pos} has degree 0")
     out: LinComb = {}
-    accumulate(out, word[: pos - 1] + (PLUS, ZERO) + word[pos + 1 :], Q_MINUS_1)
-    t_word = word[: pos - 1] + ("T1", PLUS, ZERO) + word[pos + 1 :]
+    accumulate(out, word[: pos - 1] + PLUS + ZERO + word[pos + 1 :], Q_MINUS_1)
+    t_word = word[: pos - 1] + SWAP + PLUS + ZERO + word[pos + 1 :]
     for w, c in _bubble_t(t_word, pos - 1, 1).items():
         accumulate(out, w, c)
     return out
@@ -167,7 +171,7 @@ def normalize(word: Word) -> LinComb:
     loop terminates.  The result has coefficients in Z[q] that rebase into
     N[q-1].
     """
-    validate_word(word)
+    primitive_factors(word)  # raises WordError on an invalid word
     active: LinComb = {word: ONE}
     done: LinComb = {}
     while active:
@@ -219,7 +223,7 @@ def normalize_by_weight(word: Word) -> PackedLinComb:
     ``digit_bits`` of the semilength: the scalars 1, t and t+1 act as c,
     c << B and (c << B) + c.
     """
-    validate_word(word)
+    primitive_factors(word)  # raises WordError on an invalid word
     return rewrite_by_weight(word, digit_bits(semilength(word)))
 
 
@@ -240,7 +244,7 @@ def rewrite_by_weight(word: Word, bits: int) -> PackedLinComb:
             for w2, scalar, weight in _weighed_step(w, pos, deg, level):
                 if weight >= level:
                     raise RuntimeError(
-                        f"rewriting {''.join(w)} did not lower the '+' weight {level}"
+                        f"rewriting {w} did not lower the '+' weight {level}"
                     )
                 if scalar is ONE:
                     scaled = c
@@ -261,14 +265,14 @@ def terminal_blocks(word: Word) -> Partition:
     i = 0
     while i < len(word):
         if word[i] != MINUS:
-            raise ValueError(f"non-terminal word {''.join(word)}")
+            raise ValueError(f"non-terminal word {word}")
         i += 1
         m = 0
         while i < len(word) and word[i] == ZERO:
             m += 1
             i += 1
         if i >= len(word) or word[i] != PLUS:
-            raise ValueError(f"non-terminal word {''.join(word)}")
+            raise ValueError(f"non-terminal word {word}")
         i += 1
         parts.append(m + 1)
     return tuple(sorted(parts, reverse=True))

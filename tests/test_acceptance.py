@@ -7,13 +7,13 @@ import functools
 import random
 import time
 
-from conftest import all_strip_tuples, velement_in_p
+from conftest import all_strip_tuples, iter_paths_upto, velement_in_p
 from vsllt.cli import _verify_one, main
 from reference_dyck import add, from_sym, mul_sym, op_phi_commutator, scale, sub, sym_part, velement
 from reference_llt import oracle_compare
 from reference_rewrite import leftmost_high_dplus
 from vsllt.dyckalgebra import VElement, apply_word, eval_in_e, op_dminus, op_dplus, op_phi, op_t
-from vsllt.paths import iter_paths_upto, parse_word, semilength
+from vsllt.paths import parse_word, semilength
 from vsllt.qpoly import ONE, Q, Q_MINUS_1, QPoly
 from vsllt.rewrite import (
     e_positivity_report,
@@ -94,7 +94,7 @@ def test_criterion_4_three_way_agreement():
     # _verify_one multiplies primitive factors on both sides; the criterion
     # also holds word by word, each side run on the whole word
     plain_mismatches = [
-        "".join(w)
+        w
         for w in iter_paths_upto(6)
         if lincomb_to_e(normalize(w)) != sym_part(apply_word(w, VElement.one(semilength(w))))
     ]
@@ -234,4 +234,4 @@ def test_criterion_9_trivial_anchors():
     report = e_positivity_report(two_blocks)
     assert report["e_at_q_plus_1"] == {(1, 1): ONE, (2,): Q}
     assert report["e_positive"]
-    assert expand_word(()) == {(): ONE}
+    assert expand_word("") == {(): ONE}

@@ -387,20 +387,6 @@ def test_oracle_runs_inputs_the_fillings_cap_refused(capsys):
         assert "match: yes" in out
 
 
-def test_oracle_checks_the_cell_cap_before_counting(capsys, monkeypatch, cold_oracle):
-    # 14 cells is the oracle's only cap, and a tuple above it builds nothing:
-    # neither side runs on 3000000 cells
-    def no_side(*_args):
-        raise AssertionError("a tuple above the cell cap may not reach either oracle side")
-
-    monkeypatch.setattr(cli.llt, "ssyt_generating_function", no_side)
-    monkeypatch.setattr(cli.llt, "llt_in_vars", no_side)
-    code, out, err = run(capsys, "oracle", "--strips", "0:3000000")
-    assert code == 2
-    assert out == ""
-    assert f"3000000 cells exceed the limit of {cli.MAX_EXPAND_SEMILENGTH}" in err
-
-
 def test_oracle_runs_inputs_that_span_many_exponent_entries(capsys, cold_oracle):
     # either side's polynomial could span 792**2 monomials of 12 entries
     # (the fillings), but the tableau count
@@ -495,12 +481,19 @@ def test_expand_strips_checks_the_cap_before_building_the_word(capsys, monkeypat
 
 
 def test_oracle_refuses_more_cells_than_the_expand_cap(capsys, monkeypatch, cold_oracle):
+    # 14 cells is the oracle's only cap, and a tuple above it builds nothing:
+    # no word, rewrite, tableau count or operator side
     def no_work(*_args, **_kwargs):
         raise AssertionError("a refused oracle run may not enumerate or rewrite")
 
     monkeypatch.setattr(llt, "to_schroeder_word", no_work)
     monkeypatch.setattr(rewrite, "normalize", no_work)
     monkeypatch.setattr(llt, "ssyt_generating_function", no_work)
+    monkeypatch.setattr(llt, "llt_in_vars", no_work)
+    code, out, err = run(capsys, "oracle", "--strips", "0:3000000")
+    assert code == 2
+    assert out == ""
+    assert f"3000000 cells exceed the limit of {cli.MAX_EXPAND_SEMILENGTH}" in err
     # one filling in one variable, so only the cell cap can refuse it
     code, out, err = run(capsys, "oracle", "--strips", ";".join(["0:1"] * 15), "--nvars", "1")
     assert code == 2

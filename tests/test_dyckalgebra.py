@@ -1,7 +1,14 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import INVALID_WORDS_UPTO_LENGTH_6, graded_syms, outcome, velement_in_p, velements
+from conftest import (
+    INVALID_WORDS_UPTO_LENGTH_6,
+    graded_syms,
+    iter_paths_upto,
+    outcome,
+    velement_in_p,
+    velements,
+)
 from reference_dyck import (
     add,
     from_sym,
@@ -26,13 +33,12 @@ from vsllt.dyckalgebra import (
 )
 from vsllt.paths import (
     WordError,
-    iter_paths_upto,
     parse_word,
     primitive_factors,
-    render_word,
     semilength,
 )
 from vsllt.qpoly import ONE, Q, Q_MINUS_1, QPoly, accumulate
+from vsllt.rewrite import expand_word, normalize
 from vsllt.symfunc import GradedSym, e_in_p, e_mu_in_p
 
 QQ = QPoly.const
@@ -316,19 +322,21 @@ def test_eval_in_e_is_the_product_over_primitive_factors():
     for w in composite:
         s = semilength(w)
         for n in range(s, s + 3):
-            assert eval_in_e(w) == _plain_eval_in_e(w, n), (render_word(w), n)
+            assert eval_in_e(w) == _plain_eval_in_e(w, n), (w, n)
 
 
 def test_invalid_words_are_refused_as_the_reference_refuses_them():
-    # every invalid word of length <= 6 takes the letter-by-letter route:
-    # the same message at the same position as the reference
+    # every invalid word of length <= 6 is refused by both sides of the
+    # certificate as primitive_factors, the one validity check, refuses it:
+    # the same message at the same position.  The letter-by-letter route
+    # refuses each one too, in its own words.
     assert len(INVALID_WORDS_UPTO_LENGTH_6) == 1093 - 27
     for w in INVALID_WORDS_UPTO_LENGTH_6:
-        s = semilength(w)
-        want = outcome(_plain_eval_in_e, w, s)
-        assert want[0] == "WordError", render_word(w)
-        assert outcome(eval_in_e, w) == want, render_word(w)
-        assert outcome(eval_word, w) == want, render_word(w)
+        want = outcome(primitive_factors, w)
+        assert want[0] == "WordError", w
+        assert outcome(_plain_eval_in_e, w, semilength(w))[0] == "WordError", w
+        for side in (eval_in_e, eval_word, normalize, expand_word):
+            assert outcome(side, w) == want, (side.__name__, w)
 
 
 def test_operator_oracle_stays_in_integer_polynomials():
@@ -337,9 +345,9 @@ def test_operator_oracle_stays_in_integer_polynomials():
     # stored with int coefficients.  A Fraction scalar in the shift fails here.
     for w in iter_paths_upto(5):
         g = eval_in_e(w)
-        assert g, render_word(w)
+        assert g, w
         for c in g.values():
-            assert isinstance(c, QPoly) and all(type(x) is int for x in c.coeffs), render_word(w)
+            assert isinstance(c, QPoly) and all(type(x) is int for x in c.coeffs), w
 
 
 def test_apply_word_on_nontrivial_input():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 
 import reference_dyck
 import reference_llt
-from conftest import noted, qpolys, velement_in_p, velements
+from conftest import iter_paths_upto, noted, qpolys, velement_in_p, velements
 from reference_dyck import add, sym_part, velement
 from reference_symfunc import m_projection
 from vsllt import dyckalgebra, llt, rewrite, symfunc
@@ -34,7 +34,6 @@ from vsllt.paths import (
     PLUS,
     ZERO,
     iter_paths,
-    iter_paths_upto,
     parse_word,
     primitive_factors,
     semilength,
@@ -167,7 +166,7 @@ def test_dminus_matches_reference_along_every_word():
     checked = expected = 0
     for n in range(1, 6):
         for word in iter_paths(n):
-            expected += list(word).count(MINUS)
+            expected += word.count(MINUS)
             f = VElement.one(n)
             for tok in reversed(word):
                 if tok == PLUS:
@@ -175,7 +174,7 @@ def test_dminus_matches_reference_along_every_word():
                 elif tok == MINUS:
                     got = op_dminus(f)
                     want = reference_dyck.op_dminus(velement_in_p(f))
-                    assert velement_in_p(got) == want, "".join(word)
+                    assert velement_in_p(got) == want, word
                     f = got
                     checked += 1
                 else:

@@ -7,10 +7,11 @@ from functools import cache
 import hypothesis.strategies as st
 from hypothesis import given
 
+from conftest import iter_paths_upto
 from reference_dyck import eval_packed, sym_part
 from vsllt import dyckalgebra
 from vsllt.dyckalgebra import VElement, apply_word, coefficient_bound, eval_in_e, packed_bits
-from vsllt.paths import iter_paths, iter_paths_upto, parse_word, primitive_factors, render_word, semilength
+from vsllt.paths import iter_paths, parse_word, primitive_factors, semilength
 from vsllt.qpoly import QPoly, unpack_balanced
 
 
@@ -36,10 +37,10 @@ def test_width_bound_covers_every_coefficient_up_to_semilength_7():
             want = qpoly_path(w, n)
             top = max(abs(c) for v in want.values() for c in v.coeffs)
             bound = coefficient_bound(w, n)
-            assert top <= bound, render_word(w)
+            assert top <= bound, w
             bits = packed_bits(w, n)
             assert bound < 2 ** (bits - 1) and bits % dyckalgebra._BITS_STEP == 0
-            assert eval_in_e(w) == want, render_word(w)
+            assert eval_in_e(w) == want, w
             widest[n] = max(widest.get(n, 0), bits)
             tightest[n] = max(tightest.get(n, 0), top.bit_length() + 1)
             words += 1
@@ -57,7 +58,7 @@ def test_packed_and_qpoly_rings_agree_on_every_whole_word():
     for w in iter_paths_upto(6):
         s = semilength(w)
         for n in range(s, s + 3):
-            assert eval_packed(w, n) == qpoly_path(w, n), (render_word(w), n)
+            assert eval_packed(w, n) == qpoly_path(w, n), (w, n)
             checked += 1
     assert checked == 3 * 1160
 

@@ -11,11 +11,12 @@ import pytest
 from hypothesis import example, given
 
 import reference_verify
+from conftest import iter_paths_upto
 from reference_qpoly import from_qminus1
 from vsllt import cli, dyckalgebra, qpoly, rewrite
 from vsllt.cli import _verify_one
 from vsllt.dyckalgebra import coefficient_bound, packed_bits
-from vsllt.paths import iter_paths, iter_paths_upto, parse_word, primitive_factors, render_word, semilength
+from vsllt.paths import iter_paths, parse_word, primitive_factors, semilength
 from vsllt.qpoly import ONE, QPoly
 from vsllt.rewrite import (
     digit_bits,
@@ -85,9 +86,40 @@ def test_every_word_is_one_e_mu_at_q_1_on_both_sides():
     assert len(words) == 5439
     for w in words:
         at_1 = {mu: v for mu, c in expand_word(w).items() if (v := c(1))}
-        assert len(at_1) == 1 and list(at_1.values()) == [1], render_word(w)
+        assert len(at_1) == 1 and list(at_1.values()) == [1], w
         oracle = dyckalgebra._apply_packed(w, semilength(w), 0)
-        assert {mu: v for mu, v in oracle.items() if v} == at_1, render_word(w)
+        assert {mu: v for mu, v in oracle.items() if v} == at_1, w
+
+
+def _chain_heights(word):
+    """The heights of the chains of crosses that ``cli._area_and_crosses``
+    reads off word, in decreasing order: a cross (p, r) puts row r directly
+    above row p in one strip, so each strip is a chain of rows linked by
+    crosses, and a row that tops no cross starts one."""
+    area, crosses = cli._area_and_crosses(word)
+    above = dict(crosses)
+    tops = set(above.values())
+    heights = []
+    for row in range(1, len(area) + 1):
+        if row not in tops:
+            height = 1
+            while row in above:
+                row = above[row]
+                height += 1
+            heights.append(height)
+    return tuple(sorted(heights, reverse=True))
+
+
+def test_the_e_mu_at_q_1_is_the_chain_heights():
+    """Lemma: an LLT polynomial at q = 1 is the product of e_h over the
+    heights h of its strips, and a word's strips are the chains of its
+    crosses.  So ``expand_word`` at q = 1 is exactly {mu: 1}, mu the sorted
+    chain heights.  Every word of semilength <= 7, the empty one included."""
+    words = [w for n in range(8) for w in iter_paths(n)]
+    assert len(words) == 5440
+    for w in words:
+        at_1 = {mu: v for mu, c in expand_word(w).items() if (v := c(1))}
+        assert at_1 == {_chain_heights(w): 1}, w
 
 
 def test_factor_product_widths_on_every_composite_word_upto_7():
@@ -111,8 +143,8 @@ def test_factor_product_widths_on_every_composite_word_upto_7():
             for f in factors:
                 in_e = _product(in_e, lincomb_to_e(normalize(f)).items())
                 in_q = _product(in_q, dyckalgebra._primitive_value(f))
-                assert max(abs(x) for c in in_q.values() for x in c.coeffs) <= bound, render_word(w)
-            assert lincomb_to_e(normalize(w)) == in_e, render_word(w)
+                assert max(abs(x) for c in in_q.values() for x in c.coeffs) <= bound, w
+            assert lincomb_to_e(normalize(w)) == in_e, w
     assert composite == 3118  # of the 5439 words of semilength <= 7
 
 
@@ -190,7 +222,7 @@ def test_unpack_is_the_taylor_shift_on_every_coefficient_upto_6():
     for w in words:
         n = semilength(w)
         for mu, c in normalize(w).items():
-            assert unpack(c, n) == from_qminus1(split_digits(c, n)), (render_word(w), mu)
+            assert unpack(c, n) == from_qminus1(split_digits(c, n)), (w, mu)
 
 
 def test_certificate_runs_no_taylor_shift(monkeypatch):
@@ -219,7 +251,7 @@ def test_verify_one_matches_the_decoded_route():
     sample = composite[50::100]
     assert len(sample) == 122
     for w in words + sample:
-        assert _verify_one(w) == reference_verify.verify_one(w), render_word(w)
+        assert _verify_one(w) == reference_verify.verify_one(w), w
 
 
 def test_verify_one_matches_the_decoded_route_under_faults(monkeypatch, cold_oracle):
@@ -277,11 +309,11 @@ def test_verify_runs_no_taylor_shift(monkeypatch):
     words = list(iter_paths_upto(5))
     monkeypatch.setattr(qpoly, "_taylor_shift", no_shift)
     for w in words:
-        assert all(_verify_one(w)[1:]), render_word(w)
+        assert all(_verify_one(w)[1:]), w
     monkeypatch.setattr(dyckalgebra, "unpack_balanced", no_decode)
     monkeypatch.setattr(rewrite, "unpack", no_decode)
     for w in words:
-        assert all(_verify_one(w)[1:]), render_word(w)
+        assert all(_verify_one(w)[1:]), w
 
 
 def test_a_negative_packed_value_fails_every_check(capsys, monkeypatch):

@@ -15,17 +15,15 @@ from reference_rewrite import (
     terminal_blocks,
     terminal_lincomb_to_e,
 )
-from conftest import INVALID_WORDS_UPTO_LENGTH_6, outcome
+from conftest import INVALID_WORDS_UPTO_LENGTH_6, iter_paths_upto, outcome
 from vsllt import rewrite
 from vsllt.cli import _verify_one
 from reference_dyck import eval_packed
 from vsllt.dyckalgebra import eval_in_e
 from vsllt.paths import (
     iter_paths,
-    iter_paths_upto,
     parse_word,
     primitive_factors,
-    render_word,
     semilength,
 )
 from vsllt.qpoly import ONE, Q, Q_MINUS_1, QPoly, accumulate
@@ -117,7 +115,7 @@ def test_leftmost_high_dplus_degree_is_letter_degree():
         found = leftmost_high_dplus(w)
         if found is not None:
             pos, deg = found
-            assert deg == letter_degree(w, pos) >= 1, render_word(w)
+            assert deg == letter_degree(w, pos) >= 1, w
 
 
 def test_case0_basic():
@@ -192,9 +190,9 @@ def test_normalize_two_blocks():
 
 
 def test_normalize_empty_word():
-    assert normalize(()) == {(): 1}
-    assert lincomb_to_e(normalize(())) == {(): ONE}
-    assert normalize_by_weight(()) == {(): 1}
+    assert normalize("") == {(): 1}
+    assert lincomb_to_e(normalize("")) == {(): ONE}
+    assert normalize_by_weight("") == {"": 1}
 
 
 def test_unpack():
@@ -262,7 +260,7 @@ def test_expand_word_is_the_product_over_primitive_factors():
     assert len(composite) == 645
     for w in composite:
         factors = (expand_word(f).items() for f in primitive_factors(w))
-        assert expand_word(w) == multiply_expansions(factors), render_word(w)
+        assert expand_word(w) == multiply_expansions(factors), w
 
 
 def test_composite_words_of_semilength_8_match_their_factors_whole():
@@ -277,8 +275,8 @@ def test_composite_words_of_semilength_8_match_their_factors_whole():
     assert len(sample) == 122
     for w in sample:
         factors = (expand_word(f).items() for f in primitive_factors(w))
-        assert expand_word(w) == multiply_expansions(factors), render_word(w)
-        assert eval_packed(w, 8) == eval_in_e(w), render_word(w)
+        assert expand_word(w) == multiply_expansions(factors), w
+        assert eval_packed(w, 8) == eval_in_e(w), w
 
 
 def test_expand_word_refuses_invalid_words_as_normalize_does():
@@ -287,8 +285,8 @@ def test_expand_word_refuses_invalid_words_as_normalize_does():
     assert len(INVALID_WORDS_UPTO_LENGTH_6) == 1093 - 27
     for w in INVALID_WORDS_UPTO_LENGTH_6:
         got = outcome(expand_word, w)
-        assert got == outcome(lambda w: lincomb_to_e(normalize(w)), w), render_word(w)
-        assert got[0] == "WordError", render_word(w)
+        assert got == outcome(lambda w: lincomb_to_e(normalize(w)), w), w
+        assert got[0] == "WordError", w
 
 
 def test_positivity_report():
@@ -312,7 +310,7 @@ def test_report_digits_match_repeated_division():
     for w in iter_paths_upto(6):
         report = e_positivity_report(expand_word(w))
         for mu, c in report["e"].items():
-            assert report["qminus1"][mu] == rebase_qminus1_by_division(c), (render_word(w), mu)
+            assert report["qminus1"][mu] == rebase_qminus1_by_division(c), (w, mu)
         words += 1
     assert words == 1160
 
@@ -345,7 +343,7 @@ def test_rewrite_agreement_and_positivity_small():
             assert sum(mu) == semilength(w) and list(mu) == sorted(mu, reverse=True)
             vec = coeff.rebase_qminus1()
             assert all(c >= 0 and c.denominator == 1 for c in vec)
-        assert _verify_one(w) == (render_word(w), True, True, True)
+        assert _verify_one(w) == (w, True, True, True)
 
 
 def _in_z_q(c):
@@ -358,12 +356,12 @@ def test_rewriting_stays_in_integer_polynomials():
     # int; unpacked, it has int coefficients in q, and so does its
     # (q-1)-basis vector.  A return to Fraction coercion fails here.
     for w in iter_paths_upto(5):
-        assert all(type(c) is int and c > 0 for c in normalize(w).values()), render_word(w)
-        assert all(_in_z_q(c) for c in decoded(w).values()), render_word(w)
+        assert all(type(c) is int and c > 0 for c in normalize(w).values()), w
+        assert all(_in_z_q(c) for c in decoded(w).values()), w
         expansion = expand_word(w)
-        assert all(_in_z_q(c) for c in expansion.values()), render_word(w)
+        assert all(_in_z_q(c) for c in expansion.values()), w
         for vec in e_positivity_report(expansion)["qminus1"].values():
-            assert all(type(x) is int for x in vec), render_word(w)
+            assert all(type(x) is int for x in vec), w
 
 
 @given(st.sampled_from(sorted(iter_paths_upto(3))))
@@ -384,8 +382,8 @@ def test_normalize_matches_reference_engine():
     assert len(WORDS_UPTO_6) == 1160
     for w in WORDS_UPTO_6:
         want = reference_rewrite.normalize(w)
-        assert decoded_words(w) == want, render_word(w)
-        assert decoded(w) == collected(want), render_word(w)
+        assert decoded_words(w) == want, w
+        assert decoded(w) == collected(want), w
 
 
 def test_transducer_matches_the_whole_word_engine_up_to_semilength_7():
@@ -395,7 +393,7 @@ def test_transducer_matches_the_whole_word_engine_up_to_semilength_7():
     assert len(words) == 5439
     for w in words:
         want = terminal_lincomb_to_e(normalize_by_weight(w))
-        assert lincomb_to_e(normalize(w)) == want, render_word(w)
+        assert lincomb_to_e(normalize(w)) == want, w
 
 
 def _high_pluses(words):
@@ -423,10 +421,10 @@ def test_every_high_plus_rewrites_as_the_reference_with_derived_weights():
             stuck += 1
             continue
         got = reference_rewrite._weighed_step(w, pos, deg, level)
-        assert {w2: c2 for w2, c2, _ in got} == want, (render_word(w), pos)
-        assert len(got) == len(want), (render_word(w), pos)
+        assert {w2: c2 for w2, c2, _ in got} == want, (w, pos)
+        assert len(got) == len(want), (w, pos)
         for w2, _, weight in got:
-            assert weight == _plus_weight(w2), (render_word(w), pos, render_word(w2))
+            assert weight == _plus_weight(w2), (w, pos, w2)
         rewritten += 1
     assert (rewritten, stuck) == (1930, 199)
 
@@ -443,9 +441,9 @@ def test_every_rule_step_conserves_the_excess_mass():
         except RuntimeError:
             refused += 1
             continue
-        assert all(c2 in (ONE, Q_MINUS_1, Q) for _, c2, _ in got), (render_word(w), pos)
+        assert all(c2 in (ONE, Q_MINUS_1, Q) for _, c2, _ in got), (w, pos)
         mass = sum(c2(2) * 2 ** excess(w2) for w2, c2, _ in got)
-        assert mass == 2 ** excess(w), (render_word(w), pos)
+        assert mass == 2 ** excess(w), (w, pos)
         rewritten += 1
     assert (rewritten, refused) == (1930, 199)
 
@@ -459,7 +457,7 @@ def test_expansion_mass_at_q_2_is_two_to_the_excess():
     assert len(words) == 5439
     for w in words:
         expansion = lincomb_to_e(normalize(w))
-        assert sum(c(2) for c in expansion.values()) == 2 ** excess(w), render_word(w)
+        assert sum(c(2) for c in expansion.values()) == 2 ** excess(w), w
 
 
 def test_largest_excess_is_n_choose_2():
@@ -485,12 +483,12 @@ def test_every_rewrite_step_lowers_the_plus_weight(monkeypatch):
         assert level == _plus_weight(word)
         for w2, _, weight in out:
             drop = level - _plus_weight(w2)
-            assert weight == _plus_weight(w2), (render_word(word), render_word(w2))
+            assert weight == _plus_weight(w2), (word, w2)
             if len(w2) == len(word):
-                assert drop == 1, (render_word(word), render_word(w2))
+                assert drop == 1, (word, w2)
             else:
-                assert len(w2) == len(word) - 1, (render_word(word), render_word(w2))
-                assert drop >= pos, (render_word(word), render_word(w2))
+                assert len(w2) == len(word) - 1, (word, w2)
+                assert drop >= pos, (word, w2)
         return out
 
     monkeypatch.setattr(reference_rewrite, "_weighed_step", checked_step)
@@ -548,8 +546,8 @@ def test_normalize_rewrites_each_word_once(monkeypatch):
         calls.clear()
         reached.clear()
         normalize_by_weight(w)
-        assert len(calls) == len(set(calls)), render_word(w)
-        assert set(calls) == reached, render_word(w)
+        assert len(calls) == len(set(calls)), w
+        assert set(calls) == reached, w
     # the largest-area word of semilength 6, which the reference engine rewrites 795 times
     calls.clear()
     normalize_by_weight(W("------++++++"))
@@ -592,7 +590,7 @@ def test_normalize_refuses_a_scalar_other_than_the_rules(monkeypatch, cold_close
     )
     with pytest.raises(RuntimeError, match="is not 1, q-1 or q"):
         normalize_by_weight(W("--++"))
-    monkeypatch.setattr(rewrite, "rewrite_case0", lambda word, pos, deg: {word[:-2] + ("0",): Q * Q})
+    monkeypatch.setattr(rewrite, "rewrite_case0", lambda word, pos, deg: {word[:-2] + "0": Q * Q})
     with pytest.raises(RuntimeError, match="is not 1, q-1 or q"):
         normalize(W("--++"))
 
@@ -630,15 +628,14 @@ def test_close_is_the_reference_normal_form_of_tail_plus():
     assert len(tails) == 2**8 - 1
     for tail in tails:
         want = {}
-        for out, c in reference_rewrite.rewrite_by_weight((*tail, "+"), bits).items():
-            text = "".join(out)
-            if "+" in text:
-                block, rest = text.split("+", 1)
-                assert block[0] == "-" and block.count("-") == 1, (tail, text)
-                assert rest[:1] in ("", "-") and "+" not in rest, (tail, text)
+        for out, c in reference_rewrite.rewrite_by_weight(tail + "+", bits).items():
+            if "+" in out:
+                block, rest = out.split("+", 1)
+                assert block[0] == "-" and block.count("-") == 1, (tail, out)
+                assert rest[:1] in ("", "-") and "+" not in rest, (tail, out)
                 key = (len(block), rest)
             else:
-                key = (0, text)
+                key = (0, out)
             want[key] = want.get(key, 0) + c
         forms = _close(tail, bits)
         assert len(forms) == 3 * len(want), tail
@@ -676,19 +673,19 @@ def test_every_state_coefficient_and_product_fits_the_width():
             nxt = {}
             for (mu, tail), c in state.items():
                 c1 = sum(_digits(c, bits))
-                assert max(_digits(c, bits)) <= c1 <= cap, render_word(w)
+                assert max(_digits(c, bits)) <= c1 <= cap, w
                 forms = _close(tail + run, bits)
                 for part, rest, r in zip(forms[::3], forms[1::3], forms[2::3]):
                     r1 = sum(_digits(r, bits))
-                    assert c1 * r1 <= cap, render_word(w)
+                    assert c1 * r1 <= cap, w
                     product_digits = _digits(c * r, bits)
-                    assert sum(product_digits) == c1 * r1, render_word(w)
+                    assert sum(product_digits) == c1 * r1, w
                     key = (tuple(sorted((*mu, part), reverse=True)) if part else mu, rest)
                     nxt[key] = nxt.get(key, 0) + c * r
             state, run = nxt, ""
-        assert {mu: c for (mu, _), c in state.items()} == normalize(w), render_word(w)
+        assert {mu: c for (mu, _), c in state.items()} == normalize(w), w
         for c in state.values():
-            assert max(_digits(c, bits)) <= sum(_digits(c, bits)) <= cap, render_word(w)
+            assert max(_digits(c, bits)) <= sum(_digits(c, bits)) <= cap, w
         words += 1
     assert words == 5439
 

@@ -10,9 +10,9 @@ import hypothesis.strategies as st
 
 import reference_symfunc
 from reference_symfunc import m_projection
-from conftest import graded_syms, partitions
+from conftest import graded_syms, iter_paths_upto, partitions
 from vsllt.dyckalgebra import eval_in_e
-from vsllt.paths import iter_paths_upto, render_word, semilength
+from vsllt.paths import semilength
 from vsllt.qpoly import ONE, QPoly
 from vsllt.symfunc import (
     GradedSym,
@@ -238,8 +238,8 @@ def test_e_expansion_in_p_equals_the_fraction_reference_on_every_word():
         g, n = eval_in_e(w), semilength(w)
         got = e_expansion_in_p(g, n)
         want = reference_symfunc.e_expansion_in_p(g, n)
-        assert got == want, render_word(w)
-        assert json.dumps(got.to_json()) == json.dumps(want.to_json()), render_word(w)
+        assert got == want, w
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json()), w
 
 
 def test_e_expansion_in_p_refuses_a_degree_above_n():
