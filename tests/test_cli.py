@@ -480,7 +480,7 @@ def test_expand_strips_checks_the_cap_before_building_the_word(capsys, monkeypat
     assert "e-positive at q+1: yes" in out
 
 
-def test_oracle_refuses_more_cells_than_the_expand_cap(capsys, monkeypatch, cold_oracle):
+def _forbid_oracle_work(monkeypatch):
     # 14 cells is the oracle's only cap, and a tuple above it builds nothing:
     # no word, rewrite, tableau count or operator side
     def no_work(*_args, **_kwargs):
@@ -490,10 +490,19 @@ def test_oracle_refuses_more_cells_than_the_expand_cap(capsys, monkeypatch, cold
     monkeypatch.setattr(rewrite, "normalize", no_work)
     monkeypatch.setattr(llt, "ssyt_generating_function", no_work)
     monkeypatch.setattr(llt, "llt_in_vars", no_work)
+
+
+def test_oracle_checks_the_cell_cap_before_counting(capsys, monkeypatch, cold_oracle):
+    # neither side runs on 3000000 cells
+    _forbid_oracle_work(monkeypatch)
     code, out, err = run(capsys, "oracle", "--strips", "0:3000000")
     assert code == 2
     assert out == ""
     assert f"3000000 cells exceed the limit of {cli.MAX_EXPAND_SEMILENGTH}" in err
+
+
+def test_oracle_refuses_more_cells_than_the_expand_cap(capsys, monkeypatch, cold_oracle):
+    _forbid_oracle_work(monkeypatch)
     # one filling in one variable, so only the cell cap can refuse it
     code, out, err = run(capsys, "oracle", "--strips", ";".join(["0:1"] * 15), "--nvars", "1")
     assert code == 2
