@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .paths import MINUS, PLUS, Word, WordError, primitive_factors, semilength
+from .paths import MINUS, PLUS, Word, primitive_factors, semilength
 from .qpoly import ONE, Q, Q_MINUS_1, ZERO, QPoly, accumulate, unpack_balanced
 from .symfunc import GradedSym, Partition, e_expansion_in_p, merge_partitions, multiply_expansions
 # unused here, but bench/tracing.py wraps dyckalgebra.e_in_p by name
@@ -317,18 +317,15 @@ def op_phi(f: VElement) -> VElement:
 
 
 def apply_word(word: Word, f: VElement) -> VElement:
-    """Apply a path-operator word to f, rightmost letter first."""
-    for pos in range(len(word) - 1, -1, -1):
-        tok = word[pos]
+    """Apply a path-operator word to f, rightmost letter first.  The word is
+    not checked: a lowering or diagonal letter on V_0 raises its operator's
+    ValueError, and the library's callers have run ``primitive_factors``."""
+    for tok in reversed(word):
         if tok == PLUS:
             f = op_dplus(f)
         elif tok == MINUS:
-            if f.k < 1:
-                raise WordError("lowering step below V_0", pos)
             f = op_dminus(f)
         else:
-            if f.k < 1:
-                raise WordError("diagonal step on the main diagonal", pos)
             f = op_phi(f)
     return f
 

@@ -3,11 +3,13 @@
 This is the scalar ring at every public boundary of the package: every
 coefficient it returns is a QPoly (inside, the rewriting engine and the
 operators hold packed ints, each the value of a QPoly at a power of two).
-Coefficients are Python ints; a Fraction appears only where a
-value really is non-integral, which in practice means the power-sum basis
-(symfunc's e -> p bridge and everything built on it).  Python guarantees
-Fraction(k) == k and hash(Fraction(k)) == hash(k), so a polynomial compares,
-hashes and prints the same whichever of the two holds an integral value.
+Coefficients are Python ints.  A Fraction coefficient is accepted, but the
+library builds one only where a true power-sum coefficient is read
+(symfunc's GradedSym.p_coefficients, behind its to_json and repr): the
+e -> p bridge itself stores z_lam [p_lam] f, which is integral.  Python
+guarantees Fraction(k) == k and hash(Fraction(k)) == hash(k), so a
+polynomial compares, hashes and prints the same whichever of the two holds
+an integral value.
 No floating point is used anywhere.
 
 One in-place Taylor shift by +1 (``_taylor_shift``) serves

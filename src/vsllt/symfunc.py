@@ -1,21 +1,39 @@
-"""Graded symmetric functions of bounded degree in a multiplicative basis.
+"""The power-sum basis in integers, and the integer e -> monomial bridge.
 
-A GradedSym lives in the quotient of the symmetric function ring by all
-terms of degree > n (the truncation degree), with QPoly coefficients.  Its
-keys are partitions of whichever multiplicative basis the caller uses; in
-the library that is the p-basis of the rational bridge below, which e_in_p /
-e_mu_in_p / e_expansion_in_p feed and expand_in_vars evaluates in finitely
-many variables (dyckalgebra.eval_word and the test references use it).  The
-operators keep their e-basis coefficients in plain {partition: scalar}
-dicts, QPoly or the packed ints of dyckalgebra's packed rings, never in a
-GradedSym.
+A GradedSym is a symmetric function f with QPoly coefficients, truncated at
+degree n (terms of degree > n are dropped), stored in the p-basis scaled by
+z_lam = prod_i i^{m_i} m_i! (m_i the multiplicity of i in lam):
 
-e_expansion_in_p sums in ints: z_lam [p_lam] e_mu is an integer, so each
-coefficient is an int sum divided by z_lam once, and a Fraction appears
-only in a value that really is non-integral.  The tableau oracle takes its
-e-expansion to the monomial basis through e_expansion_in_m instead, the
-integer e -> monomial bridge at the end of the module: one coefficient per
-m_lam with at most n parts, no exponent vectors and no Fraction.
+    terms[lam] = z_lam [p_lam] f = <f, p_lam>,
+
+the Hall inner product of f with p_lam (Macdonald, Symmetric Functions and
+Hall Polynomials, I (4.7)).  Every value the library stores is in Z[q]:
+
+- e_k = sum_{lam |- k} eps_lam p_lam / z_lam, eps_lam = (-1)^{k - len(lam)}
+  (Macdonald I (2.14')), so ``e_in_p`` stores +-1 at every lam |- k;
+- (p_lam / z_lam)(p_mu / z_mu) = c p_nu / z_nu for nu = lam + mu, with
+  c = z_nu / (z_lam z_mu) = prod_i C(m_i(lam) + m_i(mu), m_i(lam)), a
+  product of binomial coefficients, so a product of integral values, such
+  as ``e_mu_in_p``'s, is integral;
+- ``e_expansion_in_p`` sums c_mu <e_mu, p_lam> with every c_mu in Z[q].
+
+tests/test_symfunc.py checks each step as a lemma: e_k against Newton's
+identity, the merge factor against the z's, and the type of every stored
+value of e_mu (|mu| <= 8) and of eval_word.
+
+z_lam depends on the key alone, so +, scale and == act on the stored values
+as they would on true coefficients, and no Fraction is built while a value
+is summed, scaled, multiplied or compared.  One is built only where a true
+coefficient [p_lam] f = terms[lam] / z_lam is read (``p_coefficients``,
+which to_json and repr use); ``expand_in_vars`` divides exactly, by d! per
+degree d.  dyckalgebra.eval_word returns a GradedSym; the operators keep
+their e-basis coefficients in plain {partition: scalar} dicts, QPoly or the
+packed ints of dyckalgebra's packed rings.
+
+The tableau oracle takes its e-expansion to the monomial basis through
+e_expansion_in_m instead, the integer e -> monomial bridge at the end of the
+module: one coefficient per m_lam with at most n parts, no exponent vectors
+and no Fraction.
 """
 
 from __future__ import annotations
@@ -24,7 +42,7 @@ import json
 from fractions import Fraction
 from functools import cache
 from itertools import groupby
-from math import comb
+from math import comb, factorial
 
 from .qpoly import ONE, QPoly, accumulate, render_qpoly
 
@@ -44,9 +62,9 @@ def merge_partitions(mu: Partition, nu: Partition) -> Partition:
 
 
 def multiply_expansions(factors, one=ONE) -> dict[Partition, QPoly]:
-    """Product of expansions in one multiplicative basis, each an iterable of
-    (partition, coefficient) pairs: keys merge and coefficients multiply.
-    Coefficients are QPoly, or packed ints with one = 1.
+    """Product of expansions in the e-basis, each an iterable of (partition,
+    coefficient) pairs: keys merge and coefficients multiply.  Coefficients
+    are QPoly, or packed ints with one = 1.
 
     Untruncated; returns a new dict, {(): one} for no factors.
     """
@@ -60,12 +78,30 @@ def multiply_expansions(factors, one=ONE) -> dict[Partition, QPoly]:
     return out
 
 
-class GradedSym:
-    """Symmetric function truncated at degree n, stored as {partition: QPoly}.
+def z(lam: Partition) -> int:
+    """z_lam = prod_i i^{m_i} m_i!, the number of permutations of |lam| that
+    commute with a fixed one of cycle type lam."""
+    out = 1
+    for part, run in groupby(lam):
+        m = len(list(run))
+        out *= part**m * factorial(m)
+    return out
 
-    Keys are partitions of one multiplicative basis b (mu -> coefficient of
-    b_mu), e or p as the caller chooses; keys of size > n are silently
-    dropped, zero coefficients are never stored.
+
+def _merge_factor(lam: Partition, mu: Partition) -> int:
+    """z_{lam+mu} / (z_lam z_mu) = prod_i C(m_i(lam) + m_i(mu), m_i(lam)):
+    the parts i^{m_i} cancel, leaving the multiplicities' factorials."""
+    out = 1
+    for part, run in groupby(merge_partitions(lam, mu)):
+        out *= comb(len(list(run)), lam.count(part))
+    return out
+
+
+class GradedSym:
+    """Symmetric function truncated at degree n, stored in the p-basis as
+    {partition lam: <f, p_lam> = z_lam [p_lam] f} (see the module docstring).
+
+    Keys of size > n are silently dropped, zero values are never stored.
     """
 
     __slots__ = ("n", "terms")
@@ -108,28 +144,45 @@ class GradedSym:
         return _raw(self.n, {mu: c * v for mu, v in self.terms.items()})
 
     def __mul__(self, other: "GradedSym") -> "GradedSym":
-        """Product, truncated at degree n; in a multiplicative basis this is key merging."""
+        """Product, truncated at degree n: keys merge, and each product of
+        values takes the integer factor z_{lam+mu} / (z_lam z_mu)."""
         self._check_same(other)
-        return GradedSym(self.n, multiply_expansions((self.terms.items(), other.terms.items())))
+        n = self.n
+        out: dict[Partition, QPoly] = {}
+        for lam, a in self.terms.items():
+            for mu, b in other.terms.items():
+                if sum(lam) + sum(mu) <= n:
+                    accumulate(out, merge_partitions(lam, mu), a * b * _merge_factor(lam, mu))
+        return _raw(n, out)
 
     def _check_same(self, other: "GradedSym") -> None:
         if self.n != other.n:
             raise ValueError(f"truncation degree mismatch: {self.n} != {other.n}")
 
+    def p_coefficients(self) -> dict[Partition, QPoly]:
+        """The true coefficients {lam: [p_lam] f}: each stored value divided
+        by z_lam, with a Fraction coefficient where the division is inexact."""
+        out = {}
+        for lam, c in self.terms.items():
+            zl = z(lam)
+            out[lam] = QPoly([x // zl if x % zl == 0 else Fraction(x, zl) for x in c.coeffs])
+        return out
+
     def __repr__(self) -> str:
         if not self.terms:
             return "GradedSym<0>"
         bits = ", ".join(
-            f"{list(mu)}: {render_qpoly(c)}" for mu, c in sorted(self.terms.items())
+            f"{list(mu)}: {render_qpoly(c)}" for mu, c in sorted(self.p_coefficients().items())
         )
         return f"GradedSym<{bits}>"
 
     def to_json(self) -> dict:
+        """The true p-basis coefficients, rendered."""
         return {
             "basis": "p",
             "terms": {
                 json.dumps(list(mu)): render_qpoly(c)
-                for mu, c in sorted(self.terms.items())
+                for mu, c in sorted(self.p_coefficients().items())
             },
         }
 
@@ -142,29 +195,16 @@ def _raw(n: int, terms: dict) -> GradedSym:
     return g
 
 
-# e_k in the p-basis does not depend on the truncation degree, so the raw
-# coefficient dicts are memoized once.  Every memoized result in this module
-# is shared between callers, which is safe because nothing mutates it.
-@cache
-def _e_in_p_raw(k: int) -> dict[Partition, Fraction]:
-    if k == 0:
-        return {(): Fraction(1)}
-    # Newton's identity: k e_k = sum_{i=1}^{k} (-1)^{i-1} e_{k-i} p_i
-    acc: dict[Partition, Fraction] = {}
-    for i in range(1, k + 1):
-        sign = Fraction(1 if i % 2 == 1 else -1, k)
-        for mu, c in _e_in_p_raw(k - i).items():
-            key = merge_partitions(mu, (i,))
-            acc[key] = acc.get(key, Fraction(0)) + sign * c
-    return {mu: c for mu, c in acc.items() if c != 0}
-
-
+# Every memoized result in this module is shared between callers, which is
+# safe because nothing mutates it.
 @cache
 def e_in_p(k: int, n: int) -> GradedSym:
-    """The elementary symmetric function e_k expanded in the p-basis."""
+    """The elementary symmetric function e_k in the p-basis: <e_k, p_lam> =
+    (-1)^{k - len(lam)} at every lam |- k."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return GradedSym(n, {mu: QPoly.const(c) for mu, c in _e_in_p_raw(k).items()})
+    signs = (ONE, QPoly.const(-1))
+    return _raw(n, {lam: signs[(k - len(lam)) % 2] for lam in _partitions_within(k, k)})
 
 
 @cache
@@ -179,45 +219,24 @@ def e_mu_in_p(mu: Partition, n: int) -> GradedSym:
     return out
 
 
-@cache
-def _e_mu_in_p_scaled(mu: Partition) -> tuple[tuple[Partition, int, int], ...]:
-    """(lam, z_lam, z_lam [p_lam] e_mu) for every p_lam in e_mu, where
-    [p_lam] e_|lam| = +-1/z_lam.
-
-    z_lam [p_lam] e_mu is an integer: it sums, over the ways to split lam
-    among the parts of mu, +-z_lam over the product of the pieces' z, which
-    is a product of multinomial coefficients.  Raises if one is not.
-    """
-    out = []
-    for lam, v in e_mu_in_p(mu, sum(mu)).terms.items():
-        z = _e_in_p_raw(sum(lam))[lam].denominator
-        a = z * v.coeffs[0]
-        if a.denominator != 1:
-            raise ArithmeticError(f"z [p_{list(lam)}] e_{list(mu)} = {a} is not an integer")
-        out.append((lam, z, a.numerator))
-    return tuple(out)
-
-
 def e_expansion_in_p(expansion: dict[Partition, QPoly], n: int) -> GradedSym:
     """sum_mu c_mu e_mu for an e-expansion {mu: c_mu}, in the p-basis at degree n.
 
-    Sums in ints: the coefficient of q^i at p_lam adds c_{mu,i} times the
-    integer z_lam [p_lam] e_mu over mu, and is divided by z_lam once at the
-    end (an int when the division is exact, a Fraction otherwise).
+    The value at lam is sum_mu c_mu <e_mu, p_lam>: the coefficient of q^i is
+    an int sum of c_{mu,i} times the int <e_mu, p_lam>, with no division.
     """
-    sums: dict[Partition, tuple[int, list]] = {}
+    rows: dict[Partition, list] = {}
     for mu, c in expansion.items():
-        scaled = _e_mu_in_p_scaled(mu)
-        if sum(mu) > n:
-            raise ValueError(f"|mu| = {sum(mu)} exceeds truncation degree {n}")
-        for lam, z, a in scaled:
-            row = sums.setdefault(lam, (z, []))[1]
-            row.extend([0] * (len(c.coeffs) - len(row)))
-            for i, x in enumerate(c.coeffs):
+        coeffs = c.coeffs
+        for lam, v in e_mu_in_p(mu, n).terms.items():
+            a = v.coeffs[0]
+            row = rows.setdefault(lam, [])
+            row.extend([0] * (len(coeffs) - len(row)))
+            for i, x in enumerate(coeffs):
                 row[i] += a * x
     terms: dict[Partition, QPoly] = {}
-    for lam, (z, row) in sums.items():
-        p = QPoly([x // z if x % z == 0 else Fraction(x, z) for x in row])
+    for lam, row in rows.items():
+        p = QPoly(row)
         if p:
             terms[lam] = p
     return _raw(n, terms)
@@ -253,15 +272,29 @@ def _p_mu_in_vars(mu: Partition, nvars: int) -> XPoly:
 def expand_in_vars(f: GradedSym, nvars: int) -> XPoly:
     """Substitute p_k -> x_1^k + ... + x_nvars^k and expand.
 
-    Faithful (injective) on symmetric functions of degree <= nvars.
+    f's part of degree d is sum_{lam |- d} <f, p_lam> p_lam / z_lam, and
+    d!/z_lam, the number of permutations of cycle type lam, is an integer.
+    So d! times that part is summed in Z[q] as sum <f, p_lam> (d!/z_lam)
+    p_lam(x), and each of its coefficients is divided by d! exactly; a
+    remainder means f is not integral in x_1..x_nvars, and raises
+    ArithmeticError.  Faithful (injective) on symmetric functions of degree
+    <= nvars.
     """
     if nvars < 1:
         raise ValueError("need at least one variable")
     out: XPoly = {}
-    for mu, c in f.terms.items():
-        for e, ce in _p_mu_in_vars(mu, nvars).items():
+    for lam, c in f.terms.items():
+        c = c * (factorial(sum(lam)) // z(lam))
+        for e, ce in _p_mu_in_vars(lam, nvars).items():
             accumulate(out, e, c * ce)
-    return out
+    # every monomial of p_lam(x) has degree |lam|
+    return {e: _divexact(c, factorial(sum(e))) for e, c in out.items()}
+
+
+def _divexact(c: QPoly, m: int) -> QPoly:
+    if any(x % m for x in c.coeffs):
+        raise ArithmeticError(f"{render_qpoly(c)} is not divisible by {m}")
+    return QPoly([x // m for x in c.coeffs])
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import note, settings
 
 from reference_dyck import velement
+from reference_symfunc import Sym, true_p
 from vsllt import llt
 from vsllt.paths import TOKENS, WordError, iter_paths, primitive_factors
 from vsllt.qpoly import QPoly
-from vsllt.symfunc import GradedSym, e_expansion_in_p
+from vsllt.symfunc import e_expansion_in_p
 
 # Same examples on every run (seeded from each test's source), and a
 # reproduction blob printed with any failure; the deadline stays at its default.
@@ -45,7 +46,7 @@ def graded_syms(draw, n, max_terms=3):
         mu = draw(partitions(max_size=n))
         c = draw(qpolys())
         terms[mu] = terms.get(mu, QPoly()) + c
-    return GradedSym(n, terms)
+    return Sym(n, terms)
 
 
 @st.composite
@@ -54,7 +55,7 @@ def velements(draw, k, n, max_terms=3, max_exp=2):
     for _ in range(draw(st.integers(1, max_terms))):
         e = tuple(draw(st.integers(0, max_exp)) for _ in range(k))
         g = draw(graded_syms(n))
-        terms[e] = terms.get(e, GradedSym.zero(n)) + g
+        terms[e] = terms.get(e, Sym.zero(n)) + g
     return noted(velement(k, n, terms))
 
 
@@ -67,8 +68,9 @@ def noted(f):
 
 
 def velement_in_p(f):
-    """An e-basis VElement with each y-coefficient converted to the p-basis."""
-    return velement(f.k, f.n, {e: e_expansion_in_p(g, f.n) for e, g in f.terms.items()})
+    """An e-basis VElement with each y-coefficient converted to the p-basis
+    by the library, as true coefficients."""
+    return velement(f.k, f.n, {e: true_p(e_expansion_in_p(g, f.n)) for e, g in f.terms.items()})
 
 
 @pytest.fixture

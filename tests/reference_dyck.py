@@ -3,7 +3,7 @@ versions of the alphabet shift and the raising and lowering operators, in
 the p-basis, with a second route to the diagonal-step operator.
 
 The library's VElement is a bare record over plain {y-exponents: {partition:
-scalar}} dicts.  The helpers here build such elements from GradedSym
+scalar}} dicts.  The helpers here build such elements from Sym
 coefficients and do the arithmetic that the identities are stated in: sums,
 differences, scalar multiples, products by a symmetric function and
 truncation.  Each returns a clean element, as every operator does: no zero
@@ -19,18 +19,19 @@ e -> p conversion.
 from __future__ import annotations
 
 from reference_qpoly import divexact_qminus1
+from reference_symfunc import Sym, e_in_p
 from vsllt import dyckalgebra
 from vsllt.dyckalgebra import VElement, YExps, op_t
 from vsllt.qpoly import ONE, QPoly, accumulate, unpack_balanced
-from vsllt.symfunc import GradedSym, Partition, e_in_p
+from vsllt.symfunc import Partition
 
 
 def _nonempty(k: int, n: int, terms: dict) -> VElement:
     return VElement(k, n, {e: g for e, g in terms.items() if g})
 
 
-def velement(k: int, n: int, terms: dict[YExps, GradedSym]) -> VElement:
-    """A VElement from {y-exponents: GradedSym}: every exponent vector must
+def velement(k: int, n: int, terms: dict[YExps, Sym]) -> VElement:
+    """A VElement from {y-exponents: Sym}: every exponent vector must
     have length k, and zero coefficients are dropped."""
     for e in terms:
         if len(e) != k:
@@ -38,7 +39,7 @@ def velement(k: int, n: int, terms: dict[YExps, GradedSym]) -> VElement:
     return _nonempty(k, n, {e: dict(g.terms) for e, g in terms.items()})
 
 
-def from_sym(g: GradedSym) -> VElement:
+def from_sym(g: Sym) -> VElement:
     """g as an element of V_0."""
     return velement(0, g.n, {(): g})
 
@@ -76,9 +77,9 @@ def retruncate(f: VElement, n: int) -> VElement:
     )
 
 
-def mul_sym(f: VElement, g: GradedSym) -> VElement:
+def mul_sym(f: VElement, g: Sym) -> VElement:
     """Multiply f by a symmetric function (acts on every coefficient)."""
-    return _nonempty(f.k, f.n, {e: (GradedSym(f.n, h) * g).terms for e, h in f.terms.items()})
+    return _nonempty(f.k, f.n, {e: (Sym(f.n, h) * g).terms for e, h in f.terms.items()})
 
 
 def eval_packed(word, n: int) -> dict[Partition, QPoly]:
@@ -175,6 +176,6 @@ def op_dminus(f: VElement) -> VElement:
                 continue
             if a % 2 == 1:
                 coeff = -coeff
-            for nu, c in (e_in_p(a + 1, n) * GradedSym(n, {mu: coeff})).terms.items():
+            for nu, c in (e_in_p(a + 1, n) * Sym(n, {mu: coeff})).terms.items():
                 accumulate(acc, nu, c)
     return _nonempty(k - 1, n, out)

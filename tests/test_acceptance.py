@@ -12,6 +12,7 @@ from vsllt.cli import _verify_one, main
 from reference_dyck import add, from_sym, mul_sym, op_phi_commutator, scale, sub, sym_part, velement
 from reference_llt import oracle_compare
 from reference_rewrite import leftmost_high_dplus
+from reference_symfunc import Sym, e_in_p
 from vsllt.dyckalgebra import VElement, apply_word, eval_in_e, op_dminus, op_dplus, op_phi, op_t
 from vsllt.paths import parse_word, semilength
 from vsllt.qpoly import ONE, Q, Q_MINUS_1, QPoly
@@ -22,7 +23,6 @@ from vsllt.rewrite import (
     normalize,
     rewrite_push_T,
 )
-from vsllt.symfunc import GradedSym, e_in_p
 
 W = parse_word
 
@@ -142,8 +142,8 @@ def _rand_velement(rng, k, n):
     terms = {}
     for _ in range(rng.randint(1, 3)):
         e = tuple(rng.randint(0, 2) for _ in range(k))
-        g = GradedSym(n, {_rand_partition(rng, n): _rand_qpoly(rng)})
-        terms[e] = terms.get(e, GradedSym.zero(n)) + g
+        g = Sym(n, {_rand_partition(rng, n): _rand_qpoly(rng)})
+        terms[e] = terms.get(e, Sym.zero(n)) + g
     return velement(k, n, terms)
 
 
@@ -186,14 +186,14 @@ def test_criterion_7_identity_suite():
         assert op_phi(F) == op_phi_commutator(F)
         counts["phi_def"] += 1
         # multiplication by e_{m+1} from V_0; the operators run in the e-basis
-        F0 = from_sym(GradedSym(n, {_rand_partition(rng, n): _rand_qpoly(rng)}))
+        F0 = from_sym(Sym(n, {_rand_partition(rng, n): _rand_qpoly(rng)}))
         m = rng.randint(0, 4)
         out = op_dplus(F0)
         for _ in range(m):
             out = op_phi(out)
         out = op_dminus(out)
         if m + 1 <= n:
-            assert out == mul_sym(F0, GradedSym(n, {(m + 1,): ONE}))
+            assert out == mul_sym(F0, Sym(n, {(m + 1,): ONE}))
             assert velement_in_p(out) == mul_sym(velement_in_p(F0), e_in_p(m + 1, n))
         else:
             assert not out.terms  # e_{m+1} vanishes in the truncation
@@ -210,18 +210,18 @@ def test_criterion_8_multiplication_and_commutativity():
         n = semilength(word)
         for _ in range(10):
             deg = rng.randint(0, 2)
-            g = GradedSym(n + deg, {_rand_partition(rng, deg): _rand_qpoly(rng)})
+            g = Sym(n + deg, {_rand_partition(rng, deg): _rand_qpoly(rng)})
             F = from_sym(g)
             lhs = apply_word(word, F)
-            rhs = mul_sym(F, GradedSym(n + deg, eval_in_e(word)))
+            rhs = mul_sym(F, Sym(n + deg, eval_in_e(word)))
             assert lhs == rhs
     words3 = sorted(iter_paths_upto(3))
     for _ in range(20):
         p = rng.choice(words3)
         q_word = rng.choice(words3)
         n = semilength(p) + semilength(q_word)
-        via_p = apply_word(p, from_sym(GradedSym(n, eval_in_e(q_word))))
-        via_q = apply_word(q_word, from_sym(GradedSym(n, eval_in_e(p))))
+        via_p = apply_word(p, from_sym(Sym(n, eval_in_e(q_word))))
+        via_q = apply_word(q_word, from_sym(Sym(n, eval_in_e(p))))
         assert via_p == via_q
 
 

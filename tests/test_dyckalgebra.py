@@ -20,7 +20,9 @@ from reference_dyck import (
     sym_part,
     velement,
 )
+import reference_symfunc
 from reference_qpoly import divexact_qminus1
+from reference_symfunc import Sym
 from vsllt.dyckalgebra import (
     VElement,
     apply_word,
@@ -32,6 +34,8 @@ from vsllt.dyckalgebra import (
     op_t,
 )
 from vsllt.paths import (
+    MINUS,
+    ZERO,
     WordError,
     parse_word,
     primitive_factors,
@@ -39,13 +43,13 @@ from vsllt.paths import (
 )
 from vsllt.qpoly import ONE, Q, Q_MINUS_1, QPoly, accumulate
 from vsllt.rewrite import expand_word, normalize
-from vsllt.symfunc import GradedSym, e_in_p, e_mu_in_p
+from vsllt.symfunc import e_in_p, e_mu_in_p
 
 QQ = QPoly.const
 
 
 def sym(n, terms):
-    return GradedSym(n, {mu: QQ(c) if not isinstance(c, QPoly) else c for mu, c in terms.items()})
+    return Sym(n, {mu: QQ(c) if not isinstance(c, QPoly) else c for mu, c in terms.items()})
 
 
 def velem(k, n, terms):
@@ -147,7 +151,7 @@ def test_dminus_examples():
     for a, sign in ((0, 1), (1, -1), (2, 1)):
         out = op_dminus(velem(1, n, {(a,): {(): 1}}))
         assert out == velem(0, n, {(): {(a + 1,): sign}})
-        assert velement_in_p(out) == from_sym(e_in_p(a + 1, n).scale(QQ(sign)))
+        assert velement_in_p(out) == from_sym(reference_symfunc.e_in_p(a + 1, n).scale(QQ(sign)))
     with pytest.raises(ValueError):
         op_dminus(VElement.one(3))
 
@@ -277,8 +281,8 @@ def test_ekoperator(g):
         for _ in range(m):
             out = op_phi(out)
         out = op_dminus(out)
-        assert out == mul_sym(f, GradedSym(4, {(m + 1,): ONE}))
-        assert velement_in_p(out) == mul_sym(velement_in_p(f), e_in_p(m + 1, 4))
+        assert out == mul_sym(f, Sym(4, {(m + 1,): ONE}))
+        assert velement_in_p(out) == mul_sym(velement_in_p(f), reference_symfunc.e_in_p(m + 1, 4))
 
 
 # --- word evaluation ---------------------------------------------------------
@@ -304,11 +308,18 @@ def test_eval_word_rejects_bad_words():
 
 
 def _plain_eval_in_e(word, n):
-    """eval_in_e's reference: the whole word applied letter by letter."""
-    res = apply_word(word, VElement.one(n))
-    if res.k != 0:
+    """eval_in_e's reference: the whole word applied letter by letter,
+    rightmost first, refusing a letter that would leave V_0 downward."""
+    f = VElement.one(n)
+    for pos in range(len(word) - 1, -1, -1):
+        if f.k < 1 and word[pos] == MINUS:
+            raise WordError("lowering step below V_0", pos)
+        if f.k < 1 and word[pos] == ZERO:
+            raise WordError("diagonal step on the main diagonal", pos)
+        f = apply_word(word[pos], f)
+    if f.k != 0:
         raise WordError("word does not return to the diagonal", len(word))
-    return sym_part(res)
+    return sym_part(f)
 
 
 def test_eval_in_e_is_the_product_over_primitive_factors():
@@ -354,7 +365,7 @@ def test_apply_word_on_nontrivial_input():
     n = 3
     f = from_sym(sym(n, {(2,): 1}))
     out = apply_word(parse_word("-+"), f)
-    assert out == mul_sym(f, e_in_p(1, n))
+    assert out == mul_sym(f, Sym(n, {(1,): ONE}))
 
 
 def test_eval_word_truncation_override():

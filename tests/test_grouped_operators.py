@@ -3,18 +3,17 @@ with their per-term p-basis reference forms (tests/reference_dyck.py),
 compared through a coefficient-wise e->p conversion; every memoized function
 agrees with a fresh recompute, and no caller can change a memoized value."""
 
-from fractions import Fraction
-from itertools import combinations, groupby, product
-from math import factorial, prod
+from itertools import combinations, product
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 import reference_dyck
 import reference_llt
+import reference_symfunc
 from conftest import iter_paths_upto, noted, qpolys, velement_in_p, velements
 from reference_dyck import add, sym_part, velement
-from reference_symfunc import m_projection
+from reference_symfunc import Sym, e_in_p_raw, m_projection, true_p, z
 from vsllt import dyckalgebra, llt, rewrite, symfunc
 from vsllt.cli import _verify_one
 from vsllt.dyckalgebra import (
@@ -39,7 +38,7 @@ from vsllt.paths import (
     semilength,
 )
 from vsllt.qpoly import ONE, QPoly, accumulate
-from vsllt.symfunc import GradedSym, _e_in_p_raw, e_mu_in_p
+from vsllt.symfunc import GradedSym, e_mu_in_p
 
 N = 5
 
@@ -60,7 +59,7 @@ def repeated_part_velements(draw, k, n=N, max_exp=3):
     for _ in range(draw(st.integers(1, 3))):
         e = tuple(draw(st.integers(0, max_exp)) for _ in range(k))
         mu = draw(repeated_part_partitions(max_size=n))
-        g = GradedSym(n, {mu: draw(qpolys(nonzero=True))})
+        g = Sym(n, {mu: draw(qpolys(nonzero=True))})
         terms[e] = terms[e] + g if e in terms else g
     return noted(velement(k, n, terms))
 
@@ -80,8 +79,8 @@ def cancelling_velements(draw, k, n=N):
     c = draw(qpolys(nonzero=True))
     e_m_shift = QPoly.monomial(m) - QPoly.monomial(m - 1)
     pair = velement(k, n, {
-        rest + (a,): GradedSym(n, {(m,): c}),
-        rest + (a + m,): GradedSym(n, {(): c * (e_m_shift if m % 2 else -e_m_shift)}),
+        rest + (a,): Sym(n, {(m,): c}),
+        rest + (a + m,): Sym(n, {(): c * (e_m_shift if m % 2 else -e_m_shift)}),
     })
     return noted(add(pair, draw(velements(k=k, n=n, max_exp=3))))
 
@@ -152,13 +151,13 @@ def test_dminus_group_cancels_to_zero():
     n = 3
     c = QPoly((2, -1))
     f = velement(1, n, {
-        (0,): GradedSym(n, {(1,): c}),
-        (1,): GradedSym(n, {(): c * (QPoly.monomial(1) - ONE)}),
+        (0,): Sym(n, {(1,): c}),
+        (1,): Sym(n, {(): c * (QPoly.monomial(1) - ONE)}),
     })
     out = op_dminus(f)
     assert velement_in_p(out) == reference_dyck.op_dminus(velement_in_p(f))
     # only the kept e_1 term survives, through a = 0, as e_1 * e_1
-    assert out == velement(0, n, {(): GradedSym(n, {(1, 1): c})})
+    assert out == velement(0, n, {(): Sym(n, {(1, 1): c})})
 
 
 def test_dminus_matches_reference_along_every_word():
@@ -185,7 +184,7 @@ def test_dminus_matches_reference_along_every_word():
 def _e_of_alphabet(j, sign):
     """e_j[sign*(q-1)], from e_j's p-expansion with p_k -> sign*(q^k - 1)."""
     total = QPoly()
-    for mu, c in _e_in_p_raw(j).items():
+    for mu, c in e_in_p_raw(j).items():
         term = QPoly.const(c)
         for k in mu:
             term = term * (QPoly.monomial(k) - ONE) * QPoly.const(sign)
@@ -244,10 +243,10 @@ def test_shift_table_in_p_equals_per_term_p_shift():
             for sign in (+1, -1):
                 via_e = {}
                 for kept, extra, scalar in _shift_table(mu, sign):
-                    for lam, c in e_mu_in_p(kept, size).terms.items():
+                    for lam, c in true_p(e_mu_in_p(kept, size)).terms.items():
                         accumulate(via_e.setdefault(extra, {}), lam, c * scalar)
                 via_p = {}
-                e_mu = e_mu_in_p(mu, size).terms
+                e_mu = true_p(e_mu_in_p(mu, size)).terms
                 for part, extra, coeff in reference_dyck._shifted_sym_terms(e_mu, sign):
                     accumulate(via_p.setdefault(extra, {}), part, coeff)
                 assert _without_empty(via_e) == _without_empty(via_p), (mu, sign)
@@ -255,29 +254,20 @@ def test_shift_table_in_p_equals_per_term_p_shift():
     assert checked == 2 * 30
 
 
-def _fresh_z(lam):
-    """z_lam = prod_i i^{m_i} m_i!, m_i the multiplicity of i in lam."""
-    z = 1
-    for part, run in groupby(lam):
-        m = len(list(run))
-        z *= part**m * factorial(m)
-    return z
-
-
-def _fresh_e_raw(k):
-    """e_k in the p-basis without Newton's recursion or any memo:
-    sum over lam |- k of (-1)^(k - len(lam)) p_lam / z_lam."""
-    return {lam: Fraction((-1) ** (k - len(lam)), _fresh_z(lam)) for lam in _partitions(k)}
+def _fresh_scaled(g):
+    """A Sym of true p-coefficients as the library's GradedSym stores it:
+    each coefficient times z_lam."""
+    return GradedSym(g.n, {lam: c * z(lam) for lam, c in g.terms.items()})
 
 
 def _fresh_e_in_p(k, n):
-    return GradedSym(n, {mu: QPoly.const(c) for mu, c in _fresh_e_raw(k).items()})
+    """e_k from Newton's identity in the reference, scaled."""
+    return _fresh_scaled(reference_symfunc.e_in_p(k, n))
 
 
-def _fresh_scaled(mu):
-    """{lam: (z_lam, z_lam [p_lam] e_mu)}, e_mu multiplied out from _fresh_e_raw."""
-    e_mu = prod((_fresh_e_in_p(k, sum(mu)) for k in mu), start=GradedSym.one(sum(mu)))
-    return {lam: (_fresh_z(lam), _fresh_z(lam) * c.coeffs[0]) for lam, c in e_mu.terms.items()}
+def _fresh_e_mu_in_p(mu, n):
+    """e_mu multiplied out in the reference, true coefficients, then scaled."""
+    return _fresh_scaled(reference_symfunc.e_mu_in_p(mu, n))
 
 
 def _fresh_raising_table(mu, ring):
@@ -326,13 +316,11 @@ def _count_01_matrices(rows, cols):
 
 # Every memoized function, with an unmemoized recompute of its value.
 CACHED = {
-    symfunc._e_in_p_raw: _fresh_e_raw,
     symfunc.e_in_p: _fresh_e_in_p,
-    symfunc.e_mu_in_p: lambda mu, n: prod((_fresh_e_in_p(k, n) for k in mu), start=GradedSym.one(n)),
+    symfunc.e_mu_in_p: _fresh_e_mu_in_p,
     symfunc._p_mu_in_vars: _fresh_p_mu_in_vars,
     symfunc._e_to_m: _count_01_matrices,
     _shift_table: _unmerged_expansion,
-    symfunc._e_mu_in_p_scaled: _fresh_scaled,
     dyckalgebra.packed: _fresh_packed,
     dyckalgebra._raising_table: _fresh_raising_table,
     dyckalgebra._lowering_table: _fresh_lowering_table,
@@ -350,13 +338,11 @@ def _cache_domain(size):
     widths = sorted({dyckalgebra.packed_bits(w, s) for s in range(1, size + 1) for w in iter_paths(s)})
     rings = [dyckalgebra.packed(bits) for bits in widths]
     return {
-        symfunc._e_in_p_raw: [(k,) for k in range(size + 1)],
         symfunc.e_in_p: [(k, n) for n in range(1, size + 1) for k in range(n + 1)],
         symfunc.e_mu_in_p: [(mu, n) for n in range(1, size + 1) for mu in parts if sum(mu) <= n],
         symfunc._p_mu_in_vars: [(mu, v) for v in range(1, size + 1) for mu in parts],
         symfunc._e_to_m: [(mu, lam) for mu in parts for lam in parts],
         _shift_table: [(mu, sign) for mu in parts for sign in (+1, -1)],
-        symfunc._e_mu_in_p_scaled: [(mu,) for mu in parts],
         dyckalgebra.packed: [(bits,) for bits in widths],
         dyckalgebra._raising_table: [(mu, ring) for mu in parts for ring in rings],
         dyckalgebra._lowering_table: [
@@ -371,8 +357,6 @@ def _as_compared(fn, value):
         return {(p, extra): c for p, extra, c in value}
     if fn in (dyckalgebra._primitive_value, dyckalgebra._lowering_table):
         return dict(value)
-    if fn is symfunc._e_mu_in_p_scaled:
-        return {lam: (z, a) for lam, z, a in value}
     if fn is dyckalgebra.packed:
         return (value.zero, value.one, value.q_minus_1, value.lift(QPoly((3, -2, 1))))
     if fn is dyckalgebra._raising_table:

@@ -318,7 +318,8 @@ def test_tableau_sum_counts_every_filling(text, nvars):
 
 
 def test_operator_side_matches_p_basis_reference():
-    # the integer e -> monomial bridge against the rational p-basis route:
+    # the integer e -> monomial bridge against the p-basis route, which
+    # divides its z_lam-scaled values by d! in variables:
     # every criterion-6 tuple at nvars = cells, then variable counts below
     # and above the cell count
     tuples = sorted(set(all_strip_tuples(5, 3, range(-2, 3))))
