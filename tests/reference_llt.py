@@ -5,10 +5,11 @@ tableau sum is the straightforward form: every filling adds its own
 monomial q^inversions at its content, its inversions read off the attack
 pairs listed pair by pair (the library keeps them only as one mask per
 cell).  The operator side goes through the power-sum basis (the library's
-integral z_lam [p_lam] values, divided exactly by d! in variables).  The Schröder word is built in three stages: the cells sorted
-into reading order, their attacker counts and crosses by bisecting each
-diagonal, then a walk over both; the library builds it in one pass
-(llt.to_schroeder_word) and must give the same word.  The library's m_lam coefficients (its integer count and
+integral z_lam [p_lam] values, divided exactly by d! in variables).  The
+Schröder word is built in three stages: the cells sorted into reading
+order, their attacker counts and crosses by bisecting each diagonal, then a
+walk over both; the library builds it in one pass (llt.to_schroeder_word)
+and must give the same word.  The library's m_lam coefficients (its integer count and
 integer e -> monomial bridge) must equal their m-projections
 (reference_symfunc.m_projection) exactly.
 """
