@@ -22,9 +22,10 @@ only the partitions lam are walked (_tableau_sum).
 
 Each side is memoized on the exact data it depends on, and neither key
 goes through the other side's data.  The tableau sum is keyed by the strip
-heights and one attack mask per (strip, level) cell, the operator side by
-the tuple's Schröder word; both clamp nvars to the cell count, since no
-partition of the cells has more parts.  The memos hold tuples of
+heights and one attack mask per cell, the strips in the reading order of
+their bottom cells, so tuples with one Schröder path share one key; the
+operator side is keyed by that word.  Both clamp nvars to the cell count,
+since no partition of the cells has more parts.  The memos hold tuples of
 (lam, QPoly) pairs, and every call returns a fresh dict.
 """
 
@@ -119,32 +120,52 @@ def to_schroeder_word(strips: StripTuple) -> Word:
 
 def _tableau_key(strips: StripTuple) -> tuple:
     """What the tableau sum of a nonempty strip tuple depends on, besides
-    nvars: (heights in tuple order, one attack mask per cell).
+    nvars: (heights, one attack mask per cell), in canonical order.
 
-    Cells are numbered in (strip, level) order, level a cell's index up its
-    strip.  Bit x of cell r's mask is set iff (x, r) is an attack pair, x
-    the earlier cell in reading order: x is on r's diagonal in an earlier
+    The strips go in the reading order of their bottom cells (bottom
+    diagonal, then tuple index), and the cells are numbered strip by strip
+    in that order, up each strip; the heights are given in that order too.
+    Bit x of cell r's mask is set iff (x, r) is an attack pair, x the
+    earlier cell in reading order: x is on r's diagonal in an earlier
     strip, or on the diagonal below in a later one.  So one pass over the
-    strips in order, and one in reverse, each keeping the cells seen so far
-    per diagonal, give every mask.  The fillings are fixed by the heights,
-    and a filling's inversions by the values at the attack pairs' cells, so
-    tuples with equal keys have equal tableau sums; the diagonals enter only
-    through which pairs attack.
+    strips in tuple order, and one in reverse, each keeping the cells seen
+    so far per diagonal, give every mask.  The fillings are fixed by the
+    heights, and a filling's inversions by the values at the attack pairs'
+    cells, so tuples with equal keys have equal tableau sums.
+
+    Exact: numbering the cells in another strip order keeps each strip
+    contiguous and bottom up, so it maps fillings to fillings and attack
+    pairs to attack pairs, and the count does not change.
+
+    A function of the word: the strips are the chains of crosses of the
+    Schröder path, a strip's bottom a row with no cross below it, and the
+    attackers of row r are the a_r rows just before it (to_schroeder_word).
+    So the heights in bottom order and the masks can both be read off the
+    path, and tuples with one path share one key; the key is still built
+    from the tuple alone.
     """
-    masks = []
+    bottoms = sorted([(d0, s, h) for s, (d0, h) in enumerate(strips)])
+    first = [0] * len(strips)  # per strip, the number of its bottom cell
+    cells = 0
+    for _, s, h in bottoms:
+        first[s] = cells
+        cells += h
+    masks = [0] * cells
     on: dict[int, int] = {}  # per diagonal, its cells in the strips passed so far
-    for d0, h in strips:
+    for (d0, h), x in zip(strips, first):
         for d in range(d0, d0 + h):
-            masks.append(on.get(d, 0))
-            on[d] = on.get(d, 0) + (1 << len(masks) - 1)
+            masks[x] = seen = on.get(d, 0)
+            on[d] = seen + (1 << x)
+            x += 1
     on = {}
-    x = len(masks)
-    for d0, h in reversed(strips):
+    for (d0, h), x in zip(reversed(strips), reversed(first)):
+        x += h
+        # top down, so a cell reads the diagonal below before its own strip adds to it
         for d in range(d0 + h - 1, d0 - 1, -1):
             x -= 1
             masks[x] += on.get(d - 1, 0)
             on[d] = on.get(d, 0) + (1 << x)
-    return tuple(h for _, h in strips), tuple(masks)
+    return tuple([h for _, _, h in bottoms]), tuple(masks)
 
 
 def ssyt_generating_function(strips: StripTuple, nvars: int) -> dict[Partition, QPoly]:
@@ -160,9 +181,9 @@ def ssyt_generating_function(strips: StripTuple, nvars: int) -> dict[Partition, 
     only the values 1..len(lam), and len(lam) <= cells.
 
     The sum is memoized per (_tableau_key, min(nvars, cells)): the heights
-    and the attack masks between (strip, level) cells are all the count
-    reads, so tuples that differ only in where their strips sit share one
-    count (_tableau_sum).
+    and the attack masks between the cells, numbered strip by strip in the
+    reading order of the strips' bottoms, are all the count reads, so all
+    the tuples of one Schröder path share one count (_tableau_sum).
     """
     if nvars < 1:
         raise ValueError("need at least one variable")
@@ -206,7 +227,7 @@ def _tableau_sum(
     heights: tuple[int, ...], attacks: tuple[int, ...], nvars: int
 ) -> tuple[tuple[Partition, QPoly], ...]:
     """The m_lam coefficients of the tableau sum of strips of these heights
-    (tuple order) with these attack masks (as _tableau_key writes them), in
+    with these attack masks, both in _tableau_key's strip order, in
     nvars <= cells values, as (lam, QPoly) pairs.
 
     The values 1, 2, ... are placed one at a time.  A state is the mask of

@@ -44,7 +44,7 @@ from functools import cache
 from itertools import groupby
 from math import comb, factorial
 
-from .qpoly import ONE, QPoly, accumulate, render_qpoly
+from .qpoly import ONE, QPoly, _canonical, accumulate, render_qpoly
 
 # A partition is a weakly decreasing tuple of positive ints; () is allowed.
 Partition = tuple[int, ...]
@@ -358,9 +358,10 @@ def e_expansion_in_m(expansion: dict[Partition, QPoly], nvars: int) -> dict[Part
     m_lam coefficients {lam: QPoly}.
 
     Every lam with at most nvars parts gets sum_mu c_mu * _e_to_m(mu, lam),
-    summed coefficient by coefficient in the scalars' own ints; zero sums are
-    dropped.  A symmetric polynomial in nvars variables is fixed by these
-    coefficients: each is the coefficient of x^lam in
+    summed coefficient by coefficient in the scalars' own ints, which need
+    no coercion (_canonical); zero sums are dropped.  A symmetric polynomial
+    in nvars variables is fixed by these coefficients: each is the
+    coefficient of x^lam in
     expand_in_vars(e_expansion_in_p(expansion, n), nvars), n >= the degree.
     """
     if nvars < 1:
@@ -378,7 +379,7 @@ def e_expansion_in_m(expansion: dict[Partition, QPoly], nvars: int) -> dict[Part
                 if count:
                     for i, a in enumerate(c.coeffs):
                         acc[i] += count * a
-            coeff = QPoly(acc)
+            coeff = _canonical(acc)
             if coeff:
                 out[lam] = coeff
     return out

@@ -4,14 +4,15 @@ Both are full polynomials in nvars variables, {exponent vector: QPoly}.  The
 tableau sum is the straightforward form: every filling adds its own
 monomial q^inversions at its content, its inversions read off the attack
 pairs listed pair by pair (the library keeps them only as one mask per
-cell).  The operator side goes through the power-sum basis (the library's
-integral z_lam [p_lam] values, divided exactly by d! in variables).  The
-Schröder word is built in three stages: the cells sorted into reading
-order, their attacker counts and crosses by bisecting each diagonal, then a
-walk over both; the library builds it in one pass (llt.to_schroeder_word)
-and must give the same word.  The library's m_lam coefficients (its integer count and
-integer e -> monomial bridge) must equal their m-projections
-(reference_symfunc.m_projection) exactly.
+cell, in its canonical cell order; strip_order_key is the same key in
+tuple order).  The operator side goes through the power-sum basis (the
+library's integral z_lam [p_lam] values, divided exactly by d! in
+variables).  The Schröder word is built in three stages: the cells sorted
+into reading order, their attacker counts and crosses by bisecting each
+diagonal, then a walk over both; the library builds it in one pass
+(llt.to_schroeder_word) and must give the same word.  The library's m_lam
+coefficients (its integer count and integer e -> monomial bridge) must
+equal their m-projections (reference_symfunc.m_projection) exactly.
 """
 
 from __future__ import annotations
@@ -120,6 +121,31 @@ def attack_pairs(strips: StripTuple) -> set[tuple[int, int]]:
             elif dr == dp + 1 and sp > sr:
                 pairs.add((ip + 1, ir + 1))
     return pairs
+
+
+def strip_order_key(strips: StripTuple) -> tuple:
+    """The tableau key with the cells numbered in (strip, level) order and
+    the heights in tuple order: the same attack pairs as llt._tableau_key,
+    whose strips go in the order of their bottom cells instead.
+
+    Bit x of cell r's mask is set iff (x, r) is an attack pair, x the
+    earlier cell in reading order.  Tuples with one path can get different
+    keys here, since the numbering follows the tuple, not the path.
+    """
+    masks = []
+    on: dict[int, int] = {}  # per diagonal, its cells in the strips passed so far
+    for d0, h in strips:
+        for d in range(d0, d0 + h):
+            masks.append(on.get(d, 0))
+            on[d] = on.get(d, 0) + (1 << len(masks) - 1)
+    on = {}
+    x = len(masks)
+    for d0, h in reversed(strips):
+        for d in range(d0 + h - 1, d0 - 1, -1):
+            x -= 1
+            masks[x] += on.get(d - 1, 0)
+            on[d] = on.get(d, 0) + (1 << x)
+    return tuple(h for _, h in strips), tuple(masks)
 
 
 def ssyt_generating_function(strips: StripTuple, nvars: int) -> XPoly:

@@ -25,6 +25,7 @@ from reference_llt import area_and_crosses, attack_pairs, reading_order, three_s
 from reference_llt import llt_in_vars as reference_llt_in_vars
 from reference_llt import oracle_compare
 from reference_llt import ssyt_generating_function as reference_ssyt
+from reference_llt import strip_order_key
 from reference_symfunc import m_projection
 from vsllt.cli import _area_and_crosses as read_back
 from vsllt.paths import parse_word, primitive_factors, render_word
@@ -427,7 +428,7 @@ def test_every_state_digit_fits_the_width():
     # variables, and on the criterion-6 ones at every nvars up to the cells;
     # some states need every bit of the width, so one bit fewer fails here
     keys = {_tableau_key(t) for t in set(all_strip_tuples(6, 4, range(-2, 3))) if t}
-    assert len(keys) == 3095
+    assert len(keys) == 645
     cases = [(key, nvars) for key in keys for nvars in (2, 3) if nvars <= len(key[1])]
     cases += [
         (key, nvars)
@@ -449,11 +450,13 @@ def test_every_state_digit_fits_the_width():
 def test_attack_masks_are_the_attack_pairs():
     # the key's masks, built in two passes over the strips, against the
     # attack pairs listed pair by pair: bit x of cell r's mask is set iff
-    # (x, r) attacks, cells numbered in (strip, level) order
+    # (x, r) attacks, cells numbered strip by strip, up each strip, with the
+    # strips in the reading order of their bottom cells
     for t in CRITERION_6[1:] + [BIG]:
         heights, masks = _tableau_key(t)
-        assert heights == tuple(h for _, h in t)
-        offsets = list(accumulate(heights, initial=0))
+        order = [s for s, d in reading_order(t) if d == t[s][0]]
+        assert heights == tuple(t[s][1] for s in order)
+        offsets = dict(zip(order, accumulate(heights, initial=0)))
         number = [offsets[s] + d - t[s][0] for s, d in reading_order(t)]
         want = [0] * cell_count(t)
         for p, r in attack_pairs(t):
@@ -496,7 +499,7 @@ def test_tableau_tally_matches_the_reference_on_four_strips():
 
 def test_tableau_key_is_all_the_tableau_sum_depends_on():
     # Lemma: the tableau sum is a function of the heights, the attack pairs
-    # between (strip, level) cells and min(nvars, cells), so tuples that
+    # between the key's numbered cells and min(nvars, cells), so tuples that
     # share a key share the per-filling reference sum.  Every criterion-6
     # tuple at 1 and 2 variables and at as many as cells; a key of the
     # heights and the number of attack pairs alone merges keys whose sums
@@ -510,7 +513,47 @@ def test_tableau_key_is_all_the_tableau_sum_depends_on():
         want = reference_m(members[0], nvars)
         for t in members[1:]:
             assert reference_m(t, nvars) == want, (render_strips(members[0]), render_strips(t), nvars)
-    assert len({key for key, _ in groups}) == 300
+    assert len({key for key, _ in groups}) == 118
+
+
+# every tuple of at most 6 cells and 4 strips with bottoms on -3..3: each
+# word of semilength <= 6 that a strip tuple reaches with bottoms on -2..2,
+# and a few more
+WIDE = sorted({t for t in all_strip_tuples(6, 4, range(-3, 4)) if t})
+
+
+def test_canonical_key_counts_as_the_strip_order_key():
+    # Lemma: numbering the cells strip by strip in another strip order keeps
+    # each strip contiguous and bottom up, so it maps fillings to fillings
+    # and attack pairs to attack pairs, and the count does not change.  Each
+    # distinct (strip-order key, canonical key) pair counted afresh on both
+    # keys, then every tuple's tableau sum against the strip-order key's; a
+    # key that numbers one strip's cells top down fails here
+    assert len(WIDE) == 43652
+    pairs = {(strip_order_key(t), _tableau_key(t)) for t in WIDE}
+    want = {}
+    for old, new in pairs:
+        for nvars in sorted({1, 2, len(old[1])}):
+            counted = _tableau_sum.__wrapped__(*old, nvars)
+            assert _tableau_sum.__wrapped__(*new, nvars) == counted, (old, new, nvars)
+            want[old, nvars] = dict(counted)
+    for t in WIDE:
+        old = strip_order_key(t)
+        for nvars in sorted({1, 2, len(old[1])}):
+            assert ssyt_generating_function(t, nvars) == want[old, nvars], (render_strips(t), nvars)
+
+
+def test_canonical_key_is_a_function_of_the_word():
+    # Lemma: a strip is a chain of crosses, its bottom a row with no cross
+    # below it, and the attackers of row r are the a_r rows just before it,
+    # so the heights in bottom order and the masks are read off the path:
+    # tuples with one word share one key, and here one key is one word.
+    # The strip-order key gives more keys than words, and fails here
+    words = {}
+    for t in WIDE:
+        words.setdefault(to_schroeder_word(t), set()).add(_tableau_key(t))
+    assert all(len(keys) == 1 for keys in words.values())
+    assert len(words) == len(set().union(*words.values())) == 656
 
 
 def test_memoized_tableau_sum_is_the_count():
