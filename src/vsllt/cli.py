@@ -37,15 +37,15 @@ MAX_VERIFY_SEMILENGTH = 9
 # Largest semilength ``expand`` rewrites, and the most cells ``oracle`` takes:
 # a strip tuple's word has semilength equal to its cell count, and the oracle's
 # operator side rewrites that word.  The costliest word of semilength n is
-# -^n +^n: about 1.4 s and 47 MB peak RSS at 14, and 3.4-4.2 s and 85 MB at
-# 15, where the rewrite memo doubles to 2**15 - 1 open tails.  This is
+# -^n +^n: 0.7-0.8 s and 45 MB peak RSS at 14, and 1.9 s and 82 MB at 15,
+# where the rewrite memo doubles to 2**15 - 1 open tails.  This is
 # ``oracle``'s only cap: both sides clamp nvars to the cells, and the tableau
 # count keeps at most prod(h + 1) <= 2**cells filled-cell masks per partition
 # prefix.  Over every height multiset of <= 14 cells, strips on one diagonal
 # or staggered one diagonal apart, at nvars 1, 2, 3, cells and cells + 2
 # (5056 inputs, all matching), the slowest run cold in its own process is
-# 14 one-cell strips on one diagonal: 4.0-4.3 s and 51 MB peak RSS, of which
-# the tableau side is 2.7-3.5 s (Python 3.11.7 on a 2-vCPU x86_64 host).
+# 14 one-cell strips on one diagonal: 3.2-3.3 s and 50 MB peak RSS, of which
+# the tableau side is 2.3-2.5 s (Python 3.11.7 on a 2-vCPU x86_64 host).
 MAX_EXPAND_SEMILENGTH = 14
 
 # Most cells ``path`` takes: time and memory grow linearly in the cell count,

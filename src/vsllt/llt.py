@@ -20,6 +20,9 @@ are placed one at a time, each into the next free cell of lam_v strips, on
 states that are masks of filled cells holding packed q-polynomials, and
 only the partitions lam are walked (_tableau_sum).
 
+The operator side is the word's rewritten e-expansion, taken to the
+monomial basis while still packed (rewrite.lincomb_to_m).
+
 Each side is memoized on the exact data it depends on, and neither key
 goes through the other side's data.  The tableau sum is keyed by the strip
 heights and one attack mask per cell, the strips in the reading order of
@@ -37,8 +40,8 @@ from math import comb, prod
 
 from .paths import MINUS, PLUS, ZERO, Word
 from .qpoly import ONE, QPoly, _canonical
-from .rewrite import expand_word
-from .symfunc import Partition, _partitions_within, e_expansion_in_m
+from . import rewrite
+from .symfunc import Partition, _partitions_within
 # unused here, but bench/tracing.py wraps llt.e_mu_in_p and llt.expand_in_vars by name
 from .symfunc import e_mu_in_p, expand_in_vars  # noqa: F401
 
@@ -321,6 +324,8 @@ def llt_in_vars(strips: StripTuple, nvars: int) -> dict[Partition, QPoly]:
 
 @cache
 def _operator_side(word: Word, nvars: int) -> tuple[tuple[Partition, QPoly], ...]:
-    """The word's rewritten e-expansion through the integer e -> monomial
-    transition, as (lam, QPoly) pairs; every coefficient is a QPoly of ints."""
-    return tuple(e_expansion_in_m(expand_word(word), nvars).items())
+    """The word's rewritten e-expansion taken to the monomial basis packed
+    (``rewrite.lincomb_to_m``), as (lam, QPoly) pairs; every coefficient is a
+    QPoly of ints.  Both calls go through rewrite's namespace, where a
+    caller that wraps ``normalize`` finds it."""
+    return tuple(rewrite.lincomb_to_m(rewrite.normalize(word), nvars).items())

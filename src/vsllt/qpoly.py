@@ -17,7 +17,8 @@ One in-place Taylor shift by +1 (``_taylor_shift``) serves
 are the coefficients of a(q+1).  A QPoly remembers its a(q+1), so each
 polynomial is shifted at most once.  The way back, from (q-1)-digits to q,
 is the packed-coefficient codec at the end of this module: Kronecker
-substitution, which ``rewrite.unpack``, ``verify`` and the operators share.
+substitution, which ``verify``, the operators and ``rewrite.lincomb_to_m``
+share; ``rewrite.lincomb_to_e`` writes its loops out in one pass.
 """
 
 from __future__ import annotations

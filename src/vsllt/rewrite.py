@@ -10,18 +10,22 @@ of degree >= 1.
 Every '+' left of that one has degree 0, so the word left of it is a run of
 blocks followed by an open tail in -{-,0}*, and every rule touches only that
 tail and the '+' (the bubble never passes a '+').  So ``normalize`` reads the
-word left to right, on a state {(mu, tail): coefficient}, mu being the
-partition of the closed blocks: a '-' or '0' appends to every tail, and a '+'
-replaces each entry by ``_close(tail)``, the normal forms of tail+, each of
-which closes at most one block.  ``_close`` is memoized and built from
+word left to right, on a state {tail: {mu: coefficient}} grouped by open
+tail, mu being the partition of the closed blocks: a '-' or '0' appends to
+every tail, and a '+' asks ``_close(tail)`` once per tail, the normal forms
+of tail+, each of which closes at most one block, and maps each of the
+tail's partitions through them.  ``_close`` is memoized and built from
 shorter tails by one rule step each.  The result is {mu: coefficient}.
 
 Every rule scalar is 1, q-1 or q, so every coefficient the engine holds lies
 in N[t] with t = q-1.  ``normalize`` packs each one into a single int, its
-value at t = 2**B for B = ``digit_bits(n)`` (the width lemma below), and
-``lincomb_to_e`` unpacks each partition's coefficient once, by qpoly's
-Kronecker codec.  A return to the diagonal is a state whose tails are all
-empty, so a composite word multiplies its factors' values as it is read.
+value at t = 2**B for B = ``digit_bits(n)`` (the width lemma below).
+``lincomb_to_e`` decodes each partition's coefficient in q once, in one
+pass (Kronecker substitution, qpoly's codec), and ``lincomb_to_m`` takes
+the packed expansion to the monomial basis in n variables with one int sum
+per m_lam, for the tableau oracle.  A return to the diagonal is a state
+with one group, the empty tail, so a composite word multiplies its factors'
+values as it is read.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from functools import cache
 from sys import intern
 
 from .paths import MINUS, PLUS, ZERO, Word, primitive_factors, semilength
-from .qpoly import ONE, Q, Q_MINUS_1, QPoly, _at_q, _canonical, digits_bound, unpack_balanced
-from .symfunc import Partition
+from .qpoly import ONE, Q, Q_MINUS_1, QPoly, _at_q, digits_bound, unpack_balanced
+from .symfunc import Partition, _e_to_m_row, _partitions_within
 
 # A linear combination of words: {word: QPoly}, no zero coefficients.
 LinComb = dict[Word, QPoly]
@@ -159,14 +163,9 @@ def split_digits(value: int, n: int) -> list[int]:
 
 def unpack(value: int, n: int) -> QPoly:
     """The coefficient in q that ``normalize`` packed into value at
-    semilength n, by Kronecker substitution: its digits, read at q = 2**bits
-    for a width read off them, give the q-coefficients as balanced digits.
-    The result keeps the digits as its value at q+1."""
-    digits = split_digits(value, n)
-    bits = digits_bound(digits).bit_length() + 1
-    p = unpack_balanced(_at_q(digits, bits), bits)
-    p._plus_one = _canonical(digits)
-    return p
+    semilength n: ``lincomb_to_e``'s decode of the one-term expansion
+    value * e_n."""
+    return lincomb_to_e({(n,): value})[(n,)]
 
 
 def _times(scalar: QPoly, c: int, bits: int) -> int:
@@ -220,30 +219,41 @@ def _close(tail: str, bits: int) -> tuple:
 def normalize(word: Word) -> dict[Partition, int]:
     """Rewrite a path word into its e-expansion, {mu: packed coefficient}.
 
-    The word is read left to right on a state {(mu, tail): coefficient}: a
-    run of '-' and '0' appends to every open tail, and a '+' maps each entry
-    through ``_close``, merging the block it closes into mu and multiplying
-    the coefficients.  A return to the diagonal, the end of a valid word
-    among them, leaves every tail empty: no rule crosses it, and a composite
-    word's value is the product of its primitive factors' values.
+    The word is read left to right on a state {tail: {mu: coefficient}},
+    grouped by open tail: a run of '-' and '0' appends to every tail, and a
+    '+' asks ``_close`` once per tail, then maps each of the tail's
+    partitions through every form, merging the block it closes into mu and
+    multiplying the coefficients.  A return to the diagonal, the end of a
+    valid word among them, leaves one group, the empty tail: no rule crosses
+    it, a composite word's value is the product of its primitive factors'
+    values, and the next factor's tails are read once for all partitions.
 
     Each coefficient lies in N[t], t = q-1, packed as its value at t = 2**B,
     B = ``digit_bits`` of the semilength, so a product of two is one int
     product (the width lemma), and a sum of positive ints is never zero.
-    ``unpack`` gives a coefficient back in q.
+    ``lincomb_to_e`` gives the coefficients back in q.
     """
     primitive_factors(word)  # raises WordError on an invalid word
     bits = digit_bits(semilength(word))
-    state: dict[tuple[Partition, str], int] = {((), ""): 1}
+    state: dict[str, dict[Partition, int]] = {"": {(): 1}}
     for run in word.split(PLUS)[:-1]:
-        nxt: dict[tuple[Partition, str], int] = {}
-        for (mu, tail), c in state.items():
+        nxt: dict[str, dict[Partition, int]] = {}
+        for tail, group in state.items():
             forms = iter(_close(tail + run, bits))
             for part, rest, r in zip(forms, forms, forms):
-                key = (_with_part(mu, part) if part else mu, rest)
-                nxt[key] = nxt.get(key, 0) + c * r
+                out = nxt.get(rest)
+                if out is None:
+                    out = nxt[rest] = {}
+                if part:
+                    for mu, c in group.items():
+                        mu = _with_part(mu, part)
+                        out[mu] = out.get(mu, 0) + c * r
+                else:
+                    for mu, c in group.items():
+                        out[mu] = out.get(mu, 0) + c * r
+            group.clear()  # frees its coefficients while the next state grows
         state = nxt
-    return {mu: c for (mu, _), c in state.items()}
+    return state[""]
 
 
 @cache
@@ -254,8 +264,88 @@ def _with_part(mu: Partition, part: int) -> Partition:
 
 def lincomb_to_e(packed: dict[Partition, int]) -> dict[Partition, QPoly]:
     """``normalize``'s packed e-expansion with each coefficient unpacked in q,
-    at the semilength |mu|."""
-    return {mu: unpack(c, sum(mu)) for mu, c in packed.items()}
+    at the semilength |mu|, by Kronecker substitution in one pass per
+    coefficient: split its t-digits, read them at q = 2**bits by Horner
+    (t = 2**bits - 1, each step a shift and a subtraction) for a width read
+    off them (qpoly's ``digits_bound``, so a wrong digit cannot alias), and
+    take that value's balanced base-2**bits digits, the q-coefficients.
+
+    The result keeps the t-digits as its value at q+1.  The three loops are
+    ``split_digits``, qpoly's ``_at_q`` and ``unpack_balanced`` written out
+    in one body: calling them instead cost the expand-deep benchmark 6% of
+    its items per second (ten alternating 40 s pairs, Python 3.11.7 on a
+    2-vCPU x86_64 host).
+    """
+    out = {}
+    size = None
+    for mu, value in packed.items():
+        if value < 0:
+            raise ValueError(f"a packed coefficient is nonnegative, got {value}")
+        if sum(mu) != size:
+            size = sum(mu)
+            tbits = digit_bits(size)
+            tmask = (1 << tbits) - 1
+        digits, top = [], 0
+        while value:
+            d = value & tmask
+            if d > top:
+                top = d
+            digits.append(d)
+            value >>= tbits
+        bits = (top << len(digits)).bit_length() + 1  # digits_bound(digits)
+        for d in reversed(digits):
+            value = (value << bits) - value + d
+        half = 1 << (bits - 1)
+        full, mask = half << 1, (half << 1) - 1
+        coeffs = []
+        while value:
+            d = value & mask
+            if d >= half:
+                d -= full
+            coeffs.append(d)
+            value = (value - d) >> bits
+        # neither digit list ends in a zero: each loop stops at a zero value
+        p, plus_one = QPoly.__new__(QPoly), QPoly.__new__(QPoly)
+        p.coeffs, p._plus_one = tuple(coeffs), plus_one
+        plus_one.coeffs, plus_one._plus_one = tuple(digits), None
+        out[mu] = p
+    return out
+
+
+def lincomb_to_m(packed: dict[Partition, int], nvars: int) -> dict[Partition, QPoly]:
+    """``normalize``'s packed e-expansion {mu: c_mu} in nvars variables, as
+    its m_lam coefficients {lam: QPoly} over the partitions lam with at most
+    nvars parts (zero coefficients left out).
+
+    The m_lam coefficient is sum_mu K(mu, lam) c_mu, K(mu, lam) >= 0 the
+    coefficient of m_lam in e_mu (symfunc's ``_e_to_m_row``).  Every c_mu is
+    read once at one q = 2**bits, from its t-digits, and each m_lam is one
+    int sum of those values, decoded once by its balanced base-2**bits
+    digits.  The width: every q-coefficient of c_mu is at most
+    digits_bound(c_mu's digits) / 2 in absolute value, since it is
+    sum_i d_i C(i, j) (-1)**(i-j) over i < len and sum_{i<len} C(i, j) =
+    C(len, j+1) <= 2**(len-1); so every q-coefficient of m_lam is at most
+    bound / 2, bound = sum_mu max_lam K(mu, lam) * digits_bound, and lies
+    below 2**(bits-1) for bits = bound.bit_length().  The bound is read off
+    the digits, so a wrong digit cannot alias.
+    """
+    if nvars < 1:
+        raise ValueError("need at least one variable")
+    by_size: dict[int, list[tuple[tuple[int, ...], list[int]]]] = {}
+    for mu, c in packed.items():
+        size = sum(mu)
+        by_size.setdefault(size, []).append((_e_to_m_row(mu, nvars), split_digits(c, size)))
+    out = {}
+    for size, rows in by_size.items():
+        bits = sum(max(row, default=0) * digits_bound(ds) for row, ds in rows).bit_length()
+        sums = [0] * len(rows[0][0])
+        for row, ds in rows:
+            value = _at_q(ds, bits)
+            sums = [s + k * value for s, k in zip(sums, row)]
+        for lam, s in zip(_partitions_within(size, nvars), sums):
+            if s:
+                out[lam] = unpack_balanced(s, bits)
+    return out
 
 
 def expand_word(word: Word) -> dict[Partition, QPoly]:

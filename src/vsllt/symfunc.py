@@ -1,4 +1,4 @@
-"""The power-sum basis in integers, and the integer e -> monomial bridge.
+"""The power-sum basis in integers, and the integer e -> monomial transition.
 
 A GradedSym is a symmetric function f with QPoly coefficients, truncated at
 degree n (terms of degree > n are dropped), stored in the p-basis scaled by
@@ -30,10 +30,11 @@ degree d.  dyckalgebra.eval_word returns a GradedSym; the operators keep
 their e-basis coefficients in plain {partition: scalar} dicts, QPoly or the
 packed ints of dyckalgebra's packed rings.
 
-The tableau oracle takes its e-expansion to the monomial basis through
-e_expansion_in_m instead, the integer e -> monomial bridge at the end of the
-module: one coefficient per m_lam with at most n parts, no exponent vectors
-and no Fraction.
+The tableau oracle takes its e-expansion to the monomial basis instead,
+through the integer e -> monomial transition at the end of the module:
+``_e_to_m_row`` gives e_mu's coefficient on every m_lam with at most n parts,
+no exponent vectors and no Fraction, and ``rewrite.lincomb_to_m`` sums those
+rows over normalize's packed coefficients.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from functools import cache
 from itertools import groupby
 from math import comb, factorial
 
-from .qpoly import ONE, QPoly, _canonical, accumulate, render_qpoly
+from .qpoly import ONE, QPoly, accumulate, render_qpoly
 
 # A partition is a weakly decreasing tuple of positive ints; () is allowed.
 Partition = tuple[int, ...]
@@ -298,7 +299,7 @@ def _divexact(c: QPoly, m: int) -> QPoly:
 
 
 # ---------------------------------------------------------------------------
-# Integer e -> monomial bridge (the tableau oracle's operator side).  The
+# Integer e -> monomial transition (the tableau oracle's operator side).  The
 # coefficient of m_lam in e_mu counts the 0/1 matrices with row sums mu and
 # column sums lam (Macdonald, Symmetric Functions and Hall Polynomials, I.6).
 
@@ -353,33 +354,9 @@ def _partitions_within(size: int, parts: int, largest: int | None = None) -> tup
     )
 
 
-def e_expansion_in_m(expansion: dict[Partition, QPoly], nvars: int) -> dict[Partition, QPoly]:
-    """sum_mu c_mu e_mu(x_1..x_nvars) for an e-expansion {mu: c_mu}, as its
-    m_lam coefficients {lam: QPoly}.
-
-    Every lam with at most nvars parts gets sum_mu c_mu * _e_to_m(mu, lam),
-    summed coefficient by coefficient in the scalars' own ints, which need
-    no coercion (_canonical); zero sums are dropped.  A symmetric polynomial
-    in nvars variables is fixed by these coefficients: each is the
-    coefficient of x^lam in
-    expand_in_vars(e_expansion_in_p(expansion, n), nvars), n >= the degree.
-    """
-    if nvars < 1:
-        raise ValueError("need at least one variable")
-    by_size: dict[int, list[tuple[Partition, QPoly]]] = {}
-    for mu, c in expansion.items():
-        by_size.setdefault(sum(mu), []).append((mu, c))
-    out: dict[Partition, QPoly] = {}
-    for size, terms in by_size.items():
-        width = max(len(c.coeffs) for _, c in terms)
-        for lam in _partitions_within(size, nvars):
-            acc = [0] * width
-            for mu, c in terms:
-                count = _e_to_m(mu, lam)
-                if count:
-                    for i, a in enumerate(c.coeffs):
-                        acc[i] += count * a
-            coeff = _canonical(acc)
-            if coeff:
-                out[lam] = coeff
-    return out
+@cache
+def _e_to_m_row(mu: Partition, nvars: int) -> tuple[int, ...]:
+    """The coefficients of e_mu(x_1..x_nvars) in the monomial basis: one
+    _e_to_m(mu, lam) for each lam in _partitions_within(|mu|, nvars), in
+    that order."""
+    return tuple(_e_to_m(mu, lam) for lam in _partitions_within(sum(mu), nvars))

@@ -11,7 +11,9 @@ term by term.  The library's GradedSym stores z_lam [p_lam] f instead;
 ``true_p`` is the one conversion between the two, and divides by z_lam.
 
 And the projection of a full n-variable polynomial onto the monomial basis,
-which the library's m_lam coefficients are compared with.
+which the library's m_lam coefficients are compared with, and
+``e_expansion_in_m``, the e -> monomial bridge on decoded QPoly coefficients
+that the library ran before ``rewrite.lincomb_to_m`` summed it packed.
 """
 
 from __future__ import annotations
@@ -23,8 +25,14 @@ from itertools import groupby
 from math import factorial
 
 from vsllt import symfunc
-from vsllt.qpoly import ONE, QPoly, accumulate, render_qpoly
-from vsllt.symfunc import Partition, check_partition, merge_partitions
+from vsllt.qpoly import ONE, QPoly, _canonical, accumulate, render_qpoly
+from vsllt.symfunc import (
+    Partition,
+    _e_to_m,
+    _partitions_within,
+    check_partition,
+    merge_partitions,
+)
 
 
 def z(lam: Partition) -> int:
@@ -157,3 +165,34 @@ def m_projection(poly: dict[tuple[int, ...], QPoly]) -> dict[Partition, QPoly]:
         for e, c in poly.items()
         if all(a >= b for a, b in zip(e, e[1:]))
     }
+
+
+def e_expansion_in_m(expansion: dict[Partition, QPoly], nvars: int) -> dict[Partition, QPoly]:
+    """sum_mu c_mu e_mu(x_1..x_nvars) for an e-expansion {mu: c_mu}, as its
+    m_lam coefficients {lam: QPoly}.
+
+    Every lam with at most nvars parts gets sum_mu c_mu * _e_to_m(mu, lam),
+    summed coefficient by coefficient in the scalars' own ints; zero sums
+    are dropped.  A symmetric polynomial in nvars variables is fixed by
+    these coefficients: each is the coefficient of x^lam in
+    expand_in_vars(e_expansion_in_p(expansion, n), nvars), n >= the degree.
+    """
+    if nvars < 1:
+        raise ValueError("need at least one variable")
+    by_size: dict[int, list[tuple[Partition, QPoly]]] = {}
+    for mu, c in expansion.items():
+        by_size.setdefault(sum(mu), []).append((mu, c))
+    out: dict[Partition, QPoly] = {}
+    for size, terms in by_size.items():
+        width = max(len(c.coeffs) for _, c in terms)
+        for lam in _partitions_within(size, nvars):
+            acc = [0] * width
+            for mu, c in terms:
+                count = _e_to_m(mu, lam)
+                if count:
+                    for i, a in enumerate(c.coeffs):
+                        acc[i] += count * a
+            coeff = _canonical(acc)
+            if coeff:
+                out[lam] = coeff
+    return out

@@ -26,12 +26,11 @@ from reference_llt import llt_in_vars as reference_llt_in_vars
 from reference_llt import oracle_compare
 from reference_llt import ssyt_generating_function as reference_ssyt
 from reference_llt import strip_order_key
-from reference_symfunc import m_projection
+from reference_symfunc import e_expansion_in_m, m_projection
 from vsllt.cli import _area_and_crosses as read_back
 from vsllt.paths import parse_word, primitive_factors, render_word
 from vsllt.qpoly import ONE, QPoly
 from vsllt.rewrite import expand_word
-from vsllt.symfunc import e_expansion_in_m
 
 # the running ten-cell example: six strips, heights 2,2,1,1,2,2
 BIG = parse_strips("0:2;-2:2;-1:1;1:1;-3:2;-1:2")

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product
 from math import comb
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import reference_rewrite
+from reference_symfunc import e_expansion_in_m
 from reference_qpoly import from_qminus1, rebase_qminus1_by_division
 from reference_rewrite import (
     _plus_weight,
@@ -33,6 +35,7 @@ from vsllt.rewrite import (
     e_positivity_report,
     expand_word,
     lincomb_to_e,
+    lincomb_to_m,
     normalize,
     rewrite_case0,
     rewrite_push_T,
@@ -244,6 +247,40 @@ def test_reference_block_parser():
     for word in ("--++", "-0", "0+", "-+0"):
         with pytest.raises(ValueError, match="non-terminal"):
             terminal_blocks(W(word))
+
+
+def test_lincomb_to_m():
+    # --++ is e[1, 1] + (q-1) e[2], packed at B = 2; e[1, 1] = m[2] + 2 m[1, 1]
+    # and e[2] = m[1, 1], so m[1, 1] gets 2 + (q-1) = q+1
+    assert normalize(W("--++")) == {(1, 1): 1, (2,): 4}
+    assert lincomb_to_m({(1, 1): 1, (2,): 4}, 2) == {(2,): ONE, (1, 1): Q + ONE}
+    assert lincomb_to_m({(1, 1): 1, (2,): 4}, 1) == {(2,): ONE}
+    # each partition is read at its own size |mu|; e[2, 1] has no m[1, 1, 1]
+    # in two variables
+    assert lincomb_to_m({(2, 1): packed(Q, 3), (1,): 1}, 2) == {(2, 1): Q, (1,): ONE}
+    assert lincomb_to_m({(): 1}, 1) == {(): ONE}
+    assert lincomb_to_m({}, 2) == {}
+    with pytest.raises(ValueError, match="at least one variable"):
+        lincomb_to_m({(1,): 1}, 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        lincomb_to_m({(1,): -1}, 1)
+
+
+def test_lincomb_to_m_is_the_reference_bridge_on_every_word_upto_6():
+    # The packed e -> m bridge against the reference, which sums the
+    # decoded q-coefficients one by one: on all 1160 words <= 6, at every
+    # nvars from 1 to n + 1, the same m_lam coefficients, all ints.
+    checked = 0
+    for w in WORDS_UPTO_6:
+        n = semilength(w)
+        packed_e = normalize(w)
+        in_e = lincomb_to_e(packed_e)
+        for nvars in range(1, n + 2):
+            got = lincomb_to_m(packed_e, nvars)
+            assert got == e_expansion_in_m(in_e, nvars), (w, nvars)
+            assert all(type(x) is int for c in got.values() for x in c.coeffs), (w, nvars)
+            checked += 1
+    assert len(WORDS_UPTO_6) == 1160 and checked == 7783
 
 
 def test_expand_word_collects_blocks():
@@ -522,6 +559,50 @@ def test_close_asks_only_for_shorter_tails(monkeypatch, cold_close):
         normalize(w)
     assert not stack
     assert nested  # the recursion ran
+
+
+def test_normalize_asks_close_once_per_tail(monkeypatch, cold_close):
+    # Lemma, the tail grouping: at each '+', normalize asks _close once for
+    # each distinct open tail of its state, extended by the run before the
+    # '+', not once per (partition, tail) entry.  A return to the diagonal
+    # leaves every partition on the empty tail, so a composite word reads
+    # its next factor once for all of them.  The entries are followed here
+    # as a set of (mu, tail) pairs, through _close's own forms; checked on
+    # every composite word <= 7.
+    depth, asked = [0], []
+
+    def watched(tail, bits):
+        if not depth[0]:
+            asked.append(tail)
+        depth[0] += 1
+        try:
+            return cold_close(tail, bits)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(rewrite, "_close", watched)
+    words = saved = 0
+    for w in iter_paths_upto(7):
+        if len(primitive_factors(w)) < 2:
+            continue
+        bits = digit_bits(semilength(w))
+        asked.clear()
+        normalize(w)
+        want, entries = [], {((), "")}
+        for run in w.split("+")[:-1]:
+            tails = {tail + run for _, tail in entries}
+            want += tails
+            saved += len(entries) - len(tails)
+            entries = {
+                (tuple(sorted((*mu, part), reverse=True)) if part else mu, rest)
+                for mu, tail in entries
+                for part, rest in _unflatten(cold_close(tail + run, bits))
+            }
+        assert Counter(asked) == Counter(want), w
+        words += 1
+    assert words == 3118
+    # entries that share a tail: the calls a per-entry state would repeat
+    assert saved == 26106
 
 
 def test_normalize_rewrites_each_word_once(monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import reference_symfunc
-from reference_symfunc import m_projection, true_p, z
+from reference_symfunc import e_expansion_in_m, m_projection, true_p, z
 from conftest import graded_syms, iter_paths_upto, partitions
 from vsllt.dyckalgebra import eval_in_e, eval_word
 from vsllt.paths import semilength
@@ -17,7 +17,6 @@ from vsllt.symfunc import (
     _e_to_m,
     _merge_factor,
     _partitions_within,
-    e_expansion_in_m,
     e_expansion_in_p,
     e_in_p,
     e_mu_in_p,
