@@ -24,8 +24,8 @@ from .paths import (
     semilength,
 )
 from .dyckalgebra import coefficient_bound, eval_in_e, packed_value, width_for
-from .qpoly import ZERO, _at_q, digits_bound, render_qpoly
-from .rewrite import e_positivity_report, expand_word, normalize, split_digits
+from .qpoly import ZERO, _at_q, digits_bound, render_qpoly, split_digits
+from .rewrite import digit_bits, e_positivity_report, expand_word, normalize
 
 # Largest semilength ``verify`` sweeps: all 129281 words through 9 take
 # 93-115 s and 80 MB peak RSS in one process; through 8, 9-12 s and 27 MB,
@@ -188,7 +188,7 @@ def cmd_path(args) -> int:
             _json_indent2(
                 {
                     "strips": llt.render_strips(strips),
-                    "word": render_word(word, compact=False),
+                    "word": render_word(word),
                     "compact": word,
                     "area": area,
                     "crosses": cross_pairs,
@@ -197,7 +197,7 @@ def cmd_path(args) -> int:
         )
         return 0
     print(f"strips: {llt.render_strips(strips)}")
-    print(f"word: {render_word(word, compact=False)}")
+    print(f"word: {render_word(word)}")
     print(f"compact: {word}")
     print(f"area: {tuple(area)}")
     print(f"crosses: {len(cross_pairs)} {cross_pairs}")
@@ -250,21 +250,23 @@ def _verify_one(word):
     nonnegative.  This is the one per-word check; tests call it too.
 
     Each coefficient is compared as one int.  The rewrite side's packed
-    value splits into its (q-1)-digits, which are also its coefficients at
-    q+1, so the two flags read them.  bits leaves ``coefficient_bound`` and
-    the bound on the q-coefficients that qpoly's ``digits_bound`` reads off
-    the actual digits (so a faulty rule cannot alias) below 2**(bits-1); the
-    oracle runs at q = 2**bits, and the digits are read at the same q
-    (``_at_q``), the codec ``rewrite.unpack`` decodes with.  Two polynomials
-    whose coefficients all lie below 2**(bits-1) in absolute value are equal
-    iff their values at 2**bits are.
+    value splits into its (q-1)-digits (qpoly's ``split_digits``), which
+    are also its coefficients at q+1, so the two flags read them.  bits
+    leaves ``coefficient_bound`` and the bound on the q-coefficients that
+    qpoly's ``digits_bound`` reads off the actual digits (so a faulty rule
+    cannot alias) below 2**(bits-1); the oracle runs at q = 2**bits, and the
+    digits are read at the same q (``_at_q``, the codec that
+    ``rewrite.lincomb_to_e`` writes out).  Two polynomials whose
+    coefficients all lie below 2**(bits-1) in absolute value are equal iff
+    their values at 2**bits are.
     """
     n = semilength(word)
     rewritten = normalize(word)
     rebased_ok = all(c >= 0 for c in rewritten.values())
     if not rebased_ok:
         return word, False, False, False
-    digits = {mu: split_digits(c, n) for mu, c in rewritten.items()}
+    tbits = digit_bits(n)
+    digits = {mu: split_digits(c, tbits) for mu, c in rewritten.items()}
     bits = width_for(max([coefficient_bound(word, n), *map(digits_bound, digits.values())]))
     evaluated = packed_value(word, bits)
     agrees = evaluated.keys() == digits.keys() and all(
@@ -316,7 +318,7 @@ def cmd_verify(args) -> int:
         return 2
     if args.max_semilength > MAX_VERIFY_SEMILENGTH:
         n = args.max_semilength
-        # the reference count enumerates Dyck paths, so count one level past the cap at most
+        # count one level past the cap at most, so a huge n is refused at once
         shown = min(n, MAX_VERIFY_SEMILENGTH + 1)
         counts = [count_paths_reference(k) for k in range(1, shown + 1)]
         more = "" if shown == n else "more than "

@@ -366,7 +366,7 @@ def packed_value(word: Word, bits: int) -> dict[Partition, int]:
     if len(factors) > 1:
         at = 1 << bits
         values = ([(mu, c(at)) for mu, c in _primitive_value(f)] for f in factors)
-        return multiply_expansions(values, 1)
+        return multiply_expansions(values)
     return _apply_packed(word, n, bits)
 
 

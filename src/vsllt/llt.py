@@ -39,7 +39,7 @@ from itertools import accumulate, combinations
 from math import comb, prod
 
 from .paths import MINUS, PLUS, ZERO, Word
-from .qpoly import ONE, QPoly, _canonical
+from .qpoly import ONE, QPoly, _canonical, split_digits
 from . import rewrite
 from .symfunc import Partition, _partitions_within
 # unused here, but bench/tracing.py wraps llt.e_mu_in_p and llt.expand_in_vars by name
@@ -268,7 +268,6 @@ def _tableau_sum(
     # moves[mask]: each strip's next free cell, its bit plus, above the cells,
     # the shift for its inversions with the cells that mask fills
     moves: dict[int, list[int]] = {}
-    digit = (1 << bits) - 1
     found = []
     stack = [{0: 1}]  # stack[v]: the states after the first v parts of the current lam
     prev: Partition = ()
@@ -301,13 +300,8 @@ def _tableau_sum(
                     rest -= x
                     shift += (attackers[x] & mask).bit_count()
                 value += before << shift * bits
-        if not value:
-            continue
-        counts = []
-        while value:
-            counts.append(value & digit)
-            value >>= bits
-        found.append((lam, _canonical(counts)))
+        if value:
+            found.append((lam, _canonical(split_digits(value, bits))))
     return tuple(found)
 
 

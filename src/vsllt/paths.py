@@ -32,8 +32,9 @@ def parse_word(text: str) -> Word:
     return "".join(tokens)
 
 
-def render_word(word: Word, compact: bool = True) -> str:
-    return word if compact else ",".join(word)
+def render_word(word: Word) -> str:
+    """The comma-separated form ("-,0,+"); a word is its own compact form."""
+    return ",".join(word)
 
 
 def primitive_factors(word: Word) -> list[Word]:
@@ -91,33 +92,12 @@ def iter_paths(n: int):
 
 
 def count_paths_reference(n: int) -> int:
-    """Independent path count: sum over Dyck paths of 2^(number of valleys).
-
-    Every east-north valley of a Dyck path can be replaced by a diagonal
-    step (the merged step never starts on the main diagonal), and these
-    replacements are independent, so each Dyck path with v valleys yields
-    2^v words.
-    """
-    if n == 0:
-        return 1
-    total = 0
-
-    def rec(path: list[str], ups_left: int, height: int):
-        nonlocal total
-        if ups_left == 0 and height == 0:
-            valleys = sum(
-                1 for i in range(len(path) - 1) if path[i] == "E" and path[i + 1] == "N"
-            )
-            total += 1 << valleys
-            return
-        if ups_left > 0:
-            path.append("N")
-            rec(path, ups_left - 1, height + 1)
-            path.pop()
-        if height > 0:
-            path.append("E")
-            rec(path, ups_left, height - 1)
-            path.pop()
-
-    rec([], n, 0)
-    return total
+    """The number of valid words of semilength n, independent of
+    ``iter_paths``: the little Schröder number s(n) (OEIS A001003), by its
+    recurrence s(0) = s(1) = 1, (k+1) s(k) = 3(2k-1) s(k-1) - (k-2) s(k-2).
+    The tests check it against the sum over Dyck paths of 2^valleys: one
+    word per set of valleys merged into diagonal steps."""
+    prev, cur = 1, 1
+    for k in range(2, n + 1):
+        prev, cur = cur, (3 * (2 * k - 1) * cur - (k - 2) * prev) // (k + 1)
+    return cur

@@ -18,7 +18,8 @@ are the coefficients of a(q+1).  A QPoly remembers its a(q+1), so each
 polynomial is shifted at most once.  The way back, from (q-1)-digits to q,
 is the packed-coefficient codec at the end of this module: Kronecker
 substitution, which ``verify``, the operators and ``rewrite.lincomb_to_m``
-share; ``rewrite.lincomb_to_e`` writes its loops out in one pass.
+share, and ``split_digits``, the one digit split, which llt's tableau count
+uses too; ``rewrite.lincomb_to_e`` writes its loops out in one pass.
 """
 
 from __future__ import annotations
@@ -28,14 +29,11 @@ from operator import add
 
 
 def _exact(c) -> int | Fraction:
-    """An exact coefficient: int (bool becomes int), Fraction, or a rational string."""
+    """An exact coefficient: int (bool becomes int) or Fraction."""
     if isinstance(c, Fraction):
         return c
     if isinstance(c, int):
         return int(c)
-    if isinstance(c, str):
-        f = Fraction(c)
-        return f.numerator if f.denominator == 1 else f
     raise TypeError(f"not an exact rational: {c!r}")
 
 
@@ -63,9 +61,6 @@ class QPoly:
     @classmethod
     def monomial(cls, power: int, c=1) -> "QPoly":
         return cls((0,) * power + (c,))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -147,10 +142,6 @@ class QPoly:
     def __repr__(self) -> str:
         return f"QPoly({render_qpoly(self)!r})"
 
-    def to_json(self) -> list[str]:
-        """Coefficient list, constant term first, exact rationals as strings."""
-        return [str(c) for c in self.coeffs]
-
 
 def _taylor_shift(cs: list) -> QPoly:
     """The polynomial p(q + 1), p having the exact coefficients cs (constant
@@ -186,6 +177,19 @@ def digits_bound(digits) -> int:
     return max(digits, default=0) << len(digits)
 
 
+def split_digits(value: int, bits: int) -> list[int]:
+    """The base-2**bits digits of a nonnegative packed value, constant first:
+    its polynomial's coefficients, when each lies in [0, 2**bits)."""
+    if value < 0:
+        raise ValueError(f"a packed coefficient is nonnegative, got {value}")
+    mask = (1 << bits) - 1
+    digits = []
+    while value:
+        digits.append(value & mask)
+        value >>= bits
+    return digits
+
+
 def _at_q(digits, bits: int) -> int:
     """The polynomial with the given (q-1)-digits, constant first, at
     q = 2**bits: Horner at t = 2**bits - 1, each step a shift and a
@@ -199,7 +203,10 @@ def _at_q(digits, bits: int) -> int:
 def unpack_balanced(value: int, bits: int) -> QPoly:
     """The polynomial p with p(2**bits) = value and every coefficient of
     absolute value below 2**(bits-1): value's balanced base-2**bits digits,
-    constant term first."""
+    constant term first.  bits must be at least 2: at 1 the balanced digits
+    are 0 and -1, which reach no positive value."""
+    if bits < 2:
+        raise ValueError(f"a balanced split needs at least 2 bits, got {bits}")
     half, full = 1 << (bits - 1), 1 << bits
     mask = full - 1
     digits = []

@@ -34,7 +34,7 @@ from functools import cache
 from sys import intern
 
 from .paths import MINUS, PLUS, ZERO, Word, primitive_factors, semilength
-from .qpoly import ONE, Q, Q_MINUS_1, QPoly, _at_q, digits_bound, unpack_balanced
+from .qpoly import ONE, Q, Q_MINUS_1, QPoly, _at_q, digits_bound, split_digits, unpack_balanced
 from .symfunc import Partition, _e_to_m_row, _partitions_within
 
 # A linear combination of words: {word: QPoly}, no zero coefficients.
@@ -146,28 +146,6 @@ def digit_bits(n: int) -> int:
     return n * (n - 1) // 2 + 1
 
 
-def split_digits(value: int, n: int) -> list[int]:
-    """The coefficients in t = q-1, constant first, of the coefficient that
-    ``normalize`` packed into value at semilength n: its base
-    2**digit_bits(n) digits."""
-    if value < 0:
-        raise ValueError(f"a packed coefficient is nonnegative, got {value}")
-    bits = digit_bits(n)
-    mask = (1 << bits) - 1
-    digits = []
-    while value:
-        digits.append(value & mask)
-        value >>= bits
-    return digits
-
-
-def unpack(value: int, n: int) -> QPoly:
-    """The coefficient in q that ``normalize`` packed into value at
-    semilength n: ``lincomb_to_e``'s decode of the one-term expansion
-    value * e_n."""
-    return lincomb_to_e({(n,): value})[(n,)]
-
-
 def _times(scalar: QPoly, c: int, bits: int) -> int:
     """A rule scalar 1, t or t+1 (t = q-1) times a coefficient packed at
     t = 2**bits."""
@@ -271,7 +249,7 @@ def lincomb_to_e(packed: dict[Partition, int]) -> dict[Partition, QPoly]:
     take that value's balanced base-2**bits digits, the q-coefficients.
 
     The result keeps the t-digits as its value at q+1.  The three loops are
-    ``split_digits``, qpoly's ``_at_q`` and ``unpack_balanced`` written out
+    qpoly's ``split_digits``, ``_at_q`` and ``unpack_balanced`` written out
     in one body: calling them instead cost the expand-deep benchmark 6% of
     its items per second (ten alternating 40 s pairs, Python 3.11.7 on a
     2-vCPU x86_64 host).
@@ -334,7 +312,8 @@ def lincomb_to_m(packed: dict[Partition, int], nvars: int) -> dict[Partition, QP
     by_size: dict[int, list[tuple[tuple[int, ...], list[int]]]] = {}
     for mu, c in packed.items():
         size = sum(mu)
-        by_size.setdefault(size, []).append((_e_to_m_row(mu, nvars), split_digits(c, size)))
+        digits = split_digits(c, digit_bits(size))
+        by_size.setdefault(size, []).append((_e_to_m_row(mu, nvars), digits))
     out = {}
     for size, rows in by_size.items():
         bits = sum(max(row, default=0) * digits_bound(ds) for row, ds in rows).bit_length()
@@ -360,9 +339,9 @@ def e_positivity_report(expansion: dict[Partition, QPoly]) -> dict:
     Returns the expansion at q, at q+1, the (q-1)-rebased coefficient
     vectors, and the verdict (all shifted coefficients nonnegative).  The
     (q-1)-digits of c(q) are the coefficients of c(q+1), so one Taylor shift
-    per partition gives both, and none on a coefficient that ``unpack``
-    built, which remembers its c(q+1).  On a rewritten expansion, which lies
-    in Z[q], every entry is an int.
+    per partition gives both, and none on a coefficient that
+    ``lincomb_to_e`` built, which remembers its c(q+1).  On a rewritten
+    expansion, which lies in Z[q], every entry is an int.
     """
     shifted = {mu: c.shift_plus_one() for mu, c in expansion.items()}
     return {

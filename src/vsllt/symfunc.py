@@ -62,14 +62,14 @@ def merge_partitions(mu: Partition, nu: Partition) -> Partition:
     return tuple(sorted(mu + nu, reverse=True))
 
 
-def multiply_expansions(factors, one=ONE) -> dict[Partition, QPoly]:
+def multiply_expansions(factors) -> dict[Partition, QPoly]:
     """Product of expansions in the e-basis, each an iterable of (partition,
     coefficient) pairs: keys merge and coefficients multiply.  Coefficients
-    are QPoly, or packed ints with one = 1.
+    are QPoly or packed ints; the int 1 is the unit of both.
 
-    Untruncated; returns a new dict, {(): one} for no factors.
+    Untruncated; returns a new dict, {(): 1} for no factors.
     """
-    out = {(): one}
+    out = {(): 1}
     for factor in factors:
         nxt = {}
         for mu, c in out.items():

@@ -23,7 +23,7 @@ settings.load_profile("vsllt")
 def qpolys(draw, max_deg=3, lo=-4, hi=4, nonzero=False):
     coeffs = draw(st.lists(st.integers(lo, hi), max_size=max_deg + 1))
     p = QPoly(coeffs)
-    if nonzero and p.is_zero():
+    if nonzero and not p:
         p = QPoly((draw(st.integers(1, hi)),))
     return p
 

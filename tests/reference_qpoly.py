@@ -7,7 +7,9 @@ polynomial.  The division serves the commutator route to the diagonal-step
 operator in reference_dyck, and, repeated, is the reference that
 ``QPoly.rebase_qminus1``'s Taylor shift is compared with.  The shift by -1
 (``from_qminus1``) is the reference for qpoly's packed-coefficient codec,
-which ``rewrite.unpack`` decodes with by Kronecker substitution.
+which ``rewrite.lincomb_to_e`` decodes with by Kronecker substitution.  The
+parser builds each rational coefficient itself; a QPoly takes only ints and
+Fractions.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from vsllt.qpoly import ZERO, QPoly, _canonical, _exact
+from vsllt.qpoly import ZERO, QPoly, _canonical
 
 _TERM_RE = re.compile(
     r"""(?P<sign>[+-]?)\s*
@@ -42,7 +44,10 @@ def parse_qpoly(text: str) -> QPoly:
         coeff = m.group("coeff")
         var = m.group("var1") or m.group("var2")
         exp = m.group("exp1") or m.group("exp2")
-        c = _exact(coeff) if coeff is not None else 1
+        c = 1
+        if coeff is not None:
+            c = Fraction(coeff)
+            c = c.numerator if c.denominator == 1 else c
         power = 0
         if var is not None:
             power = int(exp) if exp is not None else 1

@@ -17,7 +17,8 @@ per '+' weight and rewrites each word once, with packed coefficients.
 
 The library's transducer must agree with both exactly.  ``letter_degree`` is
 the definition of a letter's degree, which the scan returns and the rules
-take.
+take.  ``unpack`` decodes one packed coefficient, through the library's
+``lincomb_to_e``.
 """
 
 from __future__ import annotations
@@ -25,12 +26,18 @@ from __future__ import annotations
 from vsllt import rewrite
 from vsllt.paths import MINUS, PLUS, ZERO, Word, primitive_factors, semilength
 from vsllt.qpoly import ONE, Q, Q_MINUS_1, QPoly, accumulate
-from vsllt.rewrite import LinComb, digit_bits, unpack
+from vsllt.rewrite import LinComb, digit_bits, lincomb_to_e
 from vsllt.symfunc import Partition
 
 # A linear combination of words with each coefficient packed into one
-# positive int, as ``rewrite.unpack`` reads it.
+# positive int, as ``unpack`` reads it.
 PackedLinComb = dict[Word, int]
+
+
+def unpack(value: int, n: int) -> QPoly:
+    """The coefficient in q packed into value at semilength n: ``lincomb_to_e`` of value * e_n."""
+    return lincomb_to_e({(n,): value})[(n,)]
+
 
 # the swap operator's transient letter in ``_bubble_t``'s words
 SWAP = "T"

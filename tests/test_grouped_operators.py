@@ -206,7 +206,7 @@ def _unmerged_expansion(mu, sign):
     for parts, extra, s in states:
         key = (tuple(sorted(parts, reverse=True)), extra)
         out[key] = out.get(key, QPoly()) + s
-    return {key: c for key, c in out.items() if not c.is_zero()}
+    return {key: c for key, c in out.items() if c}
 
 
 def test_shift_table_merges_repeated_parts():

@@ -164,7 +164,7 @@ def test_area_and_crosses_on_large_tuples():
 
 
 def test_to_schroeder_word():
-    assert render_word(to_schroeder_word(BIG), compact=False) == \
+    assert render_word(to_schroeder_word(BIG)) == \
         "-,-,0,0,-,+,-,-,+,+,0,0,-,+,+,+"
     assert to_schroeder_word(parse_strips("0:1")) == parse_word("-+")
     assert to_schroeder_word(parse_strips("0:2")) == parse_word("-0+")

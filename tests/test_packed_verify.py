@@ -13,19 +13,18 @@ from hypothesis import example, given
 import reference_verify
 from conftest import iter_paths_upto
 from reference_qpoly import from_qminus1
+from reference_rewrite import unpack
 from vsllt import cli, dyckalgebra, qpoly, rewrite
 from vsllt.cli import _verify_one
 from vsllt.dyckalgebra import coefficient_bound, packed_bits
 from vsllt.paths import iter_paths, parse_word, primitive_factors, semilength
-from vsllt.qpoly import ONE, QPoly
+from vsllt.qpoly import ONE, QPoly, split_digits
 from vsllt.rewrite import (
     digit_bits,
     e_positivity_report,
     expand_word,
     lincomb_to_e,
     normalize,
-    split_digits,
-    unpack,
 )
 
 
@@ -191,7 +190,7 @@ def _packed(digits, n):
 @example((1, [1]))
 @example((0, []))
 def test_unpack_is_the_taylor_shift_by_minus_one(case):
-    """Lemma (c), the codec.  ``unpack`` reads the digits d_i at q = 2**bits
+    """Lemma (c), the codec.  ``lincomb_to_e`` reads the digits d_i at q = 2**bits
     and takes the q-coefficients s_j of sum d_i (q-1)^i back as balanced
     digits, for bits = ``digits_bound``'s bit length + 1.  That is exact:
     |s_j| <= sum_i d_i 2^i < max(d) 2^len(d) = digits_bound < 2**(bits-1),
@@ -222,7 +221,7 @@ def test_unpack_is_the_taylor_shift_on_every_coefficient_upto_6():
     for w in words:
         n = semilength(w)
         for mu, c in normalize(w).items():
-            assert unpack(c, n) == from_qminus1(split_digits(c, n)), (w, mu)
+            assert unpack(c, n) == from_qminus1(split_digits(c, digit_bits(n))), (w, mu)
 
 
 def test_certificate_runs_no_taylor_shift(monkeypatch):
@@ -233,7 +232,7 @@ def test_certificate_runs_no_taylor_shift(monkeypatch):
     report = rewrite.e_positivity_report(lincomb_to_e(normalize(word)))
     assert calls == []
     for mu, c in report["e"].items():
-        assert report["qminus1"][mu] == tuple(split_digits(normalize(word)[mu], 5))
+        assert report["qminus1"][mu] == tuple(split_digits(normalize(word)[mu], digit_bits(5)))
         assert report["e_at_q_plus_1"][mu] is c.shift_plus_one()
     for w in iter_paths_upto(4):
         e_positivity_report(expand_word(w))
@@ -299,7 +298,8 @@ def test_verify_one_matches_the_decoded_route_under_faults(monkeypatch, cold_ora
 def test_verify_runs_no_taylor_shift(monkeypatch):
     # verify runs no Taylor shift; once the operator side's factor memo
     # holds a composite word's factors (each decoded once, at the factor's
-    # own width), a passing word decodes nothing either
+    # own width), a passing word decodes nothing either: neither the
+    # operator side's balanced split nor either of rewrite's decoders runs
     def no_shift(*_args):
         raise AssertionError("verify ran a Taylor shift")
 
@@ -311,14 +311,16 @@ def test_verify_runs_no_taylor_shift(monkeypatch):
     for w in words:
         assert all(_verify_one(w)[1:]), w
     monkeypatch.setattr(dyckalgebra, "unpack_balanced", no_decode)
-    monkeypatch.setattr(rewrite, "unpack", no_decode)
+    monkeypatch.setattr(rewrite, "lincomb_to_e", no_decode)
+    monkeypatch.setattr(rewrite, "unpack_balanced", no_decode)
     for w in words:
         assert all(_verify_one(w)[1:]), w
 
 
 def test_a_negative_packed_value_fails_every_check(capsys, monkeypatch):
     # a packed rewrite value below 0 has no digit split: all three checks
-    # fail, and the FAIL line decodes nothing (unpack refuses the value)
+    # fail, and the FAIL line decodes nothing: verify looks for a first
+    # difference only where the digit split succeeded
     word = parse_word("--++")
     real = rewrite.normalize
 
@@ -343,7 +345,7 @@ def test_a_wide_rewrite_value_cannot_alias(monkeypatch):
     word = parse_word("-000--+++")
     assert packed_bits(word, 6) == 16
     real = rewrite.normalize
-    assert split_digits(real(word)[(4, 2)], 6) == [0, 1]
+    assert split_digits(real(word)[(4, 2)], digit_bits(6)) == [0, 1]
 
     def aliasing(w):
         out = real(w)

@@ -16,6 +16,7 @@ from reference_rewrite import (
     normalize_by_weight,
     terminal_blocks,
     terminal_lincomb_to_e,
+    unpack,
 )
 from conftest import INVALID_WORDS_UPTO_LENGTH_6, iter_paths_upto, outcome
 from vsllt import rewrite
@@ -39,7 +40,6 @@ from vsllt.rewrite import (
     normalize,
     rewrite_case0,
     rewrite_push_T,
-    unpack,
 )
 from vsllt.symfunc import multiply_expansions
 
