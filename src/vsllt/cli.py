@@ -8,7 +8,7 @@ import os
 import sys
 import time
 from contextlib import nullcontext
-from functools import partial
+from itertools import islice, starmap
 from multiprocessing import Pool
 
 from . import llt
@@ -23,16 +23,24 @@ from .paths import (
     render_word,
     semilength,
 )
-from .dyckalgebra import coefficient_bound, eval_in_e, packed_value, width_for
+from .dyckalgebra import (
+    coefficient_bound,
+    eval_in_e,
+    packed_bits,
+    packed_value,
+    prefix_walk,
+    width_for,
+)
 from .qpoly import ZERO, _at_q, digits_bound, render_qpoly, split_digits
 from .rewrite import digit_bits, e_positivity_report, expand_word, normalize
 
-# Largest semilength ``verify`` sweeps: all 129281 words through 9 take
-# 93-115 s and 80 MB peak RSS in one process; through 8, 9-12 s and 27 MB,
-# or about 6 s with --jobs 2, where no process peaks above 23 MB; through 7,
-# about 1.2 s and 18 MB (Python 3.11.7 on a 2-vCPU x86_64 host).
-# Semilength 10 adds 518859 more words, each costlier than those at 9.
-MAX_VERIFY_SEMILENGTH = 9
+# Largest semilength ``verify`` sweeps: all 648140 words through 10 take
+# 360-502 s and 52 MB peak RSS in one process; through 9, 38-58 s and 28 MB,
+# or 30-37 s with --jobs 2; through 8, 5-8 s and 20 MB; through 7, about
+# 1 s and 18 MB (Python 3.11.7 on a 2-vCPU x86_64 shared host, whose speed
+# varied by up to 1.6x across these runs).  Semilength 11 adds 2646723 more
+# words, each costlier than those at 10.
+MAX_VERIFY_SEMILENGTH = 10
 
 # Largest semilength ``expand`` rewrites, and the most cells ``oracle`` takes:
 # a strip tuple's word has semilength equal to its cell count, and the oracle's
@@ -241,7 +249,7 @@ def cmd_oracle(args) -> int:
     return 0 if match else 1
 
 
-def _verify_one(word):
+def _verify_one(word, walked=None):
     """All three checks for one path word.
 
     Returns (word, agrees, rebased_ok, positive): the rewritten
@@ -259,6 +267,11 @@ def _verify_one(word):
     ``rewrite.lincomb_to_e`` writes out).  Two polynomials whose
     coefficients all lie below 2**(bits-1) in absolute value are equal iff
     their values at 2**bits are.
+
+    walked, if given, is (bits, value): the word's oracle value packed at
+    that width by ``dyckalgebra.prefix_walk``.  It stands in for
+    ``packed_value`` whenever its width is at least the one the digits need;
+    a wider need falls back to ``packed_value``.
     """
     n = semilength(word)
     rewritten = normalize(word)
@@ -268,7 +281,10 @@ def _verify_one(word):
     tbits = digit_bits(n)
     digits = {mu: split_digits(c, tbits) for mu, c in rewritten.items()}
     bits = width_for(max([coefficient_bound(word, n), *map(digits_bound, digits.values())]))
-    evaluated = packed_value(word, bits)
+    if walked is not None and walked[0] >= bits:
+        bits, evaluated = walked
+    else:
+        evaluated = packed_value(word, bits)
     agrees = evaluated.keys() == digits.keys() and all(
         evaluated[mu] == _at_q(ds, bits) for mu, ds in digits.items()
     )
@@ -312,6 +328,25 @@ def _pool_size(jobs: int) -> int:
     return min(jobs, os.cpu_count() or 1)
 
 
+# ``verify --jobs`` cuts each semilength's words into this many contiguous
+# runs per worker, handed out as workers free up: each run's walk shares
+# prefixes, and the first words of a semilength, which cost about 3x the
+# last, do not all land on one worker
+_RUNS_PER_WORKER = 4
+
+
+def _verify_slice(n: int, bits: int, start: int, stop) -> list:
+    """``_verify_one`` on words start:stop of ``iter_paths(n)``, their oracle
+    values from one ``prefix_walk`` at width bits: the failing results, in
+    the walk's order."""
+    words = islice(iter_paths(n), start, stop)
+    return [
+        result
+        for word, value in prefix_walk(words, n, bits)
+        if not all((result := _verify_one(word, (bits, value)))[1:])
+    ]
+
+
 def cmd_verify(args) -> int:
     if args.max_semilength < 1:
         print("verify: --max-semilength must be >= 1", file=sys.stderr)
@@ -334,16 +369,24 @@ def cmd_verify(args) -> int:
     all_ok = True
     total = 0
     with Pool(workers) if workers > 1 else nullcontext() as pool:
-        check_all = map if pool is None else partial(pool.map, chunksize=8)
         for n in range(1, args.max_semilength + 1):
-            words = list(iter_paths(n))
+            count = bits = 0
+            for word in iter_paths(n):
+                count += 1
+                bits = max(bits, packed_bits(word, n))
             expected = count_paths_reference(n)
-            if len(words) != expected:
-                print(f"semilength {n}: enumerator gave {len(words)} paths, reference recurrence {expected}")
+            if count != expected:
+                print(f"semilength {n}: enumerator gave {count} paths, reference recurrence {expected}")
                 all_ok = False
-            results = sorted(check_all(_verify_one, words))
-            failures = [r for r in results if not all(r[1:])]
-            for word, agrees, rebased_ok, positive in failures:
+            parts = 1 if pool is None else workers * _RUNS_PER_WORKER
+            cuts = [count * i // parts for i in range(parts)] + [None]
+            tasks = [(n, bits, a, b) for a, b in zip(cuts, cuts[1:])]
+            if pool is None:
+                runs = starmap(_verify_slice, tasks)
+            else:
+                runs = pool.starmap(_verify_slice, tasks, chunksize=1)
+            failures = [r for run in runs for r in run]
+            for word, agrees, rebased_ok, positive in sorted(failures):
                 flags = []
                 if not agrees:
                     # a negative packed value has no digits to decode
@@ -356,8 +399,8 @@ def cmd_verify(args) -> int:
                 print(f"FAIL {word}: {', '.join(flags)}{_factor_note(word)}; "
                       f"reproduce: vsllt expand --word {word}")
             status = "ok" if not failures else f"{len(failures)} FAILURES"
-            print(f"semilength {n}: {len(words)} paths, {len(words) - len(failures)}/{len(words)} pass ({status})")
-            total += len(words)
+            print(f"semilength {n}: {count} paths, {count - len(failures)}/{count} pass ({status})")
+            total += count
             all_ok = all_ok and not failures
     dt = time.perf_counter() - t0
     print(f"checked {total} paths up to semilength {args.max_semilength} in {dt:.1f}s "

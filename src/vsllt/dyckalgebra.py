@@ -15,8 +15,11 @@ on scalars.  ``QPOLY``, with QPoly scalars, is the reference ring.
 ``packed_value`` runs in ``packed(bits)``, whose scalars are Python ints,
 the value of a polynomial at q = 2**bits (Kronecker substitution), and
 ``eval_in_e`` decodes each of its output coefficients once (qpoly's
-``unpack_balanced``); ``coefficient_bound`` proves the width.  Only
-``eval_word``, the p-basis value, returns a GradedSym.
+``unpack_balanced``); ``coefficient_bound`` proves the width.
+``prefix_walk`` gives ``packed_value`` for a run of words of one
+semilength, sharing each prefix's action across the words beneath it; it is
+what ``verify`` runs.  Only ``eval_word``, the p-basis value, returns a
+GradedSym.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 from functools import cache
 
 from .paths import MINUS, PLUS, Word, primitive_factors, semilength
+from .paths import ZERO as DIAGONAL
 from .qpoly import ONE, Q, Q_MINUS_1, ZERO, QPoly, accumulate, unpack_balanced
 from .symfunc import GradedSym, Partition, e_expansion_in_p, merge_partitions, multiply_expansions
 # unused here, but bench/tracing.py wraps dyckalgebra.e_in_p by name
@@ -368,6 +372,79 @@ def packed_value(word: Word, bits: int) -> dict[Partition, int]:
         values = ([(mu, c(at)) for mu, c in _primitive_value(f)] for f in factors)
         return multiply_expansions(values)
     return _apply_packed(word, n, bits)
+
+
+def prefix_walk(words, n: int, bits: int):
+    """Yield (word, packed_value(word, bits)) for each valid word of
+    semilength n, in the order given; bits must be at least
+    packed_bits(word, n) for every word.
+
+    The value of w = w_1 ... w_m is w_1(w_2(... w_m(1))), so a prefix
+    P = w_1 ... w_d is applied last, and words that share P share its action.
+    For the current word the walk keeps, at each depth d, a memo from a basis
+    element b = y^e e_mu of V_k to the symmetric part of P(b) in V_0, which it
+    fills on demand: P(b) is the sum, over the terms c * b' of the letter
+    w_d applied to b (``op_dplus``, ``op_dminus`` or ``op_phi`` on that one
+    term), of c times w_1 ... w_{d-1}(b').  A word's value is its full
+    depth's entry for b = 1.  Memos at the depths the next word shares stay;
+    the rest are dropped, so words in ``iter_paths`` order, depth first over
+    the trie of prefixes, reuse every prefix across the words beneath it.
+
+    Exact: each letter is linear, so P(b) summed over the terms of any
+    element is P of that element, and every letter keeps the total degree
+    (symmetric plus y) or raises it by one, ending at n on a valid word, so
+    no truncation drops a term.  The word's value is then d_P(1) at
+    q = 2**bits, which is ``packed_value``'s, composite words included.
+    """
+    ring = packed(bits)
+    one = ring.one
+    step = {PLUS: op_dplus, MINUS: op_dminus, DIAGONAL: op_phi}
+    # a letter's action on a one-term element, as (e', mu', c) triples; few
+    # distinct ones recur across the whole walk (1546 at semilength 8)
+    actions: dict[tuple, tuple] = {}
+    # memos[d - 1] belongs to word[:d]; value reads the loop's current word
+    memos: list[dict] = []
+
+    def action(letter: str, e: YExps, mu: Partition) -> tuple:
+        key = (letter, e, mu)
+        got = actions.get(key)
+        if got is None:
+            out = step[letter](VElement(len(e), n, {e: {mu: one}}, ring)).terms
+            got = actions[key] = tuple(
+                (e2, mu2, c) for e2, g in out.items() for mu2, c in g.items()
+            )
+        return got
+
+    def value(d: int, e: YExps, mu: Partition) -> dict:
+        memo = memos[d - 1]
+        got = memo.get((e, mu))
+        if got is None:
+            terms = action(word[d - 1], e, mu)
+            if d == 1:
+                got = {mu2: c for _, mu2, c in terms}
+            else:
+                acc: dict[Partition, int] = {}
+                for e2, mu2, c in terms:
+                    for lam, v in value(d - 1, e2, mu2).items():
+                        acc[lam] = acc.get(lam, 0) + c * v
+                got = {lam: v for lam, v in acc.items() if v}
+            memo[e, mu] = got
+        return got
+
+    prev = ""
+    for word in words:
+        primitive_factors(word)  # WordError on an invalid word
+        if semilength(word) != n:
+            raise ValueError(f"prefix_walk at semilength {n} got {word!r}")
+        shared = 0
+        for a, b in zip(prev, word):
+            if a != b:
+                break
+            shared += 1
+        del memos[shared:]
+        memos.extend({} for _ in range(len(word) - shared))
+        prev = word
+        yield word, (value(len(word), (), ()) if word else {(): one})
 
 
 def eval_in_e(word: Word) -> dict[Partition, QPoly]:

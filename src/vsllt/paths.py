@@ -74,21 +74,24 @@ def semilength(word: Word) -> int:
 
 
 def iter_paths(n: int):
-    """Yield every valid word of semilength exactly n, in generation order."""
+    """Yield every valid word of semilength exactly n, depth first over the
+    trie of prefixes, trying '-', then '0', then '+' at each step.
 
-    def rec(prefix: str, east_left: int, height: int):
-        if east_left == 0:
-            # height is 0 here by the invariant below
-            yield prefix
-            return
-        if height < east_left:
-            yield from rec(prefix + MINUS, east_left, height + 1)
-        if 1 <= height <= east_left - 1:
-            yield from rec(prefix + ZERO, east_left - 1, height)
-        if height >= 1:
-            yield from rec(prefix + PLUS, east_left - 1, height - 1)
-
-    yield from rec("", n, 0)
+    An explicit stack of (prefix, east steps left, height) entries; a prefix
+    whose height equals the east steps left can only close with that many
+    '+', so it is yielded whole."""
+    stack = [("", n, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        prefix, east_left, height = pop()
+        if height == east_left:
+            yield prefix + PLUS * height
+            continue
+        # pushed in reverse, so the '-' child comes off first
+        if height:
+            push((prefix + PLUS, east_left - 1, height - 1))
+            push((prefix + ZERO, east_left - 1, height))
+        push((prefix + MINUS, east_left, height + 1))
 
 
 def count_paths_reference(n: int) -> int:

@@ -203,9 +203,9 @@ def test_verify_summary_reports_words_per_second(capsys):
 
 
 def test_verify_parallel_matches_serial(capsys):
-    code, serial, _ = run(capsys, "verify", "--max-semilength", "3")
+    code, serial, _ = run(capsys, "verify", "--max-semilength", "5")
     assert code == 0
-    code, parallel, _ = run(capsys, "verify", "--max-semilength", "3", "--jobs", "2")
+    code, parallel, _ = run(capsys, "verify", "--max-semilength", "5", "--jobs", "2")
     assert code == 0
     strip = lambda text: [l for l in text.splitlines() if not l.startswith("checked")]
     assert strip(serial) == strip(parallel)
@@ -214,8 +214,8 @@ def test_verify_parallel_matches_serial(capsys):
 def test_verify_fail_line_ends_with_its_reproducer(capsys, monkeypatch):
     real = cli._verify_one
 
-    def one_fails(word):
-        text, agrees, rebased_ok, positive = real(word)
+    def one_fails(word, walked=None):
+        text, agrees, rebased_ok, positive = real(word, walked)
         return text, agrees, rebased_ok, positive and text != "--++"
 
     monkeypatch.setattr(cli, "_verify_one", one_fails)
@@ -235,10 +235,12 @@ def test_verify_fail_line_ends_with_its_reproducer(capsys, monkeypatch):
 
 
 def test_verify_fail_line_names_the_failing_factor(capsys, monkeypatch):
-    # an injected fault in the operator side's packed value of one primitive
-    # word, "--0++", reaches every composite word with that factor through
-    # the factor memo; each of their FAIL lines names it, the word's own
-    # does not.  The fault adds 1 to e[3], at every width.
+    # an injected fault in the per-word operator side's packed value of one
+    # primitive word, "--0++", reaches every composite word with that factor
+    # through the factor memo; each of their FAIL lines names it, the word's
+    # own does not.  The fault adds 1 to e[3], at every width.  verify's
+    # prefix walk is replaced by that per-word route, which it equals on
+    # every word (tests/test_prefix_walk.py).
     target = parse_word("--0++")
     real = dyckalgebra._apply_packed
 
@@ -248,7 +250,11 @@ def test_verify_fail_line_names_the_failing_factor(capsys, monkeypatch):
             terms[(3,)] = terms.get((3,), 0) + 1
         return terms
 
+    def per_word(words, n, bits):
+        return ((w, dyckalgebra.packed_value(w, bits)) for w in words)
+
     monkeypatch.setattr(dyckalgebra, "_apply_packed", faulty)
+    monkeypatch.setattr(cli, "prefix_walk", per_word)
     dyckalgebra._primitive_value.cache_clear()
     try:
         code, out, _ = run(capsys, "verify", "--max-semilength", "4")
@@ -266,6 +272,28 @@ def test_verify_fail_line_names_the_failing_factor(capsys, monkeypatch):
         "rewrite q^2 - q, evaluation q^2 - q + 1; failing primitive factor --0++; "
         "reproduce: vsllt expand --word --0++-+",
     ]
+
+
+def test_verify_fail_line_for_a_fault_in_an_operator(capsys, monkeypatch):
+    # a fault in op_phi, which the prefix walk applies letter by letter:
+    # every output scaled by 2.  Of the words of semilength 2, only "-0+"
+    # has a diagonal letter; its FAIL line decodes the same faulty operator
+    # through eval_in_e.
+    real = dyckalgebra.op_phi
+
+    def doubled(f):
+        out = real(f)
+        terms = {e: {mu: c + c for mu, c in g.items()} for e, g in out.terms.items()}
+        return dyckalgebra.VElement(out.k, out.n, terms, out.ring)
+
+    monkeypatch.setattr(dyckalgebra, "op_phi", doubled)
+    code, out, _ = run(capsys, "verify", "--max-semilength", "2")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL -0+: rewrite/evaluation mismatch, first difference at e[2]: "
+        "rewrite 1, evaluation 2; reproduce: vsllt expand --word -0+"
+    ]
+    assert "semilength 2: 3 paths, 2/3 pass (1 FAILURES)" in out
 
 
 def test_verify_fail_line_names_the_first_differing_coefficient(capsys, monkeypatch, cold_oracle):
@@ -301,8 +329,8 @@ def test_verify_fail_line_when_every_factor_passes(capsys, monkeypatch):
     # a fault in the product of factors, not in any factor: the FAIL line says so
     real = cli._verify_one
 
-    def composite_fails(word):
-        text, agrees, rebased_ok, positive = real(word)
+    def composite_fails(word, walked=None):
+        text, agrees, rebased_ok, positive = real(word, walked)
         return text, agrees and text != "-+-+", rebased_ok, positive
 
     monkeypatch.setattr(cli, "_verify_one", composite_fails)
@@ -427,17 +455,17 @@ def test_verify_refuses_semilengths_above_the_cap(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_verify_one", no_work)
     monkeypatch.setattr(cli, "iter_paths", no_work)
     monkeypatch.setattr(cli, "Pool", no_work)
-    assert cli.MAX_VERIFY_SEMILENGTH == 9
-    code, out, err = run(capsys, "verify", "--max-semilength", "10")
+    assert cli.MAX_VERIFY_SEMILENGTH == 10
+    code, out, err = run(capsys, "verify", "--max-semilength", "11")
     assert code == 2
     assert out == ""
-    assert "648140 words (518859 at semilength 10)" in err
-    assert "limit of semilength 9" in err
+    assert "3294863 words (2646723 at semilength 11)" in err
+    assert "limit of semilength 10" in err
     # far beyond the cap the count stops one level past it, so refusing is instant
     code, out, err = run(capsys, "verify", "--max-semilength", str(10**9), "--jobs", "2")
     assert code == 2
     assert out == ""
-    assert "more than 648140 words" in err
+    assert "more than 3294863 words" in err
 
 
 def test_expand_refuses_semilengths_above_the_cap(capsys, monkeypatch, cold_oracle):

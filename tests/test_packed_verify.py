@@ -315,6 +315,14 @@ def test_verify_runs_no_taylor_shift(monkeypatch):
     monkeypatch.setattr(rewrite, "unpack_balanced", no_decode)
     for w in words:
         assert all(_verify_one(w)[1:]), w
+    # verify itself takes every word's oracle value from the prefix walk,
+    # so it decodes nothing even with the factor memo cold
+    dyckalgebra._primitive_value.cache_clear()
+    try:
+        assert cli.main(["verify", "--max-semilength", "7"]) == 0
+        assert dyckalgebra._primitive_value.cache_info().currsize == 0
+    finally:
+        dyckalgebra._primitive_value.cache_clear()
 
 
 def test_a_negative_packed_value_fails_every_check(capsys, monkeypatch):

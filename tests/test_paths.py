@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import WORDS_UPTO_LENGTH_6, iter_paths_upto, outcome
+from reference_paths import iter_paths_recursive
 from vsllt.paths import (
     WordError,
     count_paths_reference,
@@ -92,6 +93,18 @@ def test_enumeration_counts(n):
     for w in words:
         primitive_factors(w)
         assert semilength(w) == n
+
+
+def test_iter_paths_is_the_recursive_enumerator():
+    # the explicit-stack walk yields the recursive enumerator's words in its
+    # order, which verify's prefix walk and its contiguous runs rely on
+    for n in range(10):
+        assert list(iter_paths(n)) == list(iter_paths_recursive(n)), n
+
+
+def test_iter_paths_counts_upto_10():
+    for n in range(11):
+        assert sum(1 for _ in iter_paths(n)) == count_paths_reference(n), n
 
 
 def test_count_paths_reference_is_the_valley_count():

@@ -316,6 +316,20 @@ def test_composite_words_of_semilength_8_match_their_factors_whole():
         assert eval_packed(w, 8) == eval_in_e(w), w
 
 
+def test_composite_words_of_semilength_9_match_their_factors_whole():
+    # The same two factor lemmas one semilength up, where verify's operator
+    # side runs every word whole: on every 500th composite word of
+    # semilength 9, in iter_paths order.
+    composite = [w for w in iter_paths(9) if len(primitive_factors(w)) > 1]
+    assert len(composite) == 61463
+    sample = composite[250::500]
+    assert len(sample) == 123
+    for w in sample:
+        factors = (expand_word(f).items() for f in primitive_factors(w))
+        assert expand_word(w) == multiply_expansions(factors), w
+        assert eval_packed(w, 9) == eval_in_e(w), w
+
+
 def test_expand_word_refuses_invalid_words_as_normalize_does():
     # expand_word refuses an invalid word as normalize does: same message,
     # same position
